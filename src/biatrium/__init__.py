@@ -18,7 +18,6 @@ from .core import (
     NiftiFormatError,
     Placement,
     Volume,
-    same_grid,
 )
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import BiatriumError
+from .core import BiatriumError, ConfigError, check_class_map
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
     DEFAULT_FINE_WINDOW,
@@ -53,9 +53,10 @@ def _class_map(text: str) -> dict:
         cm = json.loads(text)
     except json.JSONDecodeError as e:
         raise argparse.ArgumentTypeError(f"class map is not valid JSON: {e}")
-    if not isinstance(cm, dict) or not all(isinstance(v, int) for v in cm.values()):
-        raise argparse.ArgumentTypeError("class map must be a JSON object of name -> int")
-    return cm
+    try:
+        return check_class_map(cm)
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _cmd_enhance(args) -> int:

@@ -6,6 +6,9 @@ padded or cropped window) maps back into its parent grid.
 """
 from __future__ import annotations
 
+import dataclasses
+import numbers
+import typing
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -23,6 +26,8 @@ __all__ = [
     "LabelMap",
     "BBox",
     "Placement",
+    "check_class_map",
+    "from_json",
 ]
 
 
@@ -42,8 +47,8 @@ class BackendError(BiatriumError):
     """A segmenter backend failed or produced unusable output."""
 
 
-class ConfigError(BiatriumError):
-    """Pipeline configuration is invalid."""
+class ConfigError(BiatriumError, ValueError):
+    """A configuration document or object is invalid."""
 
 
 #: Default label codes.  The challenge convention for which integer encodes
@@ -60,8 +65,24 @@ DEFAULT_CLASS_MAP: Mapping[str, int] = {
 BINARY_CLASS_MAP: Mapping[str, int] = {"background": 0, "foreground": 1}
 
 
+def check_class_map(obj) -> dict[str, int]:
+    """Return ``obj`` as a dict after checking that it maps names to
+    integer codes in [0, 255] (bools are not codes)."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"class_map must be an object, got {obj!r}")
+    for name, code in obj.items():
+        if (not isinstance(name, str) or isinstance(code, bool)
+                or not isinstance(code, numbers.Integral) or not 0 <= code <= 255):
+            raise ConfigError(
+                f"class_map must map names to ints in [0, 255], got {name!r}: {code!r}")
+    return dict(obj)
+
+
 def _as_triple(value, name: str, kind=int) -> tuple:
-    t = tuple(kind(v) for v in value)
+    try:
+        t = tuple(kind(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be 3 numbers, got {value!r}") from None
     if len(t) != 3:
         raise ValueError(f"{name} must have 3 components, got {len(t)}")
     return t
@@ -184,6 +205,48 @@ class Placement:
                 raise ValueError(f"window_shape must be positive, got {self.window_shape}")
 
 
-def same_grid(a: Volume | LabelMap, b: Volume | LabelMap) -> bool:
-    """True when two grids agree in shape and spacing."""
-    return a.shape == b.shape and a.spacing == b.spacing
+def from_json(cls, obj, where: str = ""):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    The keys are the field names, or ``metadata["json"]`` where a field sets
+    it; unknown keys and missing required keys are errors.  Fields typed as
+    a dataclass, an optional dataclass or ``tuple[<dataclass>, ...]`` are
+    built recursively; every other value goes to ``cls`` unchanged, whose
+    ``__post_init__`` validates it.  Errors are ConfigErrors naming the key
+    path (``where`` is the path of ``obj`` itself).
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config root'} must be an object")
+    hints = typing.get_type_hints(cls)
+    fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown config key {_key_path(where, unknown[0])}")
+    kwargs = {}
+    for key, f in fields.items():
+        if key in obj:
+            kwargs[f.name] = _field_from_json(hints[f.name], obj[key], _key_path(where, key))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where or 'config'} is missing required key {key!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}" if where else str(e)) from e
+
+
+def _key_path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _field_from_json(tp, value, where: str):
+    args = typing.get_args(tp)
+    if value is None and type(None) in args:
+        return None
+    if typing.get_origin(tp) is tuple and args[1:] == (...,) and dataclasses.is_dataclass(args[0]):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return tuple(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    for t in (tp, *args):
+        if dataclasses.is_dataclass(t):
+            return from_json(t, value, where)
+    return value

@@ -28,11 +28,22 @@ DEFAULT_DOWNSAMPLE_FACTORS = (4, 4, 1)
 DEFAULT_FINE_WINDOW = (256, 256, 48)
 
 
-def _center_delta(src: int, dst: int) -> tuple[int, int]:
-    """Split ``|dst - src|`` into (low, high) with the odd voxel on the high
-    side."""
-    d = abs(dst - src)
-    return d // 2, d - d // 2
+def _center_offset(src: int, dst: int) -> int:
+    """Offset placing a ``dst``-long window centered on a ``src``-long axis:
+    the crop start (>= 0) or minus the low-side pad (< 0).  The odd voxel
+    of the difference goes on the high side."""
+    return (src - dst) // 2 if src >= dst else -((dst - src) // 2)
+
+
+def _extract(v: Volume, offset, window: tuple[int, int, int],
+             pad_value: float) -> tuple[Volume, Placement]:
+    """Copy the window at ``offset`` out of ``v``, padding where it extends
+    past the volume."""
+    place = Placement(parent_shape=v.shape, offset=offset, window_shape=window)
+    parent_sl, window_sl = _overlap(place)
+    out = np.full(window, pad_value, dtype=v.data.dtype)
+    out[window_sl] = v.data[parent_sl]
+    return Volume(data=out, spacing=v.spacing), place
 
 
 def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD_SHAPE,
@@ -46,24 +57,8 @@ def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD
     target_shape = tuple(int(t) for t in target_shape)
     if len(target_shape) != 3 or any(t < 1 for t in target_shape):
         raise ValueError(f"target_shape must be 3 positive ints, got {target_shape}")
-    data = v.data
-    offset = []
-    src_slices = []
-    dst_slices = []
-    for s, t in zip(data.shape, target_shape):
-        lo, _ = _center_delta(s, t)
-        if s >= t:
-            offset.append(lo)
-            src_slices.append(slice(lo, lo + t))
-            dst_slices.append(slice(0, t))
-        else:
-            offset.append(-lo)
-            src_slices.append(slice(0, s))
-            dst_slices.append(slice(lo, lo + s))
-    out = np.full(target_shape, pad_value, dtype=data.dtype)
-    out[tuple(dst_slices)] = data[tuple(src_slices)]
-    place = Placement(parent_shape=data.shape, offset=tuple(offset), window_shape=target_shape)
-    return Volume(data=out, spacing=v.spacing), place
+    offset = [_center_offset(s, t) for s, t in zip(v.shape, target_shape)]
+    return _extract(v, offset, target_shape, pad_value)
 
 
 def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS) -> Volume:
@@ -128,25 +123,9 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     window = tuple(int(w) for w in window)
     if len(window) != 3 or any(w < 1 for w in window):
         raise ValueError(f"window must be 3 positive ints, got {window}")
-    data = v.data
-    offset = []
-    src_slices = []
-    dst_slices = []
-    for s, w, c in zip(data.shape, window, center):
-        if w <= s:
-            start = min(max(int(c) - w // 2, 0), s - w)
-            offset.append(start)
-            src_slices.append(slice(start, start + w))
-            dst_slices.append(slice(0, w))
-        else:
-            lo, _ = _center_delta(s, w)
-            offset.append(-lo)
-            src_slices.append(slice(0, s))
-            dst_slices.append(slice(lo, lo + s))
-    out = np.full(window, pad_value, dtype=data.dtype)
-    out[tuple(dst_slices)] = data[tuple(src_slices)]
-    place = Placement(parent_shape=data.shape, offset=tuple(offset), window_shape=window)
-    return Volume(data=out, spacing=v.spacing), place
+    offset = [min(max(int(c) - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
+              for s, w, c in zip(v.shape, window, center)]
+    return _extract(v, offset, window, pad_value)
 
 
 def _overlap(place: Placement):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Volume
+from .core import Volume, _as_triple
 
 __all__ = ["MclaheParams", "mclahe", "clip_redistribute", "mapping_from_hist"]
 
@@ -35,8 +35,8 @@ class MclaheParams:
 
     def __post_init__(self):
         if self.kernel_size is not None:
-            ks = tuple(int(k) for k in self.kernel_size)
-            if len(ks) != 3 or any(k < 1 for k in ks):
+            ks = _as_triple(self.kernel_size, "kernel_size")
+            if any(k < 1 for k in ks):
                 raise ValueError(f"kernel_size must be 3 positive ints, got {self.kernel_size}")
             object.__setattr__(self, "kernel_size", ks)
         if self.n_bins < 2:

@@ -11,11 +11,11 @@ constants exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, LabelMap, Volume
+from .core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple, from_json
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -26,10 +26,8 @@ class Ellipsoid:
     radii_mm: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "center_mm", tuple(float(c) for c in self.center_mm))
-        object.__setattr__(self, "radii_mm", tuple(float(r) for r in self.radii_mm))
-        if len(self.center_mm) != 3 or len(self.radii_mm) != 3:
-            raise ValueError("center_mm and radii_mm must be length-3")
+        object.__setattr__(self, "center_mm", _as_triple(self.center_mm, "center_mm", float))
+        object.__setattr__(self, "radii_mm", _as_triple(self.radii_mm, "radii_mm", float))
         if any(r <= 0 for r in self.radii_mm):
             raise ValueError(f"radii must be > 0, got {self.radii_mm}")
 
@@ -56,11 +54,11 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        if len(self.shape) != 3 or any(s < 1 for s in self.shape):
+        object.__setattr__(self, "shape", _as_triple(self.shape, "shape"))
+        object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
+        if any(s < 1 for s in self.shape):
             raise ValueError(f"shape must be 3 positive ints, got {self.shape}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
+        if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
         if self.wall_thickness_mm <= 0:
             raise ValueError(f"wall thickness must be > 0, got {self.wall_thickness_mm}")
@@ -119,45 +117,16 @@ def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
     return vol, gt
 
 
-_SPEC_KEYS = {
-    "shape", "spacing", "la", "ra", "wall_thickness_mm",
-    "level_background", "level_wall", "level_cavity", "noise_amplitude", "seed",
-}
-
-
 def spec_from_json(obj: dict | str) -> PhantomSpec:
     """Build a PhantomSpec from a JSON dict (or JSON text).  Unknown keys
-    are rejected; omitted keys take the defaults."""
+    are rejected; omitted keys take the defaults.  Errors are ConfigErrors
+    (a ValueError) naming the key path."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    unknown = sorted(set(obj) - _SPEC_KEYS)
-    if unknown:
-        raise ValueError(f"unknown phantom spec keys: {unknown}")
-    kwargs = dict(obj)
-    for key in ("la", "ra"):
-        if key in kwargs:
-            e = kwargs[key]
-            extra = sorted(set(e) - {"center_mm", "radii_mm"})
-            if extra:
-                raise ValueError(f"unknown keys in {key!r}: {extra}")
-            kwargs[key] = Ellipsoid(center_mm=tuple(e["center_mm"]),
-                                    radii_mm=tuple(e["radii_mm"]))
-    for key in ("shape", "spacing"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return PhantomSpec(**kwargs)
+    return from_json(PhantomSpec, obj)
 
 
 def spec_to_json(spec: PhantomSpec) -> dict:
-    return {
-        "shape": list(spec.shape),
-        "spacing": list(spec.spacing),
-        "la": {"center_mm": list(spec.la.center_mm), "radii_mm": list(spec.la.radii_mm)},
-        "ra": {"center_mm": list(spec.ra.center_mm), "radii_mm": list(spec.ra.radii_mm)},
-        "wall_thickness_mm": spec.wall_thickness_mm,
-        "level_background": spec.level_background,
-        "level_wall": spec.level_wall,
-        "level_cavity": spec.level_cavity,
-        "noise_amplitude": spec.noise_amplitude,
-        "seed": spec.seed,
-    }
+    """The spec as a JSON-ready dict, in field order, triples as lists."""
+    return asdict(spec, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import shlex
 import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,6 +40,9 @@ from .core import (
     LabelMap,
     NiftiFormatError,
     Volume,
+    _as_triple,
+    check_class_map,
+    from_json,
 )
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
@@ -94,7 +99,7 @@ class BackendSpec:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
         if self.kind == "external-command":
             t = self.command_template
-            if not t or "{input}" not in t or "{output}" not in t:
+            if not isinstance(t, str) or "{input}" not in t or "{output}" not in t:
                 raise ValueError(
                     "external-command backend needs a command_template containing "
                     "{input} and {output}")
@@ -102,7 +107,7 @@ class BackendSpec:
             if self.threshold is None or not 0.0 <= self.threshold <= 1.0:
                 raise ValueError(f"threshold backend needs threshold in [0, 1], got {self.threshold}")
         elif self.kind == "copy-file":
-            if not self.source_path:
+            if not self.source_path or not isinstance(self.source_path, str):
                 raise ValueError("copy-file backend needs source_path")
         if self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
@@ -110,9 +115,30 @@ class BackendSpec:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    case_id: str
-    image: str
+    """One input volume and its optional ground truth.
+
+    An empty or null ``case_id`` defaults to the image file name without
+    ``.nii``/``.nii.gz``.  The id names the case's output directory, so it
+    must be a single path component.
+    """
+
+    case_id: str = ""
+    image: str = ""
     gt: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.image, str) or not self.image:
+            raise ValueError(f"image must be a non-empty string, got {self.image!r}")
+        if self.gt is not None and not isinstance(self.gt, str):
+            raise ValueError(f"gt must be a string or null, got {self.gt!r}")
+        if self.case_id in ("", None):
+            name = Path(self.image).name
+            stem = name[:-len(".nii.gz")] if name.endswith(".nii.gz") else Path(name).stem
+            object.__setattr__(self, "case_id", stem)
+        if (not isinstance(self.case_id, str) or self.case_id in ("", ".", "..")
+                or any(c in self.case_id for c in "/\\\0")):
+            raise ValueError(
+                f"case_id must be a single path component, got {self.case_id!r}")
 
 
 @dataclass(frozen=True)
@@ -124,13 +150,16 @@ class PipelineConfig:
     standard_shape: tuple[int, int, int] = DEFAULT_STANDARD_SHAPE
     coarse_factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS
     fine_window: tuple[int, int, int] = DEFAULT_FINE_WINDOW
-    mclahe_params: MclaheParams | None = field(default_factory=MclaheParams)
+    mclahe_params: MclaheParams | None = field(default_factory=MclaheParams,
+                                               metadata={"json": "mclahe"})
     class_map: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_CLASS_MAP))
     bbox_margin_vox: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(self.cases))
-        object.__setattr__(self, "class_map", dict(self.class_map))
+        object.__setattr__(self, "class_map", check_class_map(self.class_map))
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.cases:
             raise ConfigError("config lists no cases")
         seen = set()
@@ -139,16 +168,20 @@ class PipelineConfig:
                 raise ConfigError(f"duplicate case_id {c.case_id!r}")
             seen.add(c.case_id)
         for name in ("standard_shape", "coarse_factors", "fine_window"):
-            val = tuple(int(v) for v in getattr(self, name))
-            if len(val) != 3 or any(v < 1 for v in val):
+            try:
+                val = _as_triple(getattr(self, name), name)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
+            if any(v < 1 for v in val):
                 raise ConfigError(f"{name} must be 3 positive ints, got {val}")
             object.__setattr__(self, name, val)
         for ax, (s, f) in enumerate(zip(self.standard_shape, self.coarse_factors)):
             if s % f != 0:
                 raise ConfigError(
                     f"standard_shape[{ax}]={s} is not divisible by coarse_factors[{ax}]={f}")
-        if self.bbox_margin_vox < 0:
-            raise ConfigError(f"bbox_margin_vox must be >= 0, got {self.bbox_margin_vox}")
+        m = self.bbox_margin_vox
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
+            raise ConfigError(f"bbox_margin_vox must be an int >= 0, got {m!r}")
 
     @property
     def coarse_shape(self) -> tuple[int, int, int]:
@@ -245,22 +278,11 @@ def _roi_center(mask: LabelMap, factors, margin: int,
     return grown, center
 
 
-class _Timer:
-    def __init__(self):
-        self.ms: dict[str, float] = {}
-
-    def stage(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.ms[name] = (time.perf_counter() - self.t0) * 1000.0
-                return False
-
-        return _Ctx()
+@contextmanager
+def _timed(timings_ms: dict[str, float], stage: str):
+    t0 = time.perf_counter()
+    yield
+    timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
 
 
 def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
@@ -279,28 +301,28 @@ def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
 
 
 def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> CaseResult:
-    timer = _Timer()
+    timings_ms: dict[str, float] = {}
     flags: list[str] = []
     case_dir.mkdir(parents=True, exist_ok=True)
 
-    with timer.stage("read"):
+    with _timed(timings_ms, "read"):
         vol = read_volume(case.image)
 
     if cfg.mclahe_params is not None:
-        with timer.stage("enhance"):
+        with _timed(timings_ms, "enhance"):
             vol = mclahe(vol, cfg.mclahe_params)
 
-    with timer.stage("standardize"):
+    with _timed(timings_ms, "standardize"):
         std, to_original = standardize(vol, cfg.standard_shape)
 
-    with timer.stage("downsample"):
+    with _timed(timings_ms, "downsample"):
         coarse_in = downsample_mean(std, cfg.coarse_factors)
 
-    with timer.stage("coarse_backend"):
+    with _timed(timings_ms, "coarse_backend"):
         coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, cfg.coarse_shape,
                                      classes=BINARY_CLASS_MAP)
 
-    with timer.stage("roi"):
+    with _timed(timings_ms, "roi"):
         try:
             roi_box, center = _roi_center(coarse_mask, cfg.coarse_factors,
                                           cfg.bbox_margin_vox, cfg.standard_shape)
@@ -309,18 +331,18 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
             roi_box = None
             center = tuple(s // 2 for s in cfg.standard_shape)
 
-    with timer.stage("crop"):
+    with _timed(timings_ms, "crop"):
         fine_in, to_standard = crop_window(std, center, cfg.fine_window)
 
-    with timer.stage("fine_backend"):
+    with _timed(timings_ms, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, cfg.fine_window,
                                      classes=cfg.class_map)
 
-    with timer.stage("stitch"):
+    with _timed(timings_ms, "stitch"):
         std_labels = stitch(fine_labels, to_standard)
         full_labels = stitch(std_labels, to_original)
 
-    with timer.stage("write"):
+    with _timed(timings_ms, "write"):
         mask_path = case_dir / "mask.nii.gz"
         write_volume(full_labels, mask_path)
         write_placement(to_original, case_dir / "standard_placement.json")
@@ -328,13 +350,13 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     metrics: tuple[MetricRow, ...] = ()
     if case.gt is not None:
-        with timer.stage("evaluate"):
+        with _timed(timings_ms, "evaluate"):
             gt = read_labelmap(case.gt, classes=cfg.class_map)
             metrics = tuple(evaluate_case(full_labels, gt, classes=cfg.class_map,
                                           case_id=case.case_id))
 
     result = CaseResult(case_id=case.case_id, status="ok", mask_path=str(mask_path),
-                        flags=tuple(flags), roi_box=roi_box, timings_ms=dict(timer.ms),
+                        flags=tuple(flags), roi_box=roi_box, timings_ms=timings_ms,
                         metrics=metrics)
     _write_result_json(case_dir, result)
     return result
@@ -357,23 +379,28 @@ def _write_result_json(case_dir: Path, result: CaseResult) -> None:
         f.write("\n")
 
 
-_SUMMARY_CLASSES = (("wall", "wall"), ("right_atrium", "ra"), ("left_atrium", "la"))
+#: Column prefixes that differ from the class name.
+_COLUMN_PREFIX = {"right_atrium": "ra", "left_atrium": "la"}
 
 
-def write_summary_csv(results: Sequence[CaseResult], path) -> None:
-    """Columns: case_id,status,wall_dice,wall_hd95,ra_dice,ra_hd95,la_dice,
-    la_hd95.  Metric cells stay empty for failed cases or when no ground
-    truth was supplied."""
+def write_summary_csv(results: Sequence[CaseResult], path,
+                      classes: Mapping[str, int]) -> None:
+    """Columns: case_id, status, then ``<class>_dice,<class>_hd95`` for each
+    nonzero class of ``classes`` in map order (``right_atrium`` and
+    ``left_atrium`` abbreviate to ``ra``/``la``).  Metric cells stay empty
+    for failed cases or when no ground truth was supplied."""
+    names = [name for name, code in classes.items() if code != 0]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["case_id", "status"]
-        for _, abbr in _SUMMARY_CLASSES:
-            header += [f"{abbr}_dice", f"{abbr}_hd95"]
+        for name in names:
+            prefix = _COLUMN_PREFIX.get(name, name)
+            header += [f"{prefix}_dice", f"{prefix}_hd95"]
         w.writerow(header)
         for r in results:
             row = [r.case_id, r.status]
             by_class = {m.class_name: m for m in r.metrics}
-            for name, _ in _SUMMARY_CLASSES:
+            for name in names:
                 m = by_class.get(name)
                 if m is None:
                     row += ["", ""]
@@ -395,114 +422,31 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
     else:
         results = [run_case(cfg, c) for c in cfg.cases]
     summary = out_dir / "summary.csv"
-    write_summary_csv(results, summary)
+    write_summary_csv(results, summary, cfg.class_map)
     return PipelineResult(cases=tuple(results), summary_csv=str(summary))
 
 
 # -- config parsing ---------------------------------------------------------
 
-_TOP_KEYS = {
-    "cases", "output_dir", "coarse_backend", "fine_backend", "standard_shape",
-    "coarse_factors", "fine_window", "mclahe", "class_map", "bbox_margin_vox",
-}
-_CASE_KEYS = {"case_id", "image", "gt"}
-_BACKEND_KEYS = {"kind", "command_template", "threshold", "source_path", "timeout_s"}
-_MCLAHE_KEYS = {"kernel_size", "n_bins", "clip_limit"}
-
-
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key {where}.{unknown[0]}"
-                          if where else f"unknown config key {unknown[0]}")
-
-
-def _case_id_from_path(p: str) -> str:
-    name = Path(p).name
-    for suffix in (".nii.gz", ".nii"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return Path(name).stem
-
-
-def _parse_case(obj, idx: int, base: Path) -> CaseSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"cases[{idx}] must be an object")
-    _reject_unknown(obj, _CASE_KEYS, f"cases[{idx}]")
-    if "image" not in obj:
-        raise ConfigError(f"cases[{idx}] is missing required key 'image'")
-    image = str(base / obj["image"])
-    gt = str(base / obj["gt"]) if obj.get("gt") is not None else None
-    case_id = obj.get("case_id") or _case_id_from_path(obj["image"])
-    return CaseSpec(case_id=str(case_id), image=image, gt=gt)
-
-
-def _parse_backend(obj, where: str, base: Path) -> BackendSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(obj, _BACKEND_KEYS, where)
-    if "kind" not in obj:
-        raise ConfigError(f"{where} is missing required key 'kind'")
-    kwargs = dict(obj)
-    if kwargs.get("source_path") is not None:
-        kwargs["source_path"] = str(base / kwargs["source_path"])
-    try:
-        return BackendSpec(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def _parse_mclahe(obj) -> MclaheParams | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError("mclahe must be an object or null")
-    _reject_unknown(obj, _MCLAHE_KEYS, "mclahe")
-    kwargs = dict(obj)
-    if kwargs.get("kernel_size") is not None:
-        kwargs["kernel_size"] = tuple(kwargs["kernel_size"])
-    try:
-        return MclaheParams(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"mclahe: {e}") from e
-
-
 def config_from_dict(doc: dict, base_dir=".") -> PipelineConfig:
-    """Validate a parsed JSON document; unknown keys anywhere are errors
-    reported with their key path.  Relative paths resolve against
-    ``base_dir``."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
+    """Validate a parsed JSON document.  Unknown or missing keys and values
+    the config dataclasses reject are ConfigErrors naming their key path.
+    Relative paths resolve against ``base_dir``."""
+    cfg = from_json(PipelineConfig, doc)
     base = Path(base_dir)
-    _reject_unknown(doc, _TOP_KEYS, "")
-    for key in ("cases", "output_dir", "coarse_backend", "fine_backend"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if not isinstance(doc["cases"], list):
-        raise ConfigError("cases must be a list")
-    cases = tuple(_parse_case(c, i, base) for i, c in enumerate(doc["cases"]))
 
-    kwargs = {}
-    for key in ("standard_shape", "coarse_factors", "fine_window"):
-        if key in doc:
-            kwargs[key] = tuple(doc[key])
-    if "class_map" in doc:
-        cm = doc["class_map"]
-        if (not isinstance(cm, dict)
-                or any(not isinstance(v, int) or not 0 <= v <= 255 for v in cm.values())):
-            raise ConfigError("class_map must map names to ints in [0, 255]")
-        kwargs["class_map"] = dict(cm)
-    if "bbox_margin_vox" in doc:
-        kwargs["bbox_margin_vox"] = int(doc["bbox_margin_vox"])
-    if "mclahe" in doc:
-        kwargs["mclahe_params"] = _parse_mclahe(doc["mclahe"])
+    def rebase(path: str | None) -> str | None:
+        return None if path is None else str(base / path)
 
-    return PipelineConfig(
-        cases=cases,
-        output_dir=str(base / doc["output_dir"]),
-        coarse_backend=_parse_backend(doc["coarse_backend"], "coarse_backend", base),
-        fine_backend=_parse_backend(doc["fine_backend"], "fine_backend", base),
-        **kwargs,
+    def rebase_backend(spec: BackendSpec) -> BackendSpec:
+        return replace(spec, source_path=rebase(spec.source_path))
+
+    return replace(
+        cfg,
+        cases=tuple(replace(c, image=rebase(c.image), gt=rebase(c.gt)) for c in cfg.cases),
+        output_dir=rebase(cfg.output_dir),
+        coarse_backend=rebase_backend(cfg.coarse_backend),
+        fine_backend=rebase_backend(cfg.fine_backend),
     )
 
 

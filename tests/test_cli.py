@@ -153,6 +153,16 @@ def test_evaluate_csv_and_full_region(files, tmp_path):
     assert len(text) == 4
 
 
+def test_evaluate_rejects_bad_class_map(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--pred", files["gt_path"], "--gt", files["gt_path"],
+              "--class-map", '{"background": 0, "ghost": 300}'])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "class_map" in out.err
+    assert out.out == ""
+
+
 def test_evaluate_shape_mismatch_exits_1(files, tmp_path, capsys):
     other = tmp_path / "other.nii.gz"
     write_nifti(other, np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
@@ -198,6 +208,15 @@ def test_phantom_command(tmp_path):
     assert np.array_equal(read_volume(out / "image.nii.gz").data, vol.data)
     assert np.array_equal(read_labelmap(out / "gt.nii.gz").data, gt.data)
     assert json.loads((out / "phantom_spec.json").read_text()) == spec_to_json(SMALL_SPEC)
+
+
+def test_phantom_bad_spec_exits_1(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"la": {"center_mm": [40, 60, 60]}}))
+    rc = main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "ph")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "radii_mm" in err
 
 
 def test_run_command(files, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biatrium import BBox, LabelMap, Placement, Volume, same_grid
+from biatrium import BBox, LabelMap, Placement, Volume
 
 
 def test_volume_accepts_and_freezes_data():
@@ -70,11 +70,3 @@ def test_placement_validation():
     assert p.offset == (-2, 0, 3)
     with pytest.raises(ValueError):
         Placement(parent_shape=(10, 10, 10), offset=(0, 0, 0), window_shape=(0, 4, 4))
-
-
-def test_same_grid():
-    a = Volume(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, 1))
-    b = Volume(data=np.ones((2, 2, 2), dtype=np.float32), spacing=(1, 1, 1))
-    c = Volume(data=np.ones((2, 2, 2), dtype=np.float32), spacing=(1, 1, 2))
-    assert same_grid(a, b)
-    assert not same_grid(a, c)

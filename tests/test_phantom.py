@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from biatrium import Ellipsoid, PhantomSpec, generate
+from biatrium import ConfigError, Ellipsoid, PhantomSpec, generate
 from biatrium.phantom import spec_from_json, spec_to_json
 
 
@@ -166,3 +166,14 @@ def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="la"):
         spec_from_json({"la": {"center_mm": [40, 60, 60], "radii_mm": [18, 20, 16],
                                "color": "red"}})
+
+
+@pytest.mark.parametrize("obj, path", [
+    ({"la": {"center_mm": [40, 60, 60]}}, "la is missing required key 'radii_mm'"),
+    ({"shape": 5}, "shape"),
+    ({"ra": {"center_mm": 5, "radii_mm": [16, 18, 15]}}, "ra: center_mm"),
+    ({"la": [40, 60, 60]}, "la must be an object"),
+])
+def test_json_errors_name_key_path(obj, path):
+    with pytest.raises(ConfigError, match=path):
+        spec_from_json(obj)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from biatrium import (
     write_volume,
 )
 from backends import COMPONENT_SPLIT_FINE
+from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
 from biatrium.pipeline import TMPDIR_ENV
 
@@ -119,6 +121,25 @@ def test_pipeline_config_validation():
         _min_cfg(bbox_margin_vox=-1)
     with pytest.raises(ConfigError, match="fine_window"):
         _min_cfg(fine_window=(0, 8, 8))
+    with pytest.raises(ConfigError, match="bbox_margin_vox"):
+        _min_cfg(bbox_margin_vox=2.5)
+    with pytest.raises(ConfigError, match="output_dir"):
+        _min_cfg(output_dir=None)
+
+
+def test_case_spec_validation():
+    assert CaseSpec(image="scans/p7.nii.gz").case_id == "p7"
+    assert CaseSpec(image="scans/p8.nii").case_id == "p8"
+    assert CaseSpec(case_id="a b", image="x.nii").case_id == "a b"
+    for bad in ("../escaped", "a/b", "a\\b", "..", ".", 7):
+        with pytest.raises(ValueError, match="case_id"):
+            CaseSpec(case_id=bad, image="a.nii.gz")
+    with pytest.raises(ValueError, match="case_id"):
+        CaseSpec(image="scans/.nii.gz")  # defaulted id is empty
+    with pytest.raises(ValueError, match="image"):
+        CaseSpec(case_id="a", image=5)
+    with pytest.raises(ValueError, match="gt"):
+        CaseSpec(case_id="a", image="a.nii.gz", gt=5)
 
 
 # -- config parsing ---------------------------------------------------------
@@ -193,10 +214,43 @@ def test_config_class_map_validation():
     }
     cfg = config_from_dict({**base, "class_map": {"background": 0, "cavity": 7}})
     assert cfg.class_map == {"background": 0, "cavity": 7}
-    with pytest.raises(ConfigError, match="class_map"):
-        config_from_dict({**base, "class_map": {"x": 300}})
-    with pytest.raises(ConfigError, match="class_map"):
-        config_from_dict({**base, "class_map": {"x": 1.5}})
+    for bad in (300, 1.5, True, -1):
+        with pytest.raises(ConfigError, match="class_map"):
+            config_from_dict({**base, "class_map": {"x": bad}})
+        with pytest.raises(ConfigError, match="class_map"):
+            _min_cfg(class_map={"x": bad})
+
+
+_BASE_DOC = {
+    "cases": [{"image": "a.nii.gz"}],
+    "output_dir": "o",
+    "coarse_backend": {"kind": "threshold", "threshold": 0.4},
+    "fine_backend": {"kind": "threshold", "threshold": 0.4},
+}
+
+
+@pytest.mark.parametrize("over, path", [
+    ({"standard_shape": 5}, "standard_shape"),
+    ({"cases": [{"image": 5}]}, "cases[0]: image"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"mclahe": {"kernel_size": 5}}, "mclahe: kernel_size"),
+    ({"cases": {"image": "a.nii.gz"}}, "cases must be a list"),
+    ({"cases": [{"image": "a.nii.gz", "case_id": "../escaped"}]}, "cases[0]: case_id"),
+    ({"cases": [{"image": "a.nii.gz", "case_id": 7}]}, "cases[0]: case_id"),
+    ({"cases": [{"image": "a.nii.gz", "gt": 5}]}, "cases[0]: gt"),
+    ({"bbox_margin_vox": "8"}, "bbox_margin_vox"),
+    ({"fine_backend": {"kind": "copy-file", "source_path": 5}}, "fine_backend: copy-file"),
+])
+def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
+    doc = {**_BASE_DOC, **over}
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_round_trip_and_bad_json(tmp_path):
@@ -377,6 +431,15 @@ def test_run_pipeline_end_to_end(env):
     summary = (env["root"] / "out_e2e" / "summary.csv").read_text().splitlines()
     assert summary[0] == "case_id,status,wall_dice,wall_hd95,ra_dice,ra_hd95,la_dice,la_hd95"
     assert summary[1] == "ph,ok,1.0,0.0,1.0,0.0,1.0,0.0"
+
+
+def test_summary_columns_follow_class_map(env):
+    doc = env["make"]("out_names",
+                      class_map={"background": 0, "wall": 1, "RA": 2, "LA": 3})
+    assert run_pipeline(config_from_dict(doc)).ok
+    lines = (env["root"] / "out_names" / "summary.csv").read_text().splitlines()
+    assert lines == ["case_id,status,wall_dice,wall_hd95,RA_dice,RA_hd95,LA_dice,LA_hd95",
+                     "ph,ok,1.0,0.0,1.0,0.0,1.0,0.0"]
 
 
 def test_rerun_is_byte_identical_except_timings(env):
