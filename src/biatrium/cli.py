@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--kernel-size", type=_triple, default=None,
                    help="tile size per axis, e.g. '72,72,6' (default: dim//8)")
-    p.add_argument("--n-bins", type=int, default=128)
-    p.add_argument("--clip-limit", type=float, default=0.01)
+    p.add_argument("--n-bins", type=int, default=MclaheParams.n_bins)
+    p.add_argument("--clip-limit", type=float, default=MclaheParams.clip_limit)
     p.set_defaults(func=_cmd_enhance)
 
     p = sub.add_parser("standardize", help="center pad/crop to a fixed grid")
@@ -234,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     loss_sub = p.add_subparsers(dest="loss_cmd")
     p.add_argument("--probs", nargs="+", help="per-class probability volumes, code order")
     p.add_argument("--gt")
-    p.add_argument("--gamma-pos", type=float, default=1.0)
-    p.add_argument("--gamma-neg", type=float, default=4.0)
-    p.add_argument("--margin", type=float, default=0.05)
+    p.add_argument("--gamma-pos", type=float, default=AsymLossParams.gamma_pos)
+    p.add_argument("--gamma-neg", type=float, default=AsymLossParams.gamma_neg)
+    p.add_argument("--margin", type=float, default=AsymLossParams.margin)
     p.add_argument("--class-codes", type=int, nargs="+")
     p.add_argument("--class-map", type=_class_map, default=None)
     p.set_defaults(func=_cmd_loss)

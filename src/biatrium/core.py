@@ -7,6 +7,7 @@ padded or cropped window) maps back into its parent grid.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -78,13 +79,18 @@ def check_class_map(obj) -> dict[str, int]:
     return dict(obj)
 
 
-def _as_triple(value, name: str, kind=int) -> tuple:
+def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
+    """``value`` as a tuple of 3 finite ``kind`` numbers, each > 0 unless
+    ``positive`` is false.  The one check of every grid triple: shapes,
+    factors, windows, spacings, radii, offsets and box bounds."""
+    lo = 0 if positive else -math.inf
     try:
         t = tuple(kind(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be 3 numbers, got {value!r}") from None
-    if len(t) != 3:
-        raise ValueError(f"{name} must have 3 components, got {len(t)}")
+    except (TypeError, ValueError, OverflowError):
+        t = ()
+    if len(t) != 3 or not all(lo < v < math.inf for v in t):
+        what = "positive finite" if positive else "finite"
+        raise ValueError(f"{name} must be 3 {what} numbers, got {value!r}")
     return t
 
 
@@ -116,9 +122,6 @@ class Volume:
             raise ValueError("volume data contains non-finite values")
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
-        for s in self.spacing:
-            if not (s > 0 and np.isfinite(s)):
-                raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -152,9 +155,6 @@ class LabelMap:
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
         object.__setattr__(self, "classes", classes)
-        for s in self.spacing:
-            if not (s > 0 and np.isfinite(s)):
-                raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -169,8 +169,8 @@ class BBox:
     hi: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _as_triple(self.lo, "lo"))
-        object.__setattr__(self, "hi", _as_triple(self.hi, "hi"))
+        object.__setattr__(self, "lo", _as_triple(self.lo, "lo", positive=False))
+        object.__setattr__(self, "hi", _as_triple(self.hi, "hi", positive=False))
         for a in range(3):
             if not (0 <= self.lo[a] < self.hi[a]):
                 raise ValueError(f"invalid bbox bounds on axis {a}: [{self.lo[a]}, {self.hi[a]})")
@@ -196,13 +196,8 @@ class Placement:
 
     def __post_init__(self):
         object.__setattr__(self, "parent_shape", _as_triple(self.parent_shape, "parent_shape"))
-        object.__setattr__(self, "offset", _as_triple(self.offset, "offset"))
+        object.__setattr__(self, "offset", _as_triple(self.offset, "offset", positive=False))
         object.__setattr__(self, "window_shape", _as_triple(self.window_shape, "window_shape"))
-        for a in range(3):
-            if self.parent_shape[a] < 1:
-                raise ValueError(f"parent_shape must be positive, got {self.parent_shape}")
-            if self.window_shape[a] < 1:
-                raise ValueError(f"window_shape must be positive, got {self.window_shape}")
 
 
 def from_json(cls, obj, where: str = ""):

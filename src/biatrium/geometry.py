@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BBox, EmptyMaskError, LabelMap, Placement, Volume
+from .core import BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple
 
 __all__ = [
     "DEFAULT_STANDARD_SHAPE",
@@ -54,9 +54,7 @@ def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD
     minus the pad amount on the low side (< 0), so
     ``source_index = target_index + offset`` wherever both grids overlap.
     """
-    target_shape = tuple(int(t) for t in target_shape)
-    if len(target_shape) != 3 or any(t < 1 for t in target_shape):
-        raise ValueError(f"target_shape must be 3 positive ints, got {target_shape}")
+    target_shape = _as_triple(target_shape, "target_shape")
     offset = [_center_offset(s, t) for s, t in zip(v.shape, target_shape)]
     return _extract(v, offset, target_shape, pad_value)
 
@@ -64,9 +62,7 @@ def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD
 def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS) -> Volume:
     """Non-overlapping block mean.  Each axis must divide evenly by its
     factor; spacing scales up by the factors."""
-    factors = tuple(int(f) for f in factors)
-    if len(factors) != 3 or any(f < 1 for f in factors):
-        raise ValueError(f"factors must be 3 positive ints, got {factors}")
+    factors = _as_triple(factors, "factors")
     data = v.data
     for ax, (s, f) in enumerate(zip(data.shape, factors)):
         if s % f != 0:
@@ -120,10 +116,9 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     fill; its offset goes negative, recording the pad, exactly as in
     standardize().
     """
-    window = tuple(int(w) for w in window)
-    if len(window) != 3 or any(w < 1 for w in window):
-        raise ValueError(f"window must be 3 positive ints, got {window}")
-    offset = [min(max(int(c) - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
+    window = _as_triple(window, "window")
+    center = _as_triple(center, "center", positive=False)
+    offset = [min(max(c - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
               for s, w, c in zip(v.shape, window, center)]
     return _extract(v, offset, window, pad_value)
 

@@ -35,10 +35,7 @@ class MclaheParams:
 
     def __post_init__(self):
         if self.kernel_size is not None:
-            ks = _as_triple(self.kernel_size, "kernel_size")
-            if any(k < 1 for k in ks):
-                raise ValueError(f"kernel_size must be 3 positive ints, got {self.kernel_size}")
-            object.__setattr__(self, "kernel_size", ks)
+            object.__setattr__(self, "kernel_size", _as_triple(self.kernel_size, "kernel_size"))
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be >= 2, got {self.n_bins}")
         if not 0.0 < self.clip_limit <= 1.0:

@@ -99,14 +99,18 @@ def region_points(m: LabelMap, class_code: int) -> np.ndarray:
     return idx.astype(np.float64) * np.asarray(m.spacing, dtype=np.float64)
 
 
-def _pooled_nn_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted nearest-neighbor distances, both directions pooled."""
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab, _ = tb.query(a, k=1)
-    d_ba, _ = ta.query(b, k=1)
+def _pooled_distance(a, b, pick) -> float:
+    """``pick`` of the sorted nearest-neighbor distances between point sets
+    ``a`` and ``b``, both directions pooled.  Both sets empty -> 0.0;
+    exactly one empty -> inf."""
+    a, b = (np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in (a, b))
+    if len(a) == 0 or len(b) == 0:
+        return 0.0 if len(a) == len(b) else float("inf")
+    d_ab, _ = cKDTree(b).query(a, k=1)
+    d_ba, _ = cKDTree(a).query(b, k=1)
     pooled = np.concatenate([np.atleast_1d(d_ab), np.atleast_1d(d_ba)])
     pooled.sort()
-    return pooled
+    return float(pick(pooled))
 
 
 def hd95(a: np.ndarray, b: np.ndarray) -> float:
@@ -115,27 +119,12 @@ def hd95(a: np.ndarray, b: np.ndarray) -> float:
     Rank = ceil(0.95 n) computed in exact integer arithmetic.  Both sets
     empty -> 0.0; exactly one empty -> inf.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 3) if np.size(a) else np.empty((0, 3))
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 3) if np.size(b) else np.empty((0, 3))
-    if len(a) == 0 and len(b) == 0:
-        return 0.0
-    if len(a) == 0 or len(b) == 0:
-        return float("inf")
-    pooled = _pooled_nn_distances(a, b)
-    n = pooled.size
-    rank = (95 * n + 99) // 100
-    return float(pooled[rank - 1])
+    return _pooled_distance(a, b, lambda d: d[(95 * d.size + 99) // 100 - 1])
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Max over both directed supremum distances; empty rules as hd95."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 3) if np.size(a) else np.empty((0, 3))
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 3) if np.size(b) else np.empty((0, 3))
-    if len(a) == 0 and len(b) == 0:
-        return 0.0
-    if len(a) == 0 or len(b) == 0:
-        return float("inf")
-    return float(_pooled_nn_distances(a, b)[-1])
+    return _pooled_distance(a, b, lambda d: d[-1])
 
 
 def _foreground_classes(classes: dict[str, int] | None) -> dict[str, int]:

@@ -26,10 +26,9 @@ class Ellipsoid:
     radii_mm: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "center_mm", _as_triple(self.center_mm, "center_mm", float))
+        object.__setattr__(self, "center_mm",
+                           _as_triple(self.center_mm, "center_mm", float, positive=False))
         object.__setattr__(self, "radii_mm", _as_triple(self.radii_mm, "radii_mm", float))
-        if any(r <= 0 for r in self.radii_mm):
-            raise ValueError(f"radii must be > 0, got {self.radii_mm}")
 
 
 def _default_la() -> Ellipsoid:
@@ -56,10 +55,6 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_triple(self.shape, "shape"))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
-        if any(s < 1 for s in self.shape):
-            raise ValueError(f"shape must be 3 positive ints, got {self.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
         if self.wall_thickness_mm <= 0:
             raise ValueError(f"wall thickness must be > 0, got {self.wall_thickness_mm}")
         if self.noise_amplitude < 0:

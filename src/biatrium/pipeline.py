@@ -19,6 +19,7 @@ import json
 import numbers
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -169,12 +170,9 @@ class PipelineConfig:
             seen.add(c.case_id)
         for name in ("standard_shape", "coarse_factors", "fine_window"):
             try:
-                val = _as_triple(getattr(self, name), name)
+                object.__setattr__(self, name, _as_triple(getattr(self, name), name))
             except ValueError as e:
                 raise ConfigError(str(e)) from None
-            if any(v < 1 for v in val):
-                raise ConfigError(f"{name} must be 3 positive ints, got {val}")
-            object.__setattr__(self, name, val)
         for ax, (s, f) in enumerate(zip(self.standard_shape, self.coarse_factors)):
             if s % f != 0:
                 raise ConfigError(
@@ -247,14 +245,24 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int]) 
         argv = [tok.replace("{input}", in_path).replace("{output}", out_path)
                 for tok in shlex.split(spec.command_template)]
         try:
-            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                  timeout=spec.timeout_s)
-        except subprocess.TimeoutExpired as e:
-            raise BackendError(f"backend command timed out after {spec.timeout_s:g} s") from e
+            # A session of its own makes the backend and every process it
+            # starts one process group, which a timeout kills as a whole.
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    start_new_session=True)
         except OSError as e:
             raise BackendError(f"backend command could not start: {e}") from e
+        with proc:
+            try:
+                _, stderr = proc.communicate(timeout=spec.timeout_s)
+            except subprocess.TimeoutExpired as e:
+                _kill_group(proc)
+                raise BackendError(
+                    f"backend command timed out after {spec.timeout_s:g} s") from e
+            except BaseException:
+                _kill_group(proc)
+                raise
         if proc.returncode != 0:
-            tail = proc.stderr.decode(errors="replace")[-2000:]
+            tail = stderr.decode(errors="replace")[-2000:]
             raise BackendError(
                 f"backend command exited with {proc.returncode}; stderr: {tail!r}")
         if not os.path.exists(out_path):
@@ -263,6 +271,15 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int]) 
             return read_labelmap(out_path, classes=classes)
         except (ValueError, NiftiFormatError) as e:
             raise BackendError(f"backend output unusable: {e}") from e
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the backend's whole process group, then reap the backend."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
 
 
 def _roi_center(mask: LabelMap, factors, margin: int,
@@ -339,8 +356,11 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
                                      classes=cfg.class_map)
 
     with _timed(timings_ms, "stitch"):
-        std_labels = stitch(fine_labels, to_standard)
-        full_labels = stitch(std_labels, to_original)
+        # Pasting adds no label codes, so the arrays travel unchecked and
+        # only the final map is built (and validated) as a LabelMap.
+        std_labels = stitch(fine_labels.data, to_standard)
+        full_labels = LabelMap(data=stitch(std_labels, to_original),
+                               spacing=fine_labels.spacing, classes=cfg.class_map)
 
     with _timed(timings_ms, "write"):
         mask_path = case_dir / "mask.nii.gz"

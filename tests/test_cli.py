@@ -212,11 +212,14 @@ def test_phantom_command(tmp_path):
 
 def test_phantom_bad_spec_exits_1(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"la": {"center_mm": [40, 60, 60]}}))
-    rc = main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "ph")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "radii_mm" in err
+    for spec, path in (({"la": {"center_mm": [40, 60, 60]}}, "radii_mm"),
+                       ({"la": {"center_mm": [42, 60, 60], "radii_mm": [float("nan"), 20, 16]}},
+                        "la: radii_mm")):
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "ph")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
 
 
 def test_run_command(files, tmp_path, capsys):

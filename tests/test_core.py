@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,5 @@ def test_placement_validation():
     assert p.offset == (-2, 0, 3)
     with pytest.raises(ValueError):
         Placement(parent_shape=(10, 10, 10), offset=(0, 0, 0), window_shape=(0, 4, 4))
+    with pytest.raises(ValueError, match="window_shape"):
+        Placement(parent_shape=(10, 10, 10), offset=(0, 0, 0), window_shape=(math.inf, 4, 4))

@@ -78,6 +78,8 @@ def test_standardize_custom_fill():
 def test_standardize_rejects_bad_target():
     with pytest.raises(ValueError):
         standardize(_vol(np.zeros((2, 2, 2))), (0, 2, 2))
+    with pytest.raises(ValueError, match="target_shape"):
+        standardize(_vol(np.zeros((2, 2, 2))), 5)
 
 
 # -- downsample -------------------------------------------------------------
@@ -226,6 +228,9 @@ def test_crop_window_always_requested_shape(rng):
 def test_crop_rejects_bad_window():
     with pytest.raises(ValueError):
         crop_window(_index_volume((4, 4, 4)), (2, 2, 2), (0, 4, 4))
+    for center in ((2, 2), (2, float("inf"), 2)):
+        with pytest.raises(ValueError, match="center"):
+            crop_window(_index_volume((4, 4, 4)), center, (4, 4, 4))
 
 
 # -- stitch -----------------------------------------------------------------

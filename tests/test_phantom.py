@@ -173,6 +173,9 @@ def test_json_rejects_unknown_keys():
     ({"shape": 5}, "shape"),
     ({"ra": {"center_mm": 5, "radii_mm": [16, 18, 15]}}, "ra: center_mm"),
     ({"la": [40, 60, 60]}, "la must be an object"),
+    ({"la": {"center_mm": [42, 60, 60], "radii_mm": [math.nan, 20, 16]}}, "la: radii_mm"),
+    ({"spacing": [math.inf, 0.625, 2.5]}, "spacing"),
+    ({"shape": [math.inf, 192, 48]}, "shape"),
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):

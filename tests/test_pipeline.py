@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import shlex
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +244,8 @@ _BASE_DOC = {
     ({"cases": [{"image": "a.nii.gz", "gt": 5}]}, "cases[0]: gt"),
     ({"bbox_margin_vox": "8"}, "bbox_margin_vox"),
     ({"fine_backend": {"kind": "copy-file", "source_path": 5}}, "fine_backend: copy-file"),
+    ({"standard_shape": [math.inf, 576, 48]}, "standard_shape"),
+    ({"mclahe": {"kernel_size": [math.inf, 1, 1]}}, "mclahe: kernel_size"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
@@ -336,6 +342,37 @@ def test_external_backend_timeout():
         timeout_s=0.4)
     with pytest.raises(BackendError, match="timed out"):
         invoke_backend(spec, _small_volume(), (6, 6, 4))
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_external_backend_timeout_kills_process_group(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+    script = f"sleep 30 & echo $! > {shlex.quote(str(pid_file))}; wait"
+    spec = BackendSpec(kind="external-command",
+                       command_template=f"sh -c {shlex.quote(script)} sh {{input}} {{output}}",
+                       timeout_s=1)
+    with pytest.raises(BackendError, match="timed out"):
+        invoke_backend(spec, _small_volume(), (6, 6, 4))
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def test_external_backend_cannot_start():
