@@ -84,10 +84,12 @@ def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
     ``positive`` is false.  The one check of every grid triple: shapes,
     factors, windows, spacings, radii, offsets and box bounds."""
     lo = 0 if positive else -math.inf
-    try:
-        t = tuple(kind(v) for v in value)
-    except (TypeError, ValueError, OverflowError):
-        t = ()
+    t = ()
+    if not isinstance(value, (str, bytes)):  # "888" is not (8, 8, 8)
+        try:
+            t = tuple(kind(v) for v in value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     if len(t) != 3 or not all(lo < v < math.inf for v in t):
         what = "positive finite" if positive else "finite"
         raise ValueError(f"{name} must be 3 {what} numbers, got {value!r}")

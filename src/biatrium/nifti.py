@@ -93,12 +93,13 @@ assert _HDR_LE.itemsize == HEADER_SIZE
 
 
 def _open_for_read(path) -> IO[bytes]:
-    f = open(path, "rb")
-    magic = f.read(2)
-    f.seek(0)
+    """Open ``path`` for reading, decompressing if it starts with the gzip
+    magic; closing the returned object closes the file."""
+    with open(path, "rb") as f:
+        magic = f.read(2)
     if magic == GZIP_MAGIC:
-        return gzip.GzipFile(fileobj=f, mode="rb")
-    return f
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 def _safe_read(f, n: int, path) -> bytes:

@@ -110,7 +110,7 @@ class BackendSpec:
         elif self.kind == "copy-file":
             if not self.source_path or not isinstance(self.source_path, str):
                 raise ValueError("copy-file backend needs source_path")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
 

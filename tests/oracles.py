@@ -182,3 +182,92 @@ def naive_mclahe(data: np.ndarray, kernel, n_bins: int, clip_limit: float) -> np
                 out[i, j, k] = acc
     sx, sy, sz = data.shape
     return np.clip(out[:sx, :sy, :sz], 0.0, 1.0)
+
+
+def whole_volume_mclahe(data: np.ndarray, kernel, n_bins: int, clip_limit: float) -> np.ndarray:
+    """The unstreamed vectorized MCLAHE: full-grid float64 normalization,
+    one bincount over the whole padded grid, and each corner of the blend
+    taken over the whole padded grid before cropping.  Returns float32."""
+    lo = float(data.min())
+    hi = float(data.max())
+    if hi > lo:
+        norm = (data.astype(np.float64) - lo) / (hi - lo)
+    else:
+        norm = np.zeros(data.shape, dtype=np.float64)
+
+    pad = tuple((-s) % k for s, k in zip(data.shape, kernel))
+    if any(pad):
+        norm = np.pad(norm, [(0, p) for p in pad], mode="edge")
+    ntiles = tuple(s // k for s, k in zip(norm.shape, kernel))
+    tile_voxels = int(np.prod(kernel))
+
+    bins = np.minimum((norm * n_bins).astype(np.int32), n_bins - 1)
+
+    px, py, pz = bins.shape
+    ntx, nty, ntz = ntiles
+    kx, ky, kz = px // ntx, py // nty, pz // ntz
+    tid_x = (np.arange(px, dtype=np.int64) // kx) * (nty * ntz)
+    tid_y = (np.arange(py, dtype=np.int64) // ky) * ntz
+    tid_z = np.arange(pz, dtype=np.int64) // kz
+    flat = (
+        tid_x[:, None, None] * n_bins
+        + tid_y[None, :, None] * n_bins
+        + tid_z[None, None, :] * n_bins
+        + bins
+    )
+    hists = np.bincount(flat.ravel(), minlength=ntx * nty * ntz * n_bins)
+    hists = hists.reshape(ntx * nty * ntz, n_bins)
+    limit = max(1, int(np.floor(clip_limit * tile_voxels + 0.5)))
+    clipped = np.minimum(hists, limit)
+    excess = tile_voxels - clipped.sum(axis=1)
+    clipped += (excess // n_bins)[:, None]
+    clipped += np.arange(n_bins)[None, :] < (excess % n_bins)[:, None]
+    cdf = np.cumsum(clipped, axis=1)
+    cdf_min = np.where(cdf > 0, cdf, np.iinfo(np.int64).max).min(axis=1)
+    denom = cdf[:, -1] - cdf_min
+    ramp = np.arange(n_bins, dtype=np.float64) / (n_bins - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tables = np.clip((cdf - cdf_min[:, None]) / denom[:, None], 0.0, 1.0)
+    tables[denom == 0] = ramp
+    tables = tables.reshape(ntx, nty, ntz, n_bins)
+
+    def axis_interp(n, k, nt):
+        t = (np.arange(n, dtype=np.float64) + 0.5) / k - 0.5
+        f = np.floor(t)
+        i0 = np.clip(f.astype(np.int64), 0, nt - 1)
+        i1 = np.clip(f.astype(np.int64) + 1, 0, nt - 1)
+        return i0, i1, t - f
+
+    ix0, ix1, wx = axis_interp(norm.shape[0], kernel[0], ntiles[0])
+    iy0, iy1, wy = axis_interp(norm.shape[1], kernel[1], ntiles[1])
+    iz0, iz1, wz = axis_interp(norm.shape[2], kernel[2], ntiles[2])
+
+    flat = tables.reshape(-1)
+    itype = np.int32 if ntx * nty * ntz * n_bins < 2**31 else np.int64
+    bins = bins.astype(itype, copy=False)
+    xoff = (ix0 * (nty * ntz * n_bins), ix1 * (nty * ntz * n_bins))
+    yoff = (iy0 * (ntz * n_bins), iy1 * (ntz * n_bins))
+    zoff = (iz0 * n_bins, iz1 * n_bins)
+
+    wx1, wy1, wz1 = wx[:, None, None], wy[None, :, None], wz[None, None, :]
+    out = np.zeros(norm.shape, dtype=np.float64)
+    for cx in (0, 1):
+        for cy in (0, 1):
+            for cz in (0, 1):
+                idx = (
+                    xoff[cx].astype(itype)[:, None, None]
+                    + yoff[cy].astype(itype)[None, :, None]
+                    + zoff[cz].astype(itype)[None, None, :]
+                    + bins
+                )
+                vals = flat.take(idx)
+                del idx
+                w = (wx1 if cx else 1.0 - wx1) * (wy1 if cy else 1.0 - wy1) \
+                    * (wz1 if cz else 1.0 - wz1)
+                np.multiply(vals, w, out=vals)
+                out += vals
+                del vals
+
+    sx, sy, sz = data.shape
+    out = np.clip(out[:sx, :sy, :sz], 0.0, 1.0)
+    return out.astype(np.float32)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from biatrium import MclaheParams, Volume, clip_redistribute, mapping_from_hist, mclahe
 from biatrium.mclahe import _tile_mappings
 
-from oracles import global_hist_eq, naive_mclahe
+from oracles import global_hist_eq, naive_mclahe, whole_volume_mclahe
 
 
 def test_params_defaults_and_validation():
@@ -143,6 +145,34 @@ def test_matches_naive_reference(rng):
         out = mclahe(v, MclaheParams(kernel_size=kernel, n_bins=n_bins, clip_limit=clip))
         ref = naive_mclahe(data, kernel, n_bins, clip)
         assert np.array_equal(out.data, ref.astype(np.float32)), (shape, kernel)
+
+
+@pytest.mark.parametrize("shape, kernel, n_bins, clip", [
+    ((37, 190, 150), (5, 24, 16), 32, 0.02),   # padded; slab edges cut tiles
+    ((37, 190, 150), (5, 24, 16), 300, 0.5),   # uint16 bins
+    ((3, 300, 250), (2, 64, 32), 128, 0.01),   # one x-row per slab
+    ((192, 192, 48), None, 128, 0.01),         # default params, 28 slabs
+])
+def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
+    """Volumes spanning many x-slabs equal the unstreamed blend bit for bit."""
+    data = rng.random(shape, dtype=np.float32)
+    params = MclaheParams(kernel_size=kernel, n_bins=n_bins, clip_limit=clip)
+    out = mclahe(Volume(data=data, spacing=(1, 1, 1)), params)
+    ref = whole_volume_mclahe(data, params.resolve_kernel(shape), n_bins, clip)
+    assert np.array_equal(out.data, ref)
+
+
+def test_streamed_working_set_is_bounded(rng):
+    """Traced allocations stay within 3x the float32 input: output, bins and
+    slab-sized temporaries, with no full-volume float64 array."""
+    v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
+    tracemalloc.start()
+    try:
+        mclahe(v)
+        ratio = tracemalloc.get_traced_memory()[1] / v.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert ratio <= 3.0
 
 
 def test_output_range_and_shape(rng):

@@ -1,5 +1,7 @@
+import gc
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,20 @@ def test_gzip_detected_by_content_not_name(tmp_path, rng):
     write_nifti(gz_named_plain, arr, SPACING, compress=True)
     back, _, _ = read_nifti(gz_named_plain)
     assert np.array_equal(back, arr)
+
+
+def test_gzip_read_closes_file(tmp_path, rng):
+    """Reading a .nii.gz, whole or corrupt, leaves no file handle open."""
+    good, bad = tmp_path / "x.nii.gz", tmp_path / "bad.nii.gz"
+    write_volume(Volume(data=_random_array(rng, np.float32), spacing=SPACING), good)
+    bad.write_bytes(good.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_volume(good)
+        with pytest.raises(NiftiFormatError):
+            read_volume(bad)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_compress_inferred_from_suffix(tmp_path, rng):

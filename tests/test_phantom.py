@@ -176,6 +176,7 @@ def test_json_rejects_unknown_keys():
     ({"la": {"center_mm": [42, 60, 60], "radii_mm": [math.nan, 20, 16]}}, "la: radii_mm"),
     ({"spacing": [math.inf, 0.625, 2.5]}, "spacing"),
     ({"shape": [math.inf, 192, 48]}, "shape"),
+    ({"shape": "888"}, "shape"),
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):

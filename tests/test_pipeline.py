@@ -246,6 +246,9 @@ _BASE_DOC = {
     ({"fine_backend": {"kind": "copy-file", "source_path": 5}}, "fine_backend: copy-file"),
     ({"standard_shape": [math.inf, 576, 48]}, "standard_shape"),
     ({"mclahe": {"kernel_size": [math.inf, 1, 1]}}, "mclahe: kernel_size"),
+    ({"mclahe": {"kernel_size": "888"}}, "mclahe: kernel_size"),
+    ({"fine_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": math.nan}},
+     "fine_backend: timeout_s"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
