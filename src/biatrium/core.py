@@ -28,6 +28,7 @@ __all__ = [
     "BBox",
     "Placement",
     "check_class_map",
+    "check_label_codes",
     "from_json",
 ]
 
@@ -77,6 +78,17 @@ def check_class_map(obj) -> dict[str, int]:
             raise ConfigError(
                 f"class_map must map names to ints in [0, 255], got {name!r}: {code!r}")
     return dict(obj)
+
+
+def check_label_codes(labels: LabelMap, classes: Mapping[str, int] | None = None) -> LabelMap:
+    """Return ``labels`` if each code it holds is 0 or a code of ``classes``
+    (None: DEFAULT_CLASS_MAP); otherwise raise ValueError naming the rest."""
+    codes = set((DEFAULT_CLASS_MAP if classes is None else classes).values()) | {0}
+    counts = np.bincount(labels.data.ravel(), minlength=256)
+    bad = [c for c in range(256) if counts[c] and c not in codes]
+    if bad:
+        raise ValueError(f"label values {bad} not in declared class codes {sorted(codes)}")
+    return labels
 
 
 def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
@@ -136,7 +148,6 @@ class LabelMap:
 
     data: np.ndarray
     spacing: tuple[float, float, float]
-    classes: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_CLASS_MAP))
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -148,15 +159,8 @@ class LabelMap:
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise ValueError("label values out of uint8 range")
             arr = arr.astype(np.uint8)
-        classes = dict(self.classes)
-        codes = set(classes.values()) | {0}
-        counts = np.bincount(arr.ravel(), minlength=256)
-        bad = [c for c in range(256) if counts[c] and c not in codes]
-        if bad:
-            raise ValueError(f"label values {bad} not in declared class codes {sorted(codes)}")
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
-        object.__setattr__(self, "classes", classes)
 
     @property
     def shape(self) -> tuple[int, int, int]:

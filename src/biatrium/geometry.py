@@ -145,12 +145,9 @@ def stitch(child, place: Placement, fill_value: float = 0.0):
     (background for a LabelMap).  The return type mirrors the input: LabelMap
     in, LabelMap out; Volume in, Volume out; bare array otherwise.
     """
-    if isinstance(child, LabelMap):
-        arr = stitch(child.data, place, fill_value=0)
-        return LabelMap(data=arr, spacing=child.spacing, classes=child.classes)
-    if isinstance(child, Volume):
-        arr = stitch(child.data, place, fill_value=fill_value)
-        return Volume(data=arr, spacing=child.spacing)
+    if isinstance(child, (LabelMap, Volume)):
+        fill = 0 if isinstance(child, LabelMap) else fill_value
+        return type(child)(data=stitch(child.data, place, fill), spacing=child.spacing)
     child = np.asarray(child)
     if child.shape != place.window_shape:
         raise ValueError(

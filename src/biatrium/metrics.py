@@ -64,8 +64,8 @@ def confusion_counts(pred: LabelMap, gt: LabelMap, class_code: int) -> Confusion
     p = pred.data == class_code
     g = gt.data == class_code
     tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(g)) - tp
     return ConfusionCounts(tp=tp, fp=fp, fn=fn)
 
 
@@ -127,11 +127,6 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return _pooled_distance(a, b, lambda d: d[-1])
 
 
-def _foreground_classes(classes: dict[str, int] | None) -> dict[str, int]:
-    classes = dict(classes) if classes is not None else dict(DEFAULT_CLASS_MAP)
-    return {name: code for name, code in classes.items() if code != 0}
-
-
 def evaluate_case(pred: LabelMap, gt: LabelMap, classes: dict[str, int] | None = None,
                   case_id: str = "case", point_mode: str = "surface") -> list[MetricRow]:
     """One MetricRow per foreground class, in class-map order."""
@@ -144,7 +139,9 @@ def evaluate_case(pred: LabelMap, gt: LabelMap, classes: dict[str, int] | None =
     points = surface_points if point_mode == "surface" else region_points
 
     rows = []
-    for name, code in _foreground_classes(classes).items():
+    for name, code in (DEFAULT_CLASS_MAP if classes is None else classes).items():
+        if code == 0:
+            continue
         c = confusion_counts(pred, gt, code)
         pred_empty = (c.tp + c.fp) == 0
         gt_empty = (c.tp + c.fn) == 0

@@ -17,7 +17,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .core import LabelMap, NiftiFormatError, Placement, Volume
+from .core import LabelMap, NiftiFormatError, Placement, Volume, check_label_codes
 
 __all__ = [
     "read_volume",
@@ -102,11 +102,16 @@ def _open_for_read(path) -> IO[bytes]:
     return open(path, "rb")
 
 
-def _safe_read(f, n: int, path) -> bytes:
+def _read_upto(f, n: int, path) -> bytearray:
+    """Up to ``n`` bytes of ``f``, read in chunks into a growing buffer, so
+    memory follows the bytes the stream holds rather than ``n``."""
+    buf = bytearray()
     try:
-        return f.read(n)
+        while len(buf) < n and (chunk := f.read(min(n - len(buf), 1 << 20))):
+            buf += chunk
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise NiftiFormatError(f"{path}: corrupt or truncated stream: {e}") from e
+    return buf
 
 
 def read_nifti(path) -> tuple[np.ndarray, tuple[float, float, float], bytes]:
@@ -121,7 +126,7 @@ def read_nifti(path) -> tuple[np.ndarray, tuple[float, float, float], bytes]:
 
 def _read_raw(path):
     with _open_for_read(path) as f:
-        raw = _safe_read(f, HEADER_SIZE, path)
+        raw = bytes(_read_upto(f, HEADER_SIZE, path))
         if len(raw) != HEADER_SIZE:
             raise NiftiFormatError(
                 f"{path}: malformed header, expected {HEADER_SIZE} bytes, got {len(raw)}"
@@ -151,20 +156,18 @@ def _read_raw(path):
         if any(not (p > 0 and np.isfinite(p)) for p in spacing):
             raise NiftiFormatError(f"{path}: non-positive voxel spacing {spacing}")
 
-        vox_offset = int(hdr["vox_offset"])
-        if vox_offset < HEADER_SIZE:
-            raise NiftiFormatError(f"{path}: vox_offset {vox_offset} precedes end of header")
-        skip = vox_offset - HEADER_SIZE
-        if skip:
-            _safe_read(f, skip, path)
+        vox_offset = float(hdr["vox_offset"])
+        if not HEADER_SIZE <= vox_offset < np.inf:
+            raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not past the header")
+        _read_upto(f, int(vox_offset) - HEADER_SIZE, path)
 
         dtype = np.dtype(DTYPE_CODES[code]).newbyteorder(">" if swapped else "<")
         nbytes = int(np.prod(shape)) * dtype.itemsize
-        payload = _safe_read(f, nbytes, path)
+        payload = _read_upto(f, nbytes, path)
         if len(payload) != nbytes:
-            raise NiftiFormatError(f"{path}: truncated payload, expected {nbytes} bytes, got {len(payload)}")
+            raise NiftiFormatError(f"{path}: truncated payload, header declares {nbytes} bytes")
         # drain to EOF so a gzip container verifies its checksum
-        while _safe_read(f, 1 << 16, path):
+        while _read_upto(f, 1 << 16, path):
             pass
         # on-disk order is x-fastest
         arr = np.frombuffer(payload, dtype=dtype).reshape(shape, order="F")
@@ -189,18 +192,18 @@ def read_volume(path) -> Volume:
 
 
 def read_labelmap(path, classes: Mapping[str, int] | None = None) -> LabelMap:
-    """Read a label map.  Accepts any supported datatype whose values are
-    integers in [0, 255]; scaling headers are ignored for labels."""
+    """Read a label map of integers in [0, 255] (any supported datatype, no
+    scaling) and check its codes with :func:`check_label_codes`."""
     arr, spacing, _orient, _scl = _read_raw(path)
-    if arr.dtype != np.uint8:
-        as_int = arr.astype(np.int64) if arr.dtype == np.int16 else np.rint(arr).astype(np.int64)
-        if arr.dtype == np.float32 and not np.array_equal(as_int, arr):
+    if arr.dtype == np.float32:
+        if not np.array_equal(np.rint(arr), arr):
             raise NiftiFormatError(f"{path}: label file contains non-integer values")
-        if arr.size and (as_int.min() < 0 or as_int.max() > 255):
-            raise NiftiFormatError(f"{path}: label values out of uint8 range")
-        arr = as_int.astype(np.uint8)
-    kwargs = {"classes": dict(classes)} if classes is not None else {}
-    return LabelMap(data=arr, spacing=spacing, **kwargs)
+        # clipped one step past [0, 255], so the cast cannot overflow and LabelMap still rejects
+        arr = np.clip(arr, -1, 256).astype(np.int16)
+    try:
+        return check_label_codes(LabelMap(data=arr, spacing=spacing), classes)
+    except ValueError as e:
+        raise NiftiFormatError(f"{path}: {e}") from e
 
 
 def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,

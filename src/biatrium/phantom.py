@@ -108,7 +108,7 @@ def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
         image = (image.astype(np.float64) + noise).astype(np.float32)
 
     vol = Volume(data=image, spacing=spec.spacing)
-    gt = LabelMap(data=labels, spacing=spec.spacing, classes=dict(DEFAULT_CLASS_MAP))
+    gt = LabelMap(data=labels, spacing=spec.spacing)
     return vol, gt
 
 

@@ -43,6 +43,7 @@ from .core import (
     Volume,
     _as_triple,
     check_class_map,
+    check_label_codes,
     from_json,
 )
 from .geometry import (
@@ -219,11 +220,10 @@ def _backend_tmpdir():
 def invoke_backend(spec: BackendSpec, image: Volume, expected_shape: tuple[int, int, int],
                    classes: Mapping[str, int] | None = None) -> LabelMap:
     """Run one backend and return its label map, validated against
-    ``expected_shape`` and the class codes in ``classes``."""
-    classes = dict(classes) if classes is not None else dict(DEFAULT_CLASS_MAP)
+    ``expected_shape`` and the class codes in ``classes`` (None: default)."""
     if spec.kind == "threshold":
         labels = (image.data >= np.float32(spec.threshold)).astype(np.uint8)
-        out = LabelMap(data=labels, spacing=image.spacing, classes=classes)
+        out = check_label_codes(LabelMap(data=labels, spacing=image.spacing), classes)
     elif spec.kind == "copy-file":
         try:
             out = read_labelmap(spec.source_path, classes=classes)
@@ -237,10 +237,11 @@ def invoke_backend(spec: BackendSpec, image: Volume, expected_shape: tuple[int, 
     return out
 
 
-def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int]) -> LabelMap:
+def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] | None) -> LabelMap:
     with _backend_tmpdir() as tmp:
-        in_path = os.path.join(tmp, "input.nii.gz")
-        out_path = os.path.join(tmp, "output.nii.gz")
+        # plain .nii: gzip costs far more time than it saves on scratch files
+        in_path = os.path.join(tmp, "input.nii")
+        out_path = os.path.join(tmp, "output.nii")
         write_volume(image, in_path)
         argv = [tok.replace("{input}", in_path).replace("{output}", out_path)
                 for tok in shlex.split(spec.command_template)]
@@ -356,11 +357,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
                                      classes=cfg.class_map)
 
     with _timed(timings_ms, "stitch"):
-        # Pasting adds no label codes, so the arrays travel unchecked and
-        # only the final map is built (and validated) as a LabelMap.
-        std_labels = stitch(fine_labels.data, to_standard)
-        full_labels = LabelMap(data=stitch(std_labels, to_original),
-                               spacing=fine_labels.spacing, classes=cfg.class_map)
+        full_labels = stitch(stitch(fine_labels, to_standard), to_original)
 
     with _timed(timings_ms, "write"):
         mask_path = case_dir / "mask.nii.gz"

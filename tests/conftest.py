@@ -26,13 +26,9 @@ def random_blobby_labels(rng, shape, codes=(1, 2, 3), spacing=(1.0, 1.0, 1.0),
         lo = [int(rng.integers(0, max(1, s - 1))) for s in shape]
         hi = [int(rng.integers(l + 1, s + 1)) for l, s in zip(lo, shape)]
         arr[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = code
-    classes = {"background": 0}
-    classes.update({f"class_{c}": c for c in codes})
-    return LabelMap(data=arr, spacing=spacing, classes=classes)
+    return LabelMap(data=arr, spacing=spacing)
 
 
 def random_noise_labels(rng, shape, codes=(0, 1, 2, 3), spacing=(1.0, 1.0, 1.0)) -> LabelMap:
     arr = rng.choice(np.array(codes, dtype=np.uint8), size=shape)
-    classes = {"background": 0}
-    classes.update({f"class_{c}": c for c in codes if c != 0})
-    return LabelMap(data=arr, spacing=spacing, classes=classes)
+    return LabelMap(data=arr, spacing=spacing)

@@ -163,6 +163,18 @@ def test_evaluate_rejects_bad_class_map(files, capsys):
     assert out.out == ""
 
 
+def test_evaluate_rejects_undeclared_label_code(files, tmp_path, capsys):
+    bad = tmp_path / "code7.nii.gz"
+    arr = np.zeros((4, 4, 4), dtype=np.uint8)
+    arr[1, 1, 1] = 7
+    write_nifti(bad, arr, (1, 1, 1))
+    rc = main(["evaluate", "--pred", str(bad), "--gt", str(bad)])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert "label values [7]" in out.err
+    assert out.out == ""
+
+
 def test_evaluate_shape_mismatch_exits_1(files, tmp_path, capsys):
     other = tmp_path / "other.nii.gz"
     write_nifti(other, np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
@@ -259,6 +271,19 @@ def test_run_command_reports_failure(files, tmp_path, capsys):
     rc = main(["run", "--config", str(cfg_path)])
     assert rc == 1
     assert "gone: failed" in capsys.readouterr().out
+
+
+def test_enhance_huge_header_exits_1(tmp_path, capsys):
+    """A 360-byte file declaring 30000^3 float32 is a format error, not a
+    MemoryError traceback."""
+    src = tmp_path / "huge.nii"
+    write_nifti(src, np.zeros((2, 1, 1), dtype=np.float32), (1, 1, 1))
+    blob = bytearray(src.read_bytes())
+    blob[42:48] = np.array([30000] * 3, dtype="<i2").tobytes()  # dim[1:4]
+    src.write_bytes(bytes(blob))
+    rc = main(["enhance", str(src), str(tmp_path / "out.nii")])
+    assert rc == 1
+    assert "truncated payload" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from biatrium import BBox, LabelMap, Placement, Volume
+from biatrium import (BBox, LabelMap, NiftiFormatError, Placement, Volume, read_labelmap,
+                      write_nifti)
 
 
 def test_volume_accepts_and_freezes_data():
@@ -35,13 +38,19 @@ def test_volume_rejects_bad_spacing(spacing):
         Volume(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=spacing)
 
 
-def test_labelmap_validates_class_codes():
+def test_labelmap_validates_class_codes(tmp_path):
+    """A label map is a grid plus spacing; its codes are checked where
+    labels enter, and a file holding an undeclared code names itself."""
+    assert [f.name for f in dataclasses.fields(LabelMap)] == ["data", "spacing"]
     arr = np.zeros((2, 2, 2), dtype=np.uint8)
-    arr[0, 0, 0] = 3
+    arr[0, 0, 0] = 7
     m = LabelMap(data=arr, spacing=(1, 1, 1))
     assert m.data.dtype == np.uint8
-    with pytest.raises(ValueError):
-        LabelMap(data=arr, spacing=(1, 1, 1), classes={"background": 0, "fg": 1})
+    path = tmp_path / "code7.nii"
+    write_nifti(path, arr, (1, 1, 1))
+    with pytest.raises(NiftiFormatError, match=re.escape(str(path)) + r": label values \[7\]"):
+        read_labelmap(path)
+    assert read_labelmap(path, classes={"background": 0, "x": 7}).data[0, 0, 0] == 7
 
 
 def test_labelmap_coerces_wider_integers():

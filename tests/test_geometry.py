@@ -255,11 +255,9 @@ def test_stitch_drops_padding_and_fills_elsewhere():
 def test_stitch_preserves_nonzero_count_when_window_inside():
     arr = np.zeros((8, 8, 4), dtype=np.uint8)
     arr[2:5, 3:6, 1:3] = 2
-    m = LabelMap(data=arr, spacing=(1, 1, 1), classes={"background": 0, "c": 2})
     vwin, place = crop_window(Volume(data=arr.astype(np.float32), spacing=(1, 1, 1)),
                               center=(3, 4, 2), window=(6, 6, 4))
-    mwin = LabelMap(data=vwin.data.astype(np.uint8), spacing=(1, 1, 1),
-                    classes=m.classes)
+    mwin = LabelMap(data=vwin.data.astype(np.uint8), spacing=(1, 1, 1))
     back = stitch(mwin, place)
     assert isinstance(back, LabelMap)
     assert int((back.data != 0).sum()) == int((arr != 0).sum())

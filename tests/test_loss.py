@@ -158,8 +158,7 @@ def test_grad_matches_fd_at_specific_points():
 
 def _maps(shape, rng, n_classes=3):
     gt = LabelMap(data=rng.integers(0, n_classes, size=shape).astype(np.uint8),
-                  spacing=(1, 1, 1),
-                  classes={f"c{i}": i for i in range(n_classes)})
+                  spacing=(1, 1, 1))
     probs = []
     for _ in range(n_classes):
         probs.append(rng.random(shape, dtype=np.float32))
@@ -198,7 +197,7 @@ def test_volume_loss_permutation_invariant(rng):
     perm = np.arange(gt.data.size)
     np.random.default_rng(3).shuffle(perm)
     shuf_gt = LabelMap(data=gt.data.ravel()[perm].reshape(gt.shape),
-                       spacing=gt.spacing, classes=gt.classes)
+                       spacing=gt.spacing)
     shuf_probs = [p.ravel()[perm].reshape(p.shape) for p in probs]
     assert volume_loss(shuf_probs, shuf_gt) == pytest.approx(base, rel=1e-12)
 
@@ -206,18 +205,17 @@ def test_volume_loss_permutation_invariant(rng):
 def test_volume_loss_custom_codes(rng):
     shape = (4, 3, 2)
     arr = rng.integers(0, 2, size=shape).astype(np.uint8) * 5  # codes {0, 5}
-    gt = LabelMap(data=arr, spacing=(1, 1, 1), classes={"bg": 0, "x": 5})
+    gt = LabelMap(data=arr, spacing=(1, 1, 1))
     probs = [rng.random(shape, dtype=np.float32) for _ in range(2)]
     got = volume_loss(probs, gt, class_codes=[0, 5])
-    relabeled = LabelMap(data=(arr // 5).astype(np.uint8), spacing=(1, 1, 1),
-                         classes={"bg": 0, "x": 1})
+    relabeled = LabelMap(data=(arr // 5).astype(np.uint8), spacing=(1, 1, 1))
     assert got == volume_loss(probs, relabeled)
 
 
 def test_volume_loss_perfect_prediction_near_zero(rng):
     shape = (6, 6, 4)
     gt = LabelMap(data=rng.integers(0, 2, size=shape).astype(np.uint8),
-                  spacing=(1, 1, 1), classes={"bg": 0, "fg": 1})
+                  spacing=(1, 1, 1))
     fg = (gt.data == 1).astype(np.float32)
     assert volume_loss([1.0 - fg, fg], gt) < 1e-5
 

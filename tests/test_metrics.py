@@ -233,7 +233,7 @@ def test_evaluate_case_one_sided_empty_flags():
 def test_evaluate_case_custom_classes():
     arr = np.zeros((4, 4, 4), dtype=np.uint8)
     arr[0, 0, 0] = 5
-    m = LabelMap(data=arr, spacing=(1, 1, 1), classes={"bg": 0, "thing": 5})
+    m = LabelMap(data=arr, spacing=(1, 1, 1))
     rows = evaluate_case(m, m, classes={"bg": 0, "thing": 5})
     assert len(rows) == 1
     assert rows[0].class_name == "thing"

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from biatrium import (
     LabelMap,
@@ -285,6 +287,79 @@ def test_corrupt_gzip_rejected(tmp_path, rng):
     p.write_bytes(bytes(blob))
     with pytest.raises(Exception):
         read_nifti(p)
+
+
+@pytest.mark.parametrize("arr", [
+    np.full((2, 2, 2), 300, dtype=np.int16),
+    np.full((2, 2, 2), -1, dtype=np.int16),
+    np.full((2, 2, 2), 256.0, dtype=np.float32),
+    np.full((2, 2, 2), 1e30, dtype=np.float32),
+    np.full((2, 2, 2), np.inf, dtype=np.float32),
+])
+def test_labelmap_file_out_of_range_names_file(tmp_path, arr):
+    path = tmp_path / "wide.nii"
+    write_nifti(path, arr, (1, 1, 1))
+    with pytest.raises(NiftiFormatError, match="wide.nii: label values out of uint8 range"):
+        read_labelmap(path)
+
+
+# -- declared sizes ---------------------------------------------------------
+
+def _header_bytes(tmp_path, dims=(3, 2, 1, 1), datatype=16, vox_offset=352.0) -> bytes:
+    """A 360-byte float32 file (8 payload bytes) with ``dim[0:len(dims)]``,
+    ``datatype`` and ``vox_offset`` overwritten."""
+    p = tmp_path / "template.nii"
+    write_nifti(p, np.zeros((2, 1, 1), dtype=np.float32), (1, 1, 1))
+    blob = bytearray(p.read_bytes())
+    blob[40:40 + 2 * len(dims)] = struct.pack(f"<{len(dims)}h", *dims)
+    blob[70:72] = struct.pack("<h", datatype)
+    blob[108:112] = struct.pack("<f", vox_offset)
+    return bytes(blob)
+
+
+def _store(path, blob: bytes, gz: bool):
+    path.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
+    return path
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_huge_declared_dims_are_truncated_payload(tmp_path, gz):
+    """30000^3 float32 declares 108 TB; the reader must refuse it from the
+    bytes the file holds instead of allocating what the header asks."""
+    blob = _header_bytes(tmp_path, dims=(3, 30000, 30000, 30000))
+    assert len(blob) == 360
+    path = _store(tmp_path / "huge.nii", blob, gz)
+    with pytest.raises(NiftiFormatError, match="huge.nii: truncated payload"):
+        read_volume(path)
+    with pytest.raises(NiftiFormatError, match="truncated payload"):
+        read_labelmap(path)
+
+
+@pytest.mark.parametrize("vox_offset", [np.nan, np.inf, 3e38, 1e6])
+@pytest.mark.parametrize("gz", [False, True])
+def test_bad_or_far_vox_offset_rejected(tmp_path, vox_offset, gz):
+    path = _store(tmp_path / "far.nii", _header_bytes(tmp_path, vox_offset=vox_offset), gz)
+    with pytest.raises(NiftiFormatError, match="vox_offset|truncated payload"):
+        read_nifti(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dims=st.lists(st.integers(-32768, 32767), min_size=4, max_size=4)
+       | st.tuples(st.just(3), *[st.integers(1, 3)] * 3).map(list),
+       datatype=st.sampled_from([2, 4, 16]) | st.integers(-32768, 32767),
+       vox_offset=st.floats(width=32) | st.sampled_from([348.0, 352.0, 356.0]),
+       gz=st.booleans())
+def test_header_fuzz_reads_or_raises_format_error(tmp_path, dims, datatype, vox_offset, gz):
+    """Any dim/datatype/vox_offset either reads back the shape it declares
+    or raises NiftiFormatError; nothing else escapes and nothing larger
+    than the file is allocated."""
+    path = _store(tmp_path / "fuzz.nii", _header_bytes(tmp_path, dims, datatype, vox_offset), gz)
+    try:
+        arr, _, _ = read_nifti(path)
+    except NiftiFormatError:
+        return
+    assert arr.shape == tuple(dims[1:4])
 
 
 # -- placement sidecars -----------------------------------------------------

@@ -63,8 +63,6 @@ def test_noise_is_bounded_and_seeded():
 
 def test_class_codes_and_all_present():
     _, gt = generate()
-    assert gt.classes == {"background": 0, "wall": 1, "right_atrium": 2,
-                          "left_atrium": 3}
     assert set(np.unique(gt.data).tolist()) == {0, 1, 2, 3}
 
 

@@ -421,6 +421,39 @@ def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
     assert seen.startswith(str(scratch))
 
 
+def _write_code7_backend(tmp_path, kind):
+    """A backend of ``kind`` whose output holds code 7, which no class map
+    below declares."""
+    arr = np.zeros((6, 6, 4), dtype=np.uint8)
+    arr[1, 1, 1] = 7
+    if kind == "copy-file":
+        src = tmp_path / "code7.nii.gz"
+        write_nifti(src, arr, (1, 1, 1))
+        return BackendSpec(kind=kind, source_path=str(src))
+    script = tmp_path / "code7.py"
+    script.write_text(
+        "import sys\n"
+        "import numpy as np\n"
+        "from biatrium.nifti import write_nifti\n"
+        "arr = np.zeros((6, 6, 4), dtype=np.uint8)\n"
+        "arr[1, 1, 1] = 7\n"
+        "write_nifti(sys.argv[2], arr, (1, 1, 1))\n")
+    return BackendSpec(kind=kind, command_template=f"python3 {script} {{input}} {{output}}")
+
+
+@pytest.mark.parametrize("kind,source", [
+    ("copy-file", r"copy-file backend could not read \S*code7"),
+    ("external-command", "backend output unusable"),
+])
+def test_backend_output_with_undeclared_code_fails(tmp_path, kind, source):
+    spec = _write_code7_backend(tmp_path, kind)
+    with pytest.raises(BackendError, match=source + r".*\[7\]"):
+        invoke_backend(spec, _small_volume(), (6, 6, 4))
+    with pytest.raises(BackendError, match=source + r".*\[7\]"):
+        invoke_backend(spec, _small_volume(), (6, 6, 4),
+                       classes={"background": 0, "foreground": 1})
+
+
 # -- end-to-end -------------------------------------------------------------
 
 def test_run_pipeline_end_to_end(env):
@@ -553,6 +586,19 @@ def test_case_without_gt_has_no_metrics(env):
     assert "evaluate" not in case.timings_ms
     lines = (env["root"] / "out_nogt" / "summary.csv").read_text().splitlines()
     assert lines[1] == "ph,ok,,,,,,"
+
+
+def test_threshold_fine_backend_checks_class_map(env):
+    """A threshold backend labels voxels 1; a class map without code 1
+    fails the case at the fine stage."""
+    cfg = config_from_dict(env["make"](
+        "out_thr_codes", fine_backend={"kind": "threshold", "threshold": 0.3},
+        class_map={"background": 0, "cavity": 2}))
+    result = run_pipeline(cfg)
+    case = result.cases[0]
+    assert case.status == "failed"
+    assert "label values [1]" in case.error
+    assert not (env["root"] / "out_thr_codes" / "ph" / "mask.nii.gz").exists()
 
 
 def test_run_case_failed_backend_reports_error(env):
