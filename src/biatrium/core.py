@@ -84,11 +84,16 @@ def check_label_codes(labels: LabelMap, classes: Mapping[str, int] | None = None
     """Return ``labels`` if each code it holds is 0 or a code of ``classes``
     (None: DEFAULT_CLASS_MAP); otherwise raise ValueError naming the rest."""
     codes = set((DEFAULT_CLASS_MAP if classes is None else classes).values()) | {0}
-    counts = np.bincount(labels.data.ravel(), minlength=256)
-    bad = [c for c in range(256) if counts[c] and c not in codes]
+    bad = [c for c in _codes_present(labels.data) if c not in codes]
     if bad:
         raise ValueError(f"label values {bad} not in declared class codes {sorted(codes)}")
     return labels
+
+
+def _codes_present(data: np.ndarray) -> list[int]:
+    """The codes in the uint8 array ``data``, ascending: one 256-bin count,
+    about twice as fast as the sort in ``np.unique``."""
+    return np.flatnonzero(np.bincount(data.ravel(), minlength=256)).tolist()
 
 
 def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:

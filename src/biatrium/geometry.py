@@ -87,12 +87,12 @@ def bbox_from_mask(mask: np.ndarray | LabelMap,
         fg = arr != 0
     else:
         fg = np.isin(arr, sorted(positive_classes))
-    nz = np.nonzero(fg)
-    if nz[0].size == 0:
+    # per-axis `any` projections: far cheaper than listing voxels by np.nonzero
+    hits = [np.flatnonzero(fg.any(axis=tuple(a for a in range(fg.ndim) if a != ax)))
+            for ax in range(fg.ndim)]
+    if hits[0].size == 0:
         raise EmptyMaskError("mask has no foreground voxels")
-    lo = tuple(int(idx.min()) for idx in nz)
-    hi = tuple(int(idx.max()) + 1 for idx in nz)
-    return BBox(lo=lo, hi=hi)
+    return BBox(lo=tuple(int(h[0]) for h in hits), hi=tuple(int(h[-1]) + 1 for h in hits))
 
 
 def expand_bbox(box: BBox, margin: int | tuple[int, int, int],

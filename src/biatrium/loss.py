@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelMap, Volume
+from .core import LabelMap, Volume, _codes_present
 
 __all__ = [
     "AsymLossParams",
@@ -116,8 +116,7 @@ def volume_loss(probs: Sequence[Volume | np.ndarray], gt: LabelMap,
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
         arrs.append(arr)
-    present = np.unique(gt.data)
-    unknown = sorted(set(int(v) for v in present) - set(codes))
+    unknown = [c for c in _codes_present(gt.data) if c not in codes]
     if unknown:
         raise ValueError(f"ground truth contains codes {unknown} not covered by class_codes")
 

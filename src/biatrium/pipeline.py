@@ -270,7 +270,7 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             raise BackendError("backend command exited 0 but wrote no output file")
         try:
             return read_labelmap(out_path, classes=classes)
-        except (ValueError, NiftiFormatError) as e:
+        except (OSError, ValueError, NiftiFormatError) as e:
             raise BackendError(f"backend output unusable: {e}") from e
 
 

@@ -3,6 +3,9 @@
 Everything here is written the slow, obvious way (explicit loops, all-pairs
 distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
+The exceptions are earlier, simpler versions of rewritten routines
+(``full_grid_evaluate_case``, ``whole_volume_mclahe``), kept so that tests
+can require the rewrite to give the same results bit for bit.
 """
 from __future__ import annotations
 
@@ -10,6 +13,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from biatrium.core import DEFAULT_CLASS_MAP
+from biatrium.metrics import (MetricRow, confusion_counts, dice, hd95, region_points,
+                              surface_points)
 
 
 # -- loss references --------------------------------------------------------
@@ -91,6 +98,37 @@ def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def brute_dice(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 1.0 if denom == 0 else 2.0 * tp / denom
+
+
+def full_grid_evaluate_case(pred, gt, classes=None, case_id="case", point_mode="surface"):
+    """``biatrium.metrics.evaluate_case`` as it was before it cropped to the
+    union foreground box: per-class masks, surfaces and KD-tree queries over
+    the whole grid, composed from the package's public full-grid metrics."""
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    if pred.spacing != gt.spacing:
+        raise ValueError(f"spacing mismatch: pred {pred.spacing} vs gt {gt.spacing}")
+    if point_mode not in ("surface", "region"):
+        raise ValueError(f"point_mode must be 'surface' or 'region', got {point_mode!r}")
+    points = surface_points if point_mode == "surface" else region_points
+
+    rows = []
+    for name, code in (DEFAULT_CLASS_MAP if classes is None else classes).items():
+        if code == 0:
+            continue
+        c = confusion_counts(pred, gt, code)
+        pred_empty = (c.tp + c.fp) == 0
+        gt_empty = (c.tp + c.fn) == 0
+        if pred_empty and gt_empty:
+            rows.append(MetricRow(case_id, name, 1.0, 0.0, "empty"))
+        elif pred_empty or gt_empty:
+            flag = "pred_empty" if pred_empty else "gt_empty"
+            rows.append(MetricRow(case_id, name, 0.0, float("inf"), flag))
+        else:
+            d = dice(c)
+            h = hd95(points(pred, code), points(gt, code))
+            rows.append(MetricRow(case_id, name, d, h, ""))
+    return rows
 
 
 # -- histogram equalization references --------------------------------------

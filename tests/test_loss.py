@@ -234,3 +234,5 @@ def test_volume_loss_validation(rng):
         volume_loss(bad, gt)
     with pytest.raises(ValueError, match="codes"):
         volume_loss(probs[:2], gt)  # gt contains code 2 with only codes 0,1
+    with pytest.raises(ValueError, match=r"codes \[0\] not covered"):
+        volume_loss(probs[1:], gt, class_codes=[1, 2])  # 0 is a code like any other

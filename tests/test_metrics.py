@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import biatrium
 from biatrium import (
     ConfusionCounts,
     LabelMap,
@@ -19,13 +23,14 @@ from biatrium import (
     surface_points,
     write_report_csv,
 )
-from conftest import random_blobby_labels
+from conftest import random_blobby_labels, random_noise_labels
 from oracles import (
     brute_confusion,
     brute_dice,
     brute_hausdorff,
     brute_hd95,
     brute_surface_points,
+    full_grid_evaluate_case,
 )
 
 
@@ -261,6 +266,71 @@ def test_evaluate_case_validation():
         evaluate_case(m, spaced)
     with pytest.raises(ValueError, match="point_mode"):
         evaluate_case(m, m, point_mode="edges")
+
+
+def _equality_case(rng, kind):
+    """A (pred, gt, classes) pair of the given kind on a small random grid
+    with random spacing."""
+    shape = tuple(int(n) for n in rng.integers(2, 11, size=3))
+    spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
+    classes = None
+    if kind == "identical":
+        p = random_blobby_labels(rng, shape, spacing=spacing).data
+        g = p.copy()
+    elif kind == "few_voxels":
+        p = random_blobby_labels(rng, shape, spacing=spacing).data
+        g = p.copy()
+        n = int(rng.integers(1, 4))
+        g[tuple(rng.integers(0, s, size=n) for s in shape)] = rng.integers(0, 4, size=n)
+    elif kind == "one_sided":
+        p = random_blobby_labels(rng, shape, codes=(1, 2), spacing=spacing).data
+        g = random_blobby_labels(rng, shape, codes=(2, 3), spacing=spacing).data
+    elif kind == "every_face":
+        p = random_noise_labels(rng, shape, spacing=spacing).data.copy()
+        g = random_blobby_labels(rng, shape, spacing=spacing).data
+        for ax in range(3):
+            for end in (0, -1):
+                face = [slice(None)] * 3
+                face[ax] = end
+                p[tuple(face)] = rng.integers(1, 4)
+    elif kind == "background":
+        p = np.zeros(shape, dtype=np.uint8)
+        g = p.copy()
+    else:  # code 255 exercises the last row and column of the count table
+        classes = {"background": 0, "low": 7, "high": 255}
+        codes = (7, 255)
+        p = random_blobby_labels(rng, shape, codes=codes, spacing=spacing).data
+        g = random_blobby_labels(rng, shape, codes=codes, spacing=spacing).data
+    return _labels(p, spacing), _labels(g, spacing), classes
+
+
+_EQUALITY_KINDS = ("identical", "few_voxels", "one_sided", "every_face", "background",
+                   "code_255")
+
+
+@pytest.mark.parametrize("kind", _EQUALITY_KINDS)
+def test_evaluate_case_equals_full_grid_oracle(kind):
+    """The cropped, count-table, shared-point-skipping evaluation gives the
+    full-grid rows float for float (40 pairs per kind, both point modes)."""
+    rng = np.random.default_rng(_EQUALITY_KINDS.index(kind))
+    for _ in range(40):
+        pred, gt, classes = _equality_case(rng, kind)
+        for mode in ("surface", "region"):
+            got = evaluate_case(pred, gt, classes, case_id="c", point_mode=mode)
+            assert got == full_grid_evaluate_case(pred, gt, classes, case_id="c",
+                                                  point_mode=mode)
+
+
+def test_import_does_not_load_kdtree():
+    # scipy.spatial is a slow import, paid by every CLI call and Python
+    # backend; only a distance query needs it
+    src = os.path.dirname(os.path.dirname(biatrium.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, biatrium; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # -- report CSV -------------------------------------------------------------

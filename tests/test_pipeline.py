@@ -400,6 +400,13 @@ def test_external_backend_unusable_output(tmp_path):
         invoke_backend(spec, _small_volume(), (6, 6, 4))
 
 
+def test_external_backend_unreadable_output():
+    # the backend leaves a directory where the output file belongs
+    spec = BackendSpec(kind="external-command", command_template="mkdir {output} {input}.d")
+    with pytest.raises(BackendError, match="backend output unusable"):
+        invoke_backend(spec, _small_volume(), (6, 6, 4))
+
+
 def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
