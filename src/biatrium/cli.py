@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import BiatriumError, ConfigError, check_class_map
+from .core import BiatriumError, ConfigError, _atomic_open, check_class_map
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
     DEFAULT_FINE_WINDOW,
@@ -152,7 +152,7 @@ def _cmd_phantom(args) -> int:
     vol, gt = generate(spec)
     write_volume(vol, out / "image.nii.gz")
     write_volume(gt, out / "gt.nii.gz")
-    with open(out / "phantom_spec.json", "w", encoding="utf-8") as f:
+    with _atomic_open(out / "phantom_spec.json", "w", encoding="utf-8") as f:
         json.dump(spec_to_json(spec), f, indent=2)
         f.write("\n")
     return 0

@@ -9,7 +9,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
+import threading
 import typing
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -111,6 +114,24 @@ def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
         what = "positive finite" if positive else "finite"
         raise ValueError(f"{name} must be 3 {what} numbers, got {value!r}")
     return t
+
+
+@contextmanager
+def _atomic_open(path, mode: str, **kwargs):
+    """Open a temporary file beside ``path`` for writing; on a clean exit it
+    replaces ``path``, on any exception it is removed.  Readers of ``path``
+    see the old file or the whole new one, never a partial write.  The
+    temporary name carries the process and thread id, so threads writing
+    the same path never share one."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}-{threading.get_ident()}"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

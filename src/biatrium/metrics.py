@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap
+from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap, _atomic_open
 from .geometry import bbox_from_mask
 
 __all__ = [
@@ -216,7 +216,7 @@ def format_float(x: float) -> str:
 def write_report_csv(rows: list[MetricRow], path, percent: bool = False) -> None:
     """Columns case_id,class,dice,hd95_mm,flags; ``percent`` scales Dice by
     100.  Numbers are written so that float() recovers them exactly."""
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["case_id", "class", "dice", "hd95_mm", "flags"])
         for r in rows:

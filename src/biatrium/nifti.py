@@ -6,18 +6,22 @@ the 348-byte header and vox_offset 352; big-endian files are detected on read
 (dim[0] outside 1..7 under a little-endian parse) and byte-swapped.  Gzip
 containers are auto-detected by their 0x1F 0x8B prefix.  The qform/sform
 block is carried through as opaque bytes and never interpreted.
+
+Arrays are C order (z fastest) in memory and x-fastest on disk; this module
+is the only place that knows the disk order.  Reads hand out fresh
+C-contiguous arrays in native byte order; writes stream a few z-planes at a
+time, so a write holds a fraction of the array beyond the array itself.
 """
 from __future__ import annotations
 
 import gzip
 import json
-import os
 import zlib
 from typing import IO, Mapping
 
 import numpy as np
 
-from .core import LabelMap, NiftiFormatError, Placement, Volume, check_label_codes
+from .core import LabelMap, NiftiFormatError, Placement, Volume, _atomic_open, check_label_codes
 
 __all__ = [
     "read_volume",
@@ -86,6 +90,13 @@ _HEADER_FIELDS = [
     ("intent_name", "S16"),
     ("magic", "S4"),
 ]
+
+# Edge of the cubic blocks a transpose copies at a time: 64**3 float32 is
+# 1 MiB, so a block of the source and of the destination stay in cache.
+_TILE = 64
+# z-planes per write chunk: each read from the C-order array takes a run of
+# z values rather than one, and the buffer stays a small part of the array.
+_CHUNK_Z = 8
 
 _HDR_LE = np.dtype(_HEADER_FIELDS).newbyteorder("<")
 _HDR_BE = np.dtype(_HEADER_FIELDS).newbyteorder(">")
@@ -169,13 +180,46 @@ def _read_raw(path):
         # drain to EOF so a gzip container verifies its checksum
         while _read_upto(f, 1 << 16, path):
             pass
-        # on-disk order is x-fastest
-        arr = np.frombuffer(payload, dtype=dtype).reshape(shape, order="F")
-        if swapped:
-            arr = arr.astype(arr.dtype.newbyteorder("="))
+        arr = _from_x_fastest(payload, shape, dtype)
         orient = raw[_ORIENT_SPAN]
         scl = (float(hdr["scl_slope"]), float(hdr["scl_inter"]))
         return arr, spacing, orient, scl
+
+
+def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.T``, one cube of ``_TILE`` per axis at a time.
+
+    numpy copies a whole-array transpose with one side strided by a full
+    plane; blocking keeps both sides of each copy in cache.  Any byte swap
+    between the two dtypes happens in the same pass.
+    """
+    a, b, c = dst.shape
+    t = _TILE
+    for i in range(0, a, t):
+        for j in range(0, b, t):
+            for k in range(0, c, t):
+                dst[i:i + t, j:j + t, k:k + t] = src[k:k + t, j:j + t, i:i + t].T
+
+
+def _from_x_fastest(payload, shape, dtype: np.dtype) -> np.ndarray:
+    """A fresh C-order array of native byte order from an x-fastest payload
+    whose length the caller has checked."""
+    arr = np.empty(shape, dtype.newbyteorder("="))
+    _transpose_into(arr, np.frombuffer(payload, dtype=dtype).reshape(shape[::-1]))
+    return arr
+
+
+def _write_x_fastest(f, arr: np.ndarray) -> None:
+    """Write ``arr`` to ``f`` in x-fastest order, ``_CHUNK_Z`` z-planes at a
+    time through one reused buffer.  Each write call takes one plane, so a
+    compressor never holds more than a plane of output either."""
+    nx, ny, nz = arr.shape
+    buf = np.empty((min(_CHUNK_Z, nz), ny, nx), arr.dtype)
+    for z0 in range(0, nz, _CHUNK_Z):
+        chunk = buf[:min(_CHUNK_Z, nz - z0)]
+        _transpose_into(chunk, arr[:, :, z0:z0 + len(chunk)])
+        for plane in chunk:
+            f.write(plane)
 
 
 def read_volume(path) -> Volume:
@@ -185,7 +229,7 @@ def read_volume(path) -> Volume:
     identity; otherwise raw stored values are used.
     """
     arr, spacing, orient, (slope, inter) = _read_raw(path)
-    data = arr.astype(np.float32)
+    data = arr.astype(np.float32, copy=False)
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         data = data * np.float32(slope) + np.float32(inter)
     return Volume(data=data, spacing=spacing, orientation=orient)
@@ -208,7 +252,10 @@ def read_labelmap(path, classes: Mapping[str, int] | None = None) -> LabelMap:
 
 def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
                 orientation: bytes | None = None) -> None:
-    """Encode a 3D array (uint8, int16 or float32) as a NIfTI-1 file."""
+    """Encode a 3D array (uint8, int16 or float32) as a NIfTI-1 file.
+
+    The file appears at ``path`` only once it is complete; a failed write
+    leaves a previous file there untouched."""
     arr = np.asarray(arr)
     if arr.ndim != 3:
         raise ValueError(f"expected 3D array, got {arr.ndim}D")
@@ -241,16 +288,15 @@ def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
     def _emit(f):
         f.write(bytes(raw))
         f.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        f.write(arr.tobytes(order="F"))
+        _write_x_fastest(f, arr)
 
-    if compress:
-        # filename and mtime pinned to keep output bytes reproducible
-        with open(path, "wb") as fh, \
-                gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-            _emit(gz)
-    else:
-        with open(path, "wb") as f:
-            _emit(f)
+    with _atomic_open(path, "wb") as fh:
+        if compress:
+            # filename and mtime pinned to keep output bytes reproducible
+            with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
+                _emit(gz)
+        else:
+            _emit(fh)
 
 
 def write_volume(v: Volume | LabelMap, path, compress: bool | None = None) -> None:
@@ -267,11 +313,9 @@ _PLACEMENT_KEYS = ("parent_shape", "offset", "window_shape")
 
 def write_placement(p: Placement, path) -> None:
     doc = {k: list(getattr(p, k)) for k in _PLACEMENT_KEYS}
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with _atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    os.replace(tmp, path)
 
 
 def read_placement(path) -> Placement:

@@ -42,6 +42,7 @@ from .core import (
     NiftiFormatError,
     Volume,
     _as_triple,
+    _atomic_open,
     check_class_map,
     check_label_codes,
     from_json,
@@ -391,7 +392,7 @@ def _write_result_json(case_dir: Path, result: CaseResult) -> None:
             {"lo": list(result.roi_box.lo), "hi": list(result.roi_box.hi)},
         "timings_ms": {k: round(v, 3) for k, v in result.timings_ms.items()},
     }
-    with open(case_dir / "result.json", "w", encoding="utf-8") as f:
+    with _atomic_open(case_dir / "result.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
 
@@ -407,7 +408,7 @@ def write_summary_csv(results: Sequence[CaseResult], path,
     ``left_atrium`` abbreviate to ``ra``/``la``).  Metric cells stay empty
     for failed cases or when no ground truth was supplied."""
     names = [name for name, code in classes.items() if code != 0]
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["case_id", "status"]
         for name in names:

@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way (explicit loops, all-pairs
 distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
 The exceptions are earlier, simpler versions of rewritten routines
-(``full_grid_evaluate_case``, ``whole_volume_mclahe``), kept so that tests
-can require the rewrite to give the same results bit for bit.
+(``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``),
+kept so that tests can require the rewrite to give the same results bit for
+bit.
 """
 from __future__ import annotations
 
@@ -17,6 +18,14 @@ import numpy as np
 from biatrium.core import DEFAULT_CLASS_MAP
 from biatrium.metrics import (MetricRow, confusion_counts, dice, hd95, region_points,
                               surface_points)
+
+
+# -- NIfTI payload reference ------------------------------------------------
+
+def x_fastest_payload(arr) -> bytes:
+    """The NIfTI-1 payload of a 3D array (the bytes after the 352-byte
+    header): x fastest, as the writer built it with one whole-array copy."""
+    return np.asarray(arr).tobytes(order="F")
 
 
 # -- loss references --------------------------------------------------------

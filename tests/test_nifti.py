@@ -1,6 +1,11 @@
 import gc
 import gzip
+import pathlib
+import re
 import struct
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +26,8 @@ from biatrium import (
     write_placement,
     write_volume,
 )
+from biatrium import nifti
+from oracles import x_fastest_payload
 
 SPACING = (0.625, 0.625, 2.5)
 
@@ -128,6 +135,163 @@ def test_big_endian_read(tmp_path, rng, dtype):
     back, spacing, _ = read_nifti(be)
     assert np.array_equal(back, arr)
     assert spacing == pytest.approx(SPACING)
+
+
+# -- layout: C order in memory, x-fastest on disk ---------------------------
+
+def _layout_views(arr):
+    """``arr`` as C-, F-, strided- and reversed-order arrays of equal value."""
+    spaced = np.zeros((2 * arr.shape[0], arr.shape[1], 2 * arr.shape[2]), arr.dtype)
+    spaced[::2, :, 1::2] = arr
+    return {
+        "c": arr,
+        "f": np.asfortranarray(arr),
+        "sliced": spaced[::2, :, 1::2],
+        "negative": np.ascontiguousarray(arr[::-1, :, ::-1])[::-1, :, ::-1],
+    }
+
+
+def _payload(path) -> bytes:
+    blob = path.read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        blob = gzip.decompress(blob)
+    return blob[352:]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (65, 3, 130), (1, 700, 2), (130, 65, 9)])
+def test_write_payload_matches_whole_copy_oracle(tmp_path, rng, dtype, shape):
+    """Shapes that are not multiples of the tile or chunk size, and inputs
+    of every memory layout, stream the same bytes as one whole-array copy."""
+    arr = _random_array(rng, dtype, shape)
+    expected = x_fastest_payload(arr)
+    for name, view in _layout_views(arr).items():
+        assert np.array_equal(view, arr)
+        for suffix in (".nii", ".nii.gz"):
+            path = tmp_path / f"{name}{suffix}"
+            write_nifti(path, view, SPACING)
+            assert _payload(path) == expected, (name, suffix)
+
+
+def _stored_as(tmp_path, arr, encoding):
+    """``arr`` written as a plain, gzip or big-endian file."""
+    plain = tmp_path / "le.nii"
+    write_nifti(plain, arr, SPACING)
+    if encoding == "plain":
+        return plain
+    out = tmp_path / f"{encoding}.nii"
+    if encoding == "gzip":
+        write_nifti(out, arr, SPACING, compress=True)
+    else:
+        _reencode_big_endian(plain, out)
+    return out
+
+
+def _assert_c_native(arr):
+    assert arr.flags.c_contiguous
+    assert arr.dtype.isnative
+
+
+@pytest.mark.parametrize("encoding", ["plain", "gzip", "big-endian"])
+def test_readers_return_c_contiguous_native_arrays(tmp_path, rng, encoding):
+    for dtype in (np.uint8, np.int16, np.float32):
+        arr = _random_array(rng, dtype, (70, 9, 5))
+        back, _, _ = read_nifti(_stored_as(tmp_path, arr, encoding))
+        _assert_c_native(back)
+        assert back.dtype == dtype
+        assert np.array_equal(back, arr)
+
+    for dtype in (np.int16, np.float32):
+        arr = _random_array(rng, dtype, (70, 9, 5))
+        vol = read_volume(_stored_as(tmp_path, arr, encoding))
+        _assert_c_native(vol.data)
+        assert np.array_equal(vol.data, arr.astype(np.float32))
+
+    labels = rng.integers(0, 4, size=(70, 9, 5), dtype=np.uint8)
+    for dtype in (np.uint8, np.int16, np.float32):
+        lm = read_labelmap(_stored_as(tmp_path, labels.astype(dtype), encoding))
+        _assert_c_native(lm.data)
+        assert np.array_equal(lm.data, labels)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_write_memory_is_a_fraction_of_the_array(tmp_path, rng, dtype, suffix):
+    """Writes stream a few z-planes at a time: no whole-array copy, and the
+    compressor holds no more than a plane of output."""
+    arr = _random_array(rng, dtype, (192, 192, 48))
+    tracemalloc.start()
+    try:
+        write_nifti(tmp_path / f"x{suffix}", arr, SPACING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * arr.nbytes, peak / arr.nbytes
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, rng, monkeypatch, suffix):
+    target = tmp_path / f"x{suffix}"
+    write_nifti(target, _random_array(rng, np.float32), SPACING)
+    before = target.read_bytes()
+
+    real = nifti._transpose_into
+    calls = []
+
+    def fail_after_first_chunk(dst, src):
+        if calls:
+            raise OSError("disk full")
+        calls.append(1)
+        real(dst, src)
+
+    monkeypatch.setattr(nifti, "_transpose_into", fail_after_first_chunk)
+    arr = _random_array(rng, np.float32, (9, 8, 3 * nifti._CHUNK_Z))
+    with pytest.raises(OSError, match="disk full"):
+        write_nifti(target, arr, SPACING)
+    assert calls
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_threads_writing_one_sidecar_never_collide(tmp_path):
+    """Every thread gets its own temporary file, so concurrent writes of one
+    path all succeed and the file always holds one whole document."""
+    path = tmp_path / "p.json"
+    docs = [Placement(parent_shape=(9, 9, 9), offset=(i, 0, 0), window_shape=(1, 1, 1))
+            for i in range(6)]
+    errors = []
+
+    def writer(p):
+        try:
+            for _ in range(40):
+                write_placement(p, path)
+                assert read_placement(path) in docs
+        except Exception as e:  # noqa: BLE001 - collected for the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(p,)) for p in docs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_only_nifti_module_knows_the_disk_order():
+    """x-fastest order exists on disk only; every other module works in C
+    order, so none of them may ask numpy for Fortran order."""
+    pattern = re.compile(r"""order\s*=\s*["']F["']|asfortranarray""")
+    package = pathlib.Path(nifti.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "nifti.py" and pattern.search(p.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 def test_scl_scaling_applied_by_read_volume(tmp_path):
