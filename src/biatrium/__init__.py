@@ -31,7 +31,7 @@ from .geometry import (
     stitch,
 )
 from .loss import AsymLossParams, asym_loss, asym_loss_grad, grad_check, volume_loss
-from .mclahe import MclaheParams, clip_redistribute, mapping_from_hist, mclahe
+from .mclahe import MclaheParams, mclahe
 from .metrics import (
     ConfusionCounts,
     MetricRow,

@@ -40,11 +40,11 @@ class AsymLossParams:
     eps: float = 1e-7
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
+        if not self.gamma_pos >= 0 or not self.gamma_neg >= 0:
             raise ValueError(f"focusing exponents must be >= 0, got {self}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 

@@ -11,6 +11,8 @@ constants exactly.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,10 +57,14 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_triple(self.shape, "shape"))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
-        if self.wall_thickness_mm <= 0:
-            raise ValueError(f"wall thickness must be > 0, got {self.wall_thickness_mm}")
-        if self.noise_amplitude < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got {self.noise_amplitude}")
+        if not self.wall_thickness_mm > 0:
+            raise ValueError(f"wall_thickness_mm must be > 0, got {self.wall_thickness_mm}")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise ValueError(
+                f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
         extent = tuple((n - 1) * s for n, s in zip(self.shape, self.spacing))
         for name, e in (("la", self.la), ("ra", self.ra)):
             for ax in range(3):

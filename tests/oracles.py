@@ -142,6 +142,43 @@ def full_grid_evaluate_case(pred, gt, classes=None, case_id="case", point_mode="
 
 # -- histogram equalization references --------------------------------------
 
+def clip_redistribute(hist: np.ndarray, tile_voxels: int, clip_limit: float) -> np.ndarray:
+    """Clip bins to ``max(1, round(clip_limit * tile_voxels))`` and spread the
+    excess in a single pass: an equal share to every bin, remainder one count
+    each to the lowest-index bins.  The total count is preserved; bins may end
+    above the limit."""
+    hist = np.asarray(hist, dtype=np.int64)
+    if hist.sum() != tile_voxels:
+        raise ValueError(f"histogram sums to {hist.sum()}, expected tile_voxels={tile_voxels}")
+    limit = max(1, int(np.floor(clip_limit * tile_voxels + 0.5)))
+    clipped = np.minimum(hist, limit)
+    excess = int(hist.sum() - clipped.sum())
+    n = hist.shape[0]
+    clipped += excess // n
+    clipped[: excess % n] += 1
+    return clipped
+
+
+def mapping_from_hist(hist: np.ndarray) -> np.ndarray:
+    """Bin-index -> [0, 1] lookup table from a histogram's cumulative sum.
+
+    The first occupied bin maps to 0 and the last to 1; when all mass sits in
+    a single bin the table degenerates to the identity ramp b / (n_bins - 1).
+    Values are clamped to [0, 1] so bins below the first occupied bin do not
+    go negative.
+    """
+    hist = np.asarray(hist, dtype=np.int64)
+    if hist.sum() <= 0:
+        raise ValueError("histogram is empty")
+    cdf = np.cumsum(hist)
+    cdf_min = cdf[cdf > 0].min()
+    denom = cdf[-1] - cdf_min
+    n = hist.shape[0]
+    if denom == 0:
+        return np.arange(n, dtype=np.float64) / (n - 1)
+    return np.clip((cdf - cdf_min) / denom, 0.0, 1.0)
+
+
 def global_hist_eq(data: np.ndarray, n_bins: int) -> np.ndarray:
     """Plain full-volume histogram equalization on min-max normalized data."""
     lo, hi = float(data.min()), float(data.max())

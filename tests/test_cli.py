@@ -198,6 +198,14 @@ def test_loss_value_matches_library(files, tmp_path, capsys, rng):
     assert printed == volume_loss(loaded, read_labelmap(files["gt_path"]))
 
 
+def test_loss_nan_exponent_exits_1(files, capsys):
+    rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
+               "--gamma-pos", "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "focusing exponents" in captured.err
+
+
 def test_loss_grad_check_subcommand(capsys):
     rc = main(["loss", "grad-check", "--n", "50"])
     assert rc == 0
@@ -226,7 +234,8 @@ def test_phantom_bad_spec_exits_1(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     for spec, path in (({"la": {"center_mm": [40, 60, 60]}}, "radii_mm"),
                        ({"la": {"center_mm": [42, 60, 60], "radii_mm": [float("nan"), 20, 16]}},
-                        "la: radii_mm")):
+                        "la: radii_mm"),
+                       ({"seed": 1.5, "noise_amplitude": 0.05}, "seed")):
         spec_path.write_text(json.dumps(spec))
         rc = main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "ph")])
         assert rc == 1

@@ -31,6 +31,9 @@ def test_params_validation():
         AsymLossParams(margin=1.0)
     with pytest.raises(ValueError):
         AsymLossParams(eps=0.0)
+    for bad in ({"gamma_pos": math.nan}, {"gamma_neg": math.nan}, {"eps": math.nan}):
+        with pytest.raises(ValueError):
+            AsymLossParams(**bad)
 
 
 def test_label_validation():

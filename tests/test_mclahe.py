@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biatrium import MclaheParams, Volume, clip_redistribute, mapping_from_hist, mclahe
-from biatrium.mclahe import _tile_mappings
+from biatrium import MclaheParams, Volume, mclahe
+from biatrium.mclahe import _row_tables
 
-from oracles import global_hist_eq, naive_mclahe, whole_volume_mclahe
+from oracles import (clip_redistribute, global_hist_eq, mapping_from_hist, naive_mclahe,
+                     whole_volume_mclahe)
 
 
 def test_params_defaults_and_validation():
@@ -106,14 +107,14 @@ def test_vectorized_tile_path_matches_scalar_ops(rng):
     bins = np.minimum((norm * n_bins).astype(np.int32), n_bins - 1)
     ntiles = tuple(s // k for s, k in zip(shape, kernel))
     tile_voxels = int(np.prod(kernel))
-    tables = _tile_mappings(bins, ntiles, tile_voxels, n_bins, clip)
     for tx in range(ntiles[0]):
+        tables = _row_tables(bins, tx, kernel, ntiles, n_bins, clip)
         for ty in range(ntiles[1]):
             for tz in range(ntiles[2]):
                 block = bins[tx * 4:(tx + 1) * 4, ty * 3:(ty + 1) * 3, tz * 2:(tz + 1) * 2]
                 hist = np.bincount(block.ravel(), minlength=n_bins)
                 expect = mapping_from_hist(clip_redistribute(hist, tile_voxels, clip))
-                assert np.array_equal(tables[tx, ty, tz], expect)
+                assert np.array_equal(tables[ty, tz], expect)
 
 
 def test_constant_volume_gives_constant_output():
@@ -152,6 +153,9 @@ def test_matches_naive_reference(rng):
     ((37, 190, 150), (5, 24, 16), 300, 0.5),   # uint16 bins
     ((3, 300, 250), (2, 64, 32), 128, 0.01),   # one x-row per slab
     ((192, 192, 48), None, 128, 0.01),         # default params, 28 slabs
+    ((9, 40, 30), (1, 1, 1), 16, 0.01),        # one-voxel tiles, one x-row per slab
+    ((7, 9, 5), (16, 12, 8), 32, 0.1),         # kernel larger than the grid
+    ((23, 40, 30), (5, 8, 7), 64, 0.02),       # slab capped at kx; padded x-edge row
 ])
 def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
     """Volumes spanning many x-slabs equal the unstreamed blend bit for bit."""
@@ -173,6 +177,28 @@ def test_streamed_working_set_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert ratio <= 3.0
+
+
+def _traced_peak(data: np.ndarray, kernel) -> int:
+    v = Volume(data=data, spacing=(1, 1, 1))
+    tracemalloc.start()
+    try:
+        mclahe(v, MclaheParams(kernel_size=kernel))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tile_tables_follow_one_tile_row(rng):
+    """Tables are held for at most three tile rows, not the whole tile grid:
+    with one-voxel tiles, growing x adds only the output and the bins to
+    the peak, and small tiles on a larger grid stay within 4x the input."""
+    small = _traced_peak(rng.random((48, 48, 24), dtype=np.float32), (1, 1, 1))
+    large = _traced_peak(rng.random((192, 48, 24), dtype=np.float32), (1, 1, 1))
+    assert (large - small) / ((192 - 48) * 48 * 24) <= 8.0
+
+    data = rng.random((192, 192, 48), dtype=np.float32)
+    assert _traced_peak(data, (4, 4, 2)) / data.nbytes <= 4.0
 
 
 def test_output_range_and_shape(rng):

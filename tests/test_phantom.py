@@ -175,6 +175,11 @@ def test_json_rejects_unknown_keys():
     ({"spacing": [math.inf, 0.625, 2.5]}, "spacing"),
     ({"shape": [math.inf, 192, 48]}, "shape"),
     ({"shape": "888"}, "shape"),
+    ({"wall_thickness_mm": math.nan}, "wall_thickness_mm"),
+    ({"noise_amplitude": math.nan}, "noise_amplitude"),
+    ({"seed": 1.5, "noise_amplitude": 0.05}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):

@@ -249,6 +249,8 @@ _BASE_DOC = {
     ({"mclahe": {"kernel_size": "888"}}, "mclahe: kernel_size"),
     ({"fine_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": math.nan}},
      "fine_backend: timeout_s"),
+    ({"mclahe": {"n_bins": 128.0}}, "mclahe: n_bins"),
+    ({"mclahe": {"n_bins": True}}, "mclahe: n_bins"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
