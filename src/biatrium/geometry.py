@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple
+from .core import BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple, _slabs
 
 __all__ = [
     "DEFAULT_STANDARD_SHAPE",
@@ -69,10 +69,14 @@ def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPL
             raise ValueError(f"axis {ax} extent {s} is not divisible by factor {f}")
     fx, fy, fz = factors
     sx, sy, sz = (s // f for s, f in zip(data.shape, factors))
-    blocks = data.astype(np.float64).reshape(sx, fx, sy, fy, sz, fz)
-    out = blocks.mean(axis=(1, 3, 5))
+    # averaged in float64 one slab of x-block rows at a time, so no
+    # full-grid float64 copy is made
+    out = np.empty((sx, sy, sz), dtype=np.float32)
+    for s in _slabs((sx, fx * data[0].size)):
+        blocks = data[s.start * fx:s.stop * fx].astype(np.float64)
+        out[s] = blocks.reshape(-1, fx, sy, fy, sz, fz).mean(axis=(1, 3, 5))
     spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
-    return Volume(data=out.astype(np.float32), spacing=spacing)
+    return Volume(data=out, spacing=spacing)
 
 
 def bbox_from_mask(mask: np.ndarray | LabelMap,

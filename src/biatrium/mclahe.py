@@ -8,13 +8,13 @@ tables of the 8 nearest tile centers (tile center at (index + 0.5) * tile
 size; positions outside the center lattice clamp to the edge tile); the
 padding only feeds the edge tiles' histograms.
 
-Binning and blending stream over x-slabs of about ``_SLAB_VOXELS`` voxels,
-no thicker than one tile.  A tile row's tables are built when the first
-slab that reads them arrives and dropped after the last, so at most three
-rows are held at once and table memory follows one tile row, not the tile
-grid.  Besides the input, the working set is the float32 output, one small
-unsigned bin index per voxel and slab- and row-sized temporaries.  All
-steps are plain array arithmetic, so the result is deterministic and
+Binning and blending stream over x-slabs of about ``core._SLAB_VOXELS``
+voxels, no thicker than one tile.  A tile row's tables are built when the
+first slab that reads them arrives and dropped after the last, so at most
+three rows are held at once and table memory follows one tile row, not the
+tile grid.  Besides the input, the working set is the float32 output, one
+small unsigned bin index per voxel and slab- and row-sized temporaries.
+All steps are plain array arithmetic, so the result is deterministic and
 bit-identical across runs regardless of threading.
 """
 from __future__ import annotations
@@ -24,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Volume, _as_triple
+from .core import Volume, _as_triple, _slabs
 
 __all__ = ["MclaheParams", "mclahe"]
-
-# Voxels per x-slab in the streamed passes: each slab temporary (512 KiB of
-# float64) stays cache-resident.  Speed is flat from 2**13 to 2**17.
-_SLAB_VOXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,9 @@ class MclaheParams:
         n = self.n_bins
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
             raise ValueError(f"n_bins must be an int >= 2, got {n!r}")
-        if not 0.0 < self.clip_limit <= 1.0:
-            raise ValueError(f"clip_limit must be in (0, 1], got {self.clip_limit}")
+        c = self.clip_limit
+        if isinstance(c, bool) or not 0.0 < c <= 1.0:
+            raise ValueError(f"clip_limit must be a number in (0, 1], got {c!r}")
 
     def resolve_kernel(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
         if self.kernel_size is not None:
@@ -117,10 +114,9 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     data = v.data
     kernel = params.resolve_kernel(data.shape)
     n_bins = params.n_bins
-    sx, sy, sz = data.shape
+    _, sy, sz = data.shape
     # a slab no thicker than a tile reads at most three tile rows
-    step = max(1, min(kernel[0], _SLAB_VOXELS // (sy * sz)))
-    slabs = [slice(x0, min(x0 + step, sx)) for x0 in range(0, sx, step)]
+    slabs = _slabs(data.shape, kernel[0])
 
     # pass 1: normalize and bin slab by slab; only the bins are kept
     lo = float(data.min())

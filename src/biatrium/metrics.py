@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap, _atomic_open
+from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap, _atomic_open, _slabs
 from .geometry import bbox_from_mask
 
 __all__ = [
@@ -179,9 +179,12 @@ def evaluate_case(pred: LabelMap, gt: LabelMap, classes: dict[str, int] | None =
         lo = hi = (0, 0, 0)  # an empty crop: every class row is "empty"
     crop = tuple(slice(l, h) for l, h in zip(lo, hi))
     p, g = pred.data[crop], gt.data[crop]
-    # table[i, j]: voxels with pred code i and gt code j
-    table = np.bincount((p.astype(np.uint16) * 256 + g).ravel(),
-                        minlength=65536).reshape(256, 256)
+    # table[i, j]: voxels with pred code i and gt code j, counted one x-slab
+    # at a time so bincount widens only a slab of pair codes to intp
+    table = np.zeros(65536, dtype=np.intp)
+    for s in _slabs(p.shape):
+        table += np.bincount((p[s].astype(np.uint16) * 256 + g[s]).ravel(), minlength=65536)
+    table = table.reshape(256, 256)
 
     rows = []
     for name, code in (DEFAULT_CLASS_MAP if classes is None else classes).items():

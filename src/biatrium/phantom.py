@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple, from_json
+from .core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple, _slabs, from_json
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -59,6 +59,10 @@ class PhantomSpec:
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
         if not self.wall_thickness_mm > 0:
             raise ValueError(f"wall_thickness_mm must be > 0, got {self.wall_thickness_mm}")
+        for name in ("level_background", "level_wall", "level_cavity"):
+            level = getattr(self, name)
+            if not isinstance(level, numbers.Real) or not math.isfinite(level):
+                raise ValueError(f"{name} must be a finite number, got {level!r}")
         if not 0 <= self.noise_amplitude < math.inf:
             raise ValueError(
                 f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
@@ -76,42 +80,47 @@ class PhantomSpec:
                         f"extent {extent[ax]})")
 
 
-def _inside(shape, spacing, e: Ellipsoid, grow_mm: float = 0.0) -> np.ndarray:
-    axes = []
-    for n, sp, c, r in zip(shape, spacing, e.center_mm, e.radii_mm):
-        coords = np.arange(n, dtype=np.float64) * sp
-        axes.append((coords - c) / (r + grow_mm))
-    d2 = (axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
-          + axes[2][None, None, :] ** 2)
+def _inside(coords, e: Ellipsoid, grow_mm: float = 0.0) -> np.ndarray:
+    """Voxels whose center, at per-axis coordinates ``coords`` (mm), lies in
+    ``e`` grown by ``grow_mm``."""
+    ax, ay, az = ((c - m) / (r + grow_mm) for c, m, r in zip(coords, e.center_mm, e.radii_mm))
+    d2 = ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
     return d2 <= 1.0
 
 
 def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
     """Build (image, ground truth).  Cavities override the wall shell where
     the expanded ellipsoids reach into them; overlapping cavities are an
-    error because the ground truth would be ambiguous."""
+    error because the ground truth would be ambiguous.
+
+    Labels, image and noise are built one x-slab at a time, so the working
+    set is the two outputs and slab-sized temporaries.  The noise is drawn
+    slab after slab in C order, which continues one stream: the bytes equal
+    a single whole-grid draw."""
     spec = spec or PhantomSpec()
-    la_cav = _inside(spec.shape, spec.spacing, spec.la)
-    ra_cav = _inside(spec.shape, spec.spacing, spec.ra)
-    if (la_cav & ra_cav).any():
-        raise ValueError("la and ra cavities overlap")
     t = spec.wall_thickness_mm
-    wall = (_inside(spec.shape, spec.spacing, spec.la, grow_mm=t)
-            | _inside(spec.shape, spec.spacing, spec.ra, grow_mm=t))
-    wall &= ~(la_cav | ra_cav)
-
-    labels = np.zeros(spec.shape, dtype=np.uint8)
-    labels[wall] = DEFAULT_CLASS_MAP["wall"]
-    labels[ra_cav] = DEFAULT_CLASS_MAP["right_atrium"]
-    labels[la_cav] = DEFAULT_CLASS_MAP["left_atrium"]
-
+    coords = [np.arange(n, dtype=np.float64) * sp for n, sp in zip(spec.shape, spec.spacing)]
     levels = np.array([spec.level_background, spec.level_wall,
                        spec.level_cavity, spec.level_cavity], dtype=np.float32)
-    image = levels[labels]
-    if spec.noise_amplitude > 0:
-        rng = np.random.default_rng(spec.seed)
-        noise = rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, size=spec.shape)
-        image = (image.astype(np.float64) + noise).astype(np.float32)
+    rng = np.random.default_rng(spec.seed)
+    labels = np.zeros(spec.shape, dtype=np.uint8)
+    image = np.empty(spec.shape, dtype=np.float32)
+    for s in _slabs(spec.shape):
+        c = (coords[0][s], *coords[1:])
+        la_cav = _inside(c, spec.la)
+        ra_cav = _inside(c, spec.ra)
+        if (la_cav & ra_cav).any():
+            raise ValueError("la and ra cavities overlap")
+        wall = _inside(c, spec.la, grow_mm=t) | _inside(c, spec.ra, grow_mm=t)
+        lab = labels[s]
+        lab[wall] = DEFAULT_CLASS_MAP["wall"]
+        lab[ra_cav] = DEFAULT_CLASS_MAP["right_atrium"]
+        lab[la_cav] = DEFAULT_CLASS_MAP["left_atrium"]
+        if spec.noise_amplitude > 0:
+            noise = rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, size=lab.shape)
+            image[s] = levels[lab].astype(np.float64) + noise
+        else:
+            image[s] = levels[lab]
 
     vol = Volume(data=image, spacing=spec.spacing)
     gt = LabelMap(data=labels, spacing=spec.spacing)

@@ -333,6 +333,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     with _timed(timings_ms, "standardize"):
         std, to_original = standardize(vol, cfg.standard_shape)
+    del vol  # each full grid is dropped as soon as its last reader is done
 
     with _timed(timings_ms, "downsample"):
         coarse_in = downsample_mean(std, cfg.coarse_factors)
@@ -352,6 +353,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     with _timed(timings_ms, "crop"):
         fine_in, to_standard = crop_window(std, center, cfg.fine_window)
+    del std
 
     with _timed(timings_ms, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, cfg.fine_window,

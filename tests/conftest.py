@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,17 @@ from biatrium import LabelMap, Volume
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs, its
+    result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_volume(rng, shape, spacing=(1.0, 1.0, 1.0)) -> Volume:

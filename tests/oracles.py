@@ -4,9 +4,9 @@ Everything here is written the slow, obvious way (explicit loops, all-pairs
 distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
 The exceptions are earlier, simpler versions of rewritten routines
-(``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``),
-kept so that tests can require the rewrite to give the same results bit for
-bit.
+(``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``,
+``whole_grid_downsample_mean``, ``whole_grid_generate``), kept so that tests
+can require the rewrite to give the same results bit for bit.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from biatrium.core import DEFAULT_CLASS_MAP
+from biatrium.core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple
 from biatrium.metrics import (MetricRow, confusion_counts, dice, hd95, region_points,
                               surface_points)
 
@@ -26,6 +26,64 @@ def x_fastest_payload(arr) -> bytes:
     """The NIfTI-1 payload of a 3D array (the bytes after the 352-byte
     header): x fastest, as the writer built it with one whole-array copy."""
     return np.asarray(arr).tobytes(order="F")
+
+
+# -- whole-grid references for slab-streamed routines ------------------------
+
+def whole_grid_downsample_mean(v, factors=(4, 4, 1)):
+    """``biatrium.geometry.downsample_mean`` with one float64 copy of the
+    whole grid."""
+    factors = _as_triple(factors, "factors")
+    data = v.data
+    for ax, (s, f) in enumerate(zip(data.shape, factors)):
+        if s % f != 0:
+            raise ValueError(f"axis {ax} extent {s} is not divisible by factor {f}")
+    fx, fy, fz = factors
+    sx, sy, sz = (s // f for s, f in zip(data.shape, factors))
+    blocks = data.astype(np.float64).reshape(sx, fx, sy, fy, sz, fz)
+    out = blocks.mean(axis=(1, 3, 5))
+    spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
+    return Volume(data=out.astype(np.float32), spacing=spacing)
+
+
+def _inside(shape, spacing, e, grow_mm: float = 0.0) -> np.ndarray:
+    axes = []
+    for n, sp, c, r in zip(shape, spacing, e.center_mm, e.radii_mm):
+        coords = np.arange(n, dtype=np.float64) * sp
+        axes.append((coords - c) / (r + grow_mm))
+    d2 = (axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
+          + axes[2][None, None, :] ** 2)
+    return d2 <= 1.0
+
+
+def whole_grid_generate(spec):
+    """``biatrium.phantom.generate`` with whole-grid masks, level lookup and
+    one whole-grid noise draw."""
+    la_cav = _inside(spec.shape, spec.spacing, spec.la)
+    ra_cav = _inside(spec.shape, spec.spacing, spec.ra)
+    if (la_cav & ra_cav).any():
+        raise ValueError("la and ra cavities overlap")
+    t = spec.wall_thickness_mm
+    wall = (_inside(spec.shape, spec.spacing, spec.la, grow_mm=t)
+            | _inside(spec.shape, spec.spacing, spec.ra, grow_mm=t))
+    wall &= ~(la_cav | ra_cav)
+
+    labels = np.zeros(spec.shape, dtype=np.uint8)
+    labels[wall] = DEFAULT_CLASS_MAP["wall"]
+    labels[ra_cav] = DEFAULT_CLASS_MAP["right_atrium"]
+    labels[la_cav] = DEFAULT_CLASS_MAP["left_atrium"]
+
+    levels = np.array([spec.level_background, spec.level_wall,
+                       spec.level_cavity, spec.level_cavity], dtype=np.float32)
+    image = levels[labels]
+    if spec.noise_amplitude > 0:
+        rng = np.random.default_rng(spec.seed)
+        noise = rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, size=spec.shape)
+        image = (image.astype(np.float64) + noise).astype(np.float32)
+
+    vol = Volume(data=image, spacing=spec.spacing)
+    gt = LabelMap(data=labels, spacing=spec.spacing)
+    return vol, gt
 
 
 # -- loss references --------------------------------------------------------

@@ -206,6 +206,14 @@ def test_loss_nan_exponent_exits_1(files, capsys):
     assert captured.out == "" and "focusing exponents" in captured.err
 
 
+def test_loss_infinite_exponent_exits_1(files, capsys):
+    rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
+               "--gamma-pos", "inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "focusing exponents" in captured.err
+
+
 def test_loss_grad_check_subcommand(capsys):
     rc = main(["loss", "grad-check", "--n", "50"])
     assert rc == 0

@@ -7,6 +7,9 @@ import pytest
 
 from biatrium import (BBox, LabelMap, NiftiFormatError, Placement, Volume, read_labelmap,
                       write_nifti)
+from biatrium.core import check_label_codes
+
+from conftest import traced_peak
 
 
 def test_volume_accepts_and_freezes_data():
@@ -26,6 +29,9 @@ def test_volume_converts_dtype():
     np.zeros((2, 2)),                     # not 3D
     np.full((2, 2, 2), np.nan),           # non-finite
     np.zeros((0, 2, 2)),                  # empty
+    np.array([[[0.0, np.nan, 1.0]]]),     # one NaN among finite values
+    np.array([[[0.0, np.inf, 1.0]]]),     # one +inf
+    np.array([[[0.0, -np.inf, 1.0]]]),    # one -inf
 ])
 def test_volume_rejects_bad_data(bad):
     with pytest.raises(ValueError):
@@ -51,6 +57,31 @@ def test_labelmap_validates_class_codes(tmp_path):
     with pytest.raises(NiftiFormatError, match=re.escape(str(path)) + r": label values \[7\]"):
         read_labelmap(path)
     assert read_labelmap(path, classes={"background": 0, "x": 7}).data[0, 0, 0] == 7
+
+
+def test_label_code_scan_names_every_bad_code_across_slabs():
+    """Codes are counted slab by slab; an error still names every
+    undeclared code, wherever it sits."""
+    arr = np.zeros((192, 192, 48), dtype=np.uint8)
+    arr[0, 0, 0], arr[100, 5, 7], arr[-1, -1, -1], arr[50, 50, 20] = 9, 200, 4, 3
+    with pytest.raises(ValueError, match=re.escape("label values [4, 9, 200]")):
+        check_label_codes(LabelMap(data=arr, spacing=(1, 1, 1)))
+
+
+def test_label_code_check_working_set_is_small():
+    """No intp copy of the map: a valid map needs only its max, and a map
+    with a bad code is counted one slab at a time."""
+    arr = np.random.default_rng(5).integers(0, 4, size=(192, 192, 48), dtype=np.uint8)
+    assert traced_peak(check_label_codes, LabelMap(data=arr, spacing=(1, 1, 1))) \
+        <= 0.5 * arr.nbytes
+    arr = arr.copy()
+    arr[96, 96, 24] = 9
+
+    def check_bad():
+        with pytest.raises(ValueError, match=re.escape("label values [9]")):
+            check_label_codes(LabelMap(data=arr, spacing=(1, 1, 1)))
+
+    assert traced_peak(check_bad) <= 0.5 * arr.nbytes
 
 
 def test_labelmap_coerces_wider_integers():

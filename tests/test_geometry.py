@@ -17,6 +17,9 @@ from biatrium import (
 )
 from biatrium.geometry import _overlap
 
+from conftest import traced_peak
+from oracles import whole_grid_downsample_mean
+
 
 def _vol(arr, spacing=(1.0, 1.0, 1.0)):
     return Volume(data=np.asarray(arr, dtype=np.float32), spacing=spacing)
@@ -107,6 +110,30 @@ def test_downsample_preserves_global_mean(rng):
     data = rng.random((24, 16, 8), dtype=np.float32)
     out = downsample_mean(_vol(data), (4, 2, 2))
     assert abs(float(out.data.mean()) - float(data.mean())) <= 1e-6 * abs(float(data.mean()))
+
+
+def test_downsample_equals_whole_grid_oracle(rng):
+    """Slab by slab averaging gives the whole-grid float64 mean bit for bit,
+    also for values spanning 1e-30 to 1e20 of either sign."""
+    for i in range(60):
+        factors = tuple(int(f) for f in rng.integers(1, 6, size=3))
+        shape = tuple(int(n) * f for n, f in zip(rng.integers(1, 40, size=3), factors))
+        if i % 2:
+            data = 10.0 ** rng.uniform(-30, 20, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        else:
+            data = rng.random(shape)
+        v = _vol(data, spacing=tuple(rng.uniform(0.3, 3.0, size=3)))
+        got, ref = downsample_mean(v, factors), whole_grid_downsample_mean(v, factors)
+        assert np.array_equal(got.data, ref.data) and got.spacing == ref.spacing
+    v = _vol(rng.random((576, 576, 48), dtype=np.float32))
+    assert np.array_equal(downsample_mean(v).data, whole_grid_downsample_mean(v).data)
+
+
+def test_downsample_working_set_is_a_fraction_of_the_input(rng):
+    """No full-grid float64 copy: the output (1/16 of the input) and
+    slab-sized temporaries."""
+    v = _vol(rng.random((192, 192, 48), dtype=np.float32))
+    assert traced_peak(downsample_mean, v, (4, 4, 1)) <= 0.25 * v.data.nbytes
 
 
 def test_downsample_rejects_non_divisible():

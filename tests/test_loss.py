@@ -31,7 +31,8 @@ def test_params_validation():
         AsymLossParams(margin=1.0)
     with pytest.raises(ValueError):
         AsymLossParams(eps=0.0)
-    for bad in ({"gamma_pos": math.nan}, {"gamma_neg": math.nan}, {"eps": math.nan}):
+    for bad in ({"gamma_pos": math.nan}, {"gamma_neg": math.nan}, {"eps": math.nan},
+                {"gamma_pos": math.inf}, {"gamma_neg": math.inf}):
         with pytest.raises(ValueError):
             AsymLossParams(**bad)
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from biatrium import MclaheParams, Volume, mclahe
 from biatrium.mclahe import _row_tables
 
+from conftest import traced_peak
 from oracles import (clip_redistribute, global_hist_eq, mapping_from_hist, naive_mclahe,
                      whole_volume_mclahe)
 
@@ -170,23 +169,12 @@ def test_streamed_working_set_is_bounded(rng):
     """Traced allocations stay within 3x the float32 input: output, bins and
     slab-sized temporaries, with no full-volume float64 array."""
     v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
-    tracemalloc.start()
-    try:
-        mclahe(v)
-        ratio = tracemalloc.get_traced_memory()[1] / v.data.nbytes
-    finally:
-        tracemalloc.stop()
-    assert ratio <= 3.0
+    assert traced_peak(mclahe, v) / v.data.nbytes <= 3.0
 
 
 def _traced_peak(data: np.ndarray, kernel) -> int:
     v = Volume(data=data, spacing=(1, 1, 1))
-    tracemalloc.start()
-    try:
-        mclahe(v, MclaheParams(kernel_size=kernel))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(mclahe, v, MclaheParams(kernel_size=kernel))
 
 
 def test_tile_tables_follow_one_tile_row(rng):

@@ -321,6 +321,18 @@ def test_evaluate_case_equals_full_grid_oracle(kind):
                                                   point_mode=mode)
 
 
+def test_evaluate_case_equals_full_grid_oracle_across_slabs():
+    """Grids of many x-slabs count their confusion table slab by slab and
+    still give the full-grid rows."""
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        shape = (int(rng.integers(150, 220)), int(rng.integers(30, 60)), int(rng.integers(10, 20)))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
+        pred = random_blobby_labels(rng, shape, spacing=spacing, n_blobs=(2, 6))
+        gt = random_blobby_labels(rng, shape, spacing=spacing, n_blobs=(2, 6))
+        assert evaluate_case(pred, gt) == full_grid_evaluate_case(pred, gt)
+
+
 def test_import_does_not_load_kdtree():
     # scipy.spatial is a slow import, paid by every CLI call and Python
     # backend; only a distance query needs it

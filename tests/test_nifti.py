@@ -5,7 +5,6 @@ import re
 import struct
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +26,7 @@ from biatrium import (
     write_volume,
 )
 from biatrium import nifti
+from conftest import traced_peak
 from oracles import x_fastest_payload
 
 SPACING = (0.625, 0.625, 2.5)
@@ -220,12 +220,7 @@ def test_write_memory_is_a_fraction_of_the_array(tmp_path, rng, dtype, suffix):
     """Writes stream a few z-planes at a time: no whole-array copy, and the
     compressor holds no more than a plane of output."""
     arr = _random_array(rng, dtype, (192, 192, 48))
-    tracemalloc.start()
-    try:
-        write_nifti(tmp_path / f"x{suffix}", arr, SPACING)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_nifti, tmp_path / f"x{suffix}", arr, SPACING)
     assert peak <= 0.6 * arr.nbytes, peak / arr.nbytes
 
 

@@ -8,6 +8,9 @@ from scipy import ndimage
 from biatrium import ConfigError, Ellipsoid, PhantomSpec, generate
 from biatrium.phantom import spec_from_json, spec_to_json
 
+from conftest import traced_peak
+from oracles import whole_grid_generate
+
 
 def test_ellipsoid_validation():
     with pytest.raises(ValueError):
@@ -180,7 +183,36 @@ def test_json_rejects_unknown_keys():
     ({"seed": 1.5, "noise_amplitude": 0.05}, "seed"),
     ({"seed": -1}, "seed"),
     ({"seed": True}, "seed"),
+    ({"level_background": math.nan}, "level_background"),
+    ({"level_wall": math.nan}, "level_wall"),
+    ({"level_cavity": math.inf}, "level_cavity"),
+    ({"level_wall": -math.inf}, "level_wall"),
+    ({"level_cavity": "0.9"}, "level_cavity"),
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):
         spec_from_json(obj)
+
+
+def test_generate_equals_whole_grid_oracle():
+    """Slab by slab labels, levels and noise equal the whole-grid build bit
+    for bit: the noise slabs continue one random stream."""
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        shape = tuple(int(n) for n in rng.integers([170, 150, 44], [260, 230, 60]))
+        spec = PhantomSpec(shape=shape, noise_amplitude=float(rng.choice([0.0, 0.05, 0.3])),
+                           seed=int(rng.integers(0, 1000)),
+                           wall_thickness_mm=float(rng.uniform(1.0, 6.0)),
+                           level_wall=float(rng.uniform(-1.0, 1.0)))
+        vol, gt = generate(spec)
+        ref_vol, ref_gt = whole_grid_generate(spec)
+        assert np.array_equal(vol.data, ref_vol.data)
+        assert np.array_equal(gt.data, ref_gt.data)
+
+
+def test_generate_working_set_is_its_outputs():
+    """The default phantom traces at most 2x its image: the float32 image,
+    the uint8 labels and slab-sized temporaries."""
+    spec = PhantomSpec(noise_amplitude=0.05)
+    image_bytes = 4 * int(np.prod(spec.shape))
+    assert traced_peak(generate, spec) <= 2.0 * image_bytes

@@ -30,6 +30,7 @@ from biatrium import (
     write_volume,
 )
 from backends import COMPONENT_SPLIT_FINE
+from conftest import traced_peak
 from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
 from biatrium.pipeline import TMPDIR_ENV
@@ -251,6 +252,7 @@ _BASE_DOC = {
      "fine_backend: timeout_s"),
     ({"mclahe": {"n_bins": 128.0}}, "mclahe: n_bins"),
     ({"mclahe": {"n_bins": True}}, "mclahe: n_bins"),
+    ({"mclahe": {"clip_limit": True}}, "mclahe: clip_limit"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
@@ -620,3 +622,30 @@ def test_run_case_failed_backend_reports_error(env):
     result = run_case(cfg, cfg.cases[0])
     assert result.status == "failed"
     assert "9" in result.error
+
+
+def test_case_working_set_is_bounded(tmp_path):
+    """No stage widens a full grid and each grid is dropped after its last
+    reader: a 192x192x48 gzip case with ground truth, default MCLAHE and
+    threshold backends traces at most 3x its float32 input (MCLAHE's input
+    and output are both alive at the peak)."""
+    vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
+    write_volume(vol, tmp_path / "image.nii.gz")
+    write_volume(gt, tmp_path / "gt.nii.gz")
+    cfg = config_from_dict({
+        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii.gz"),
+                   "gt": str(tmp_path / "gt.nii.gz")}],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [192, 192, 48],
+        "fine_window": [128, 128, 48],
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+    })
+    assert cfg.mclahe_params is not None
+
+    def case():
+        result = run_case(cfg, cfg.cases[0])
+        assert result.ok and result.metrics, result.error
+
+    case()  # the first run also pays one-off costs such as lazy imports
+    assert traced_peak(case) <= 3.0 * vol.data.nbytes
