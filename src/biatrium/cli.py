@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import BiatriumError, ConfigError, _atomic_open, check_class_map
+from .core import BiatriumError, ConfigError, _as_json, _read_json, _write_json, check_class_map
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
     DEFAULT_FINE_WINDOW,
@@ -86,8 +86,7 @@ def _cmd_bbox(args) -> int:
     mask = read_labelmap(args.mask, classes=args.class_map)
     classes = set(args.classes) if args.classes else None
     box = bbox_from_mask(mask, positive_classes=classes)
-    json.dump({"lo": list(box.lo), "hi": list(box.hi)}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(_as_json(box)))
     return 0
 
 
@@ -145,16 +144,13 @@ def _cmd_loss(args) -> int:
 def _cmd_phantom(args) -> int:
     spec = PhantomSpec()
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            spec = spec_from_json(json.load(f))
+        spec = spec_from_json(_read_json(args.spec))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vol, gt = generate(spec)
     write_volume(vol, out / "image.nii.gz")
     write_volume(gt, out / "gt.nii.gz")
-    with _atomic_open(out / "phantom_spec.json", "w", encoding="utf-8") as f:
-        json.dump(spec_to_json(spec), f, indent=2)
-        f.write("\n")
+    _write_json(spec_to_json(spec), out / "phantom_spec.json")
     return 0
 
 

@@ -7,8 +7,10 @@ padded or cropped window) maps back into its parent grid.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
+import operator
 import os
 import threading
 import typing
@@ -77,15 +79,13 @@ BINARY_CLASS_MAP: Mapping[str, int] = {"background": 0, "foreground": 1}
 
 
 def check_class_map(obj) -> dict[str, int]:
-    """Return ``obj`` as a dict after checking that it maps names to
-    integer codes in [0, 255] (bools are not codes)."""
+    """Return ``obj`` as a dict after checking that it maps names to int codes in [0, 255]."""
     if not isinstance(obj, Mapping):
         raise ConfigError(f"class_map must be an object, got {obj!r}")
     for name, code in obj.items():
-        if (not isinstance(name, str) or isinstance(code, bool)
-                or not isinstance(code, numbers.Integral) or not 0 <= code <= 255):
-            raise ConfigError(
-                f"class_map must map names to ints in [0, 255], got {name!r}: {code!r}")
+        if not isinstance(name, str):
+            raise ConfigError(f"class_map names must be strings, got {name!r}")
+        _check_number(code, f"class_map[{name!r}]", integer=True, ge=0, le=255)
     return dict(obj)
 
 
@@ -122,21 +122,43 @@ def _codes_present(data: np.ndarray) -> list[int]:
     return np.flatnonzero(counts).tolist()
 
 
+_OPERATORS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def _check_number(value, name: str, integer: bool = False, **bounds):
+    """Return ``value`` if it is a finite number (with ``integer``, an int)
+    within ``bounds`` (any of gt, ge, lt, le); otherwise raise a ConfigError
+    naming ``name``.  The one rule for every number that arrives from
+    outside: an int is a ``numbers.Integral``, a real is a ``numbers.Real``
+    that converts to a finite float, and bools and strings are neither."""
+    try:
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+              and not isinstance(value, bool)
+              and (integer or math.isfinite(value))
+              and all(getattr(operator, op)(value, b) for op, b in bounds.items()))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        kind = "an int" if integer else "a finite number"
+        limits = " and ".join(f"{_OPERATORS[op]} {b}" for op, b in bounds.items())
+        raise ConfigError(f"{name} must be {kind} {limits}".rstrip() + f", got {value!r}")
+    return value
+
+
 def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
-    """``value`` as a tuple of 3 finite ``kind`` numbers, each > 0 unless
-    ``positive`` is false.  The one check of every grid triple: shapes,
-    factors, windows, spacings, radii, offsets and box bounds."""
-    lo = 0 if positive else -math.inf
-    t = ()
+    """``value`` as a tuple of 3 ``kind`` numbers, each passing
+    ``_check_number`` and > 0 unless ``positive`` is false.  The one check
+    of every grid triple: shapes, factors, windows, spacings, radii,
+    offsets and box bounds."""
+    bounds = {"gt": 0} if positive else {}
     if not isinstance(value, (str, bytes)):  # "888" is not (8, 8, 8)
-        try:
-            t = tuple(kind(v) for v in value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if len(t) != 3 or not all(lo < v < math.inf for v in t):
-        what = "positive finite" if positive else "finite"
-        raise ValueError(f"{name} must be 3 {what} numbers, got {value!r}")
-    return t
+        with suppress(TypeError, ValueError, OverflowError):
+            t = tuple(value)
+            if len(t) == 3:
+                return tuple(kind(_check_number(v, name, integer=kind is int, **bounds))
+                             for v in t)
+    what = "positive finite" if positive else "finite"
+    raise ConfigError(f"{name} must be 3 {what} numbers, got {value!r}")
 
 
 @contextmanager
@@ -155,6 +177,28 @@ def _atomic_open(path, mode: str, **kwargs):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _as_json(obj) -> dict:
+    """The dataclass ``obj`` as a JSON-ready dict in field order, tuples as lists."""
+    return dataclasses.asdict(obj, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
+
+
+def _read_json(path):
+    """The parsed UTF-8 JSON file ``path``; invalid JSON is a ConfigError naming it."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from e
+
+
+def _write_json(doc, path) -> None:
+    """The one writer of JSON sidecars: ``doc``, indented 2, plus a newline."""
+    with _atomic_open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

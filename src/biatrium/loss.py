@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelMap, Volume, _codes_present
+from .core import LabelMap, Volume, _check_number, _codes_present
 
 __all__ = [
     "AsymLossParams",
@@ -40,12 +40,10 @@ class AsymLossParams:
     eps: float = 1e-7
 
     def __post_init__(self):
-        if not (0 <= self.gamma_pos < np.inf and 0 <= self.gamma_neg < np.inf):
-            raise ValueError(f"focusing exponents must be finite and >= 0, got {self}")
-        if not 0.0 <= self.margin < 1.0:
-            raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        for name in ("gamma_pos", "gamma_neg"):
+            _check_number(getattr(self, name), f"focusing exponents: {name}", ge=0)
+        _check_number(self.margin, "margin", ge=0, lt=1)
+        _check_number(self.eps, "eps", gt=0)
 
 
 def _kernel(y, p, params: AsymLossParams):
@@ -59,16 +57,9 @@ def _kernel(y, p, params: AsymLossParams):
     return y * pos + (1.0 - y) * neg
 
 
-def _check_label(y) -> int:
-    yi = int(y)
-    if yi != y or yi not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    return yi
-
-
 def asym_loss(y: int, p: float, params: AsymLossParams | None = None) -> float:
     params = params or AsymLossParams()
-    return float(_kernel(_check_label(y), p, params))
+    return float(_kernel(_check_number(y, "label", integer=True, ge=0, le=1), p, params))
 
 
 def asym_loss_grad(y: int, p: float, params: AsymLossParams | None = None) -> float:
@@ -76,7 +67,7 @@ def asym_loss_grad(y: int, p: float, params: AsymLossParams | None = None) -> fl
     gradient there is 0; p = m itself is a kink and we return the flat-side
     value."""
     params = params or AsymLossParams()
-    yi = _check_label(y)
+    yi = _check_number(y, "label", integer=True, ge=0, le=1)
     p = float(np.clip(p, params.eps, 1.0 - params.eps))
     if yi == 1:
         gp = params.gamma_pos
@@ -137,6 +128,9 @@ def grad_check(n: int = 1000, seed: int = 0, h: float = 1e-6,
     Error metric per sample: |analytic - fd| / max(1, |fd|).  Returns
     (all samples within tol, worst error).
     """
+    _check_number(n, "n", integer=True, ge=1)
+    _check_number(h, "step h", gt=0)
+    _check_number(tol, "tol", gt=0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True

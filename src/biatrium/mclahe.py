@@ -19,12 +19,11 @@ bit-identical across runs regardless of threading.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Volume, _as_triple, _slabs
+from .core import Volume, _as_triple, _check_number, _slabs
 
 __all__ = ["MclaheParams", "mclahe"]
 
@@ -43,12 +42,8 @@ class MclaheParams:
     def __post_init__(self):
         if self.kernel_size is not None:
             object.__setattr__(self, "kernel_size", _as_triple(self.kernel_size, "kernel_size"))
-        n = self.n_bins
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise ValueError(f"n_bins must be an int >= 2, got {n!r}")
-        c = self.clip_limit
-        if isinstance(c, bool) or not 0.0 < c <= 1.0:
-            raise ValueError(f"clip_limit must be a number in (0, 1], got {c!r}")
+        _check_number(self.n_bins, "n_bins", integer=True, ge=2)
+        _check_number(self.clip_limit, "clip_limit", gt=0, le=1)
 
     def resolve_kernel(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:
         if self.kernel_size is not None:
@@ -166,4 +161,4 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
                     vals *= wxy * wzs[cz]
                     acc += vals
         out[s] = np.clip(acc, 0.0, 1.0)
-    return Volume(data=out, spacing=v.spacing)
+    return Volume(data=out, spacing=v.spacing, orientation=v.orientation)

@@ -15,13 +15,13 @@ time, so a write holds a fraction of the array beyond the array itself.
 from __future__ import annotations
 
 import gzip
-import json
 import zlib
 from typing import IO, Mapping
 
 import numpy as np
 
-from .core import LabelMap, NiftiFormatError, Placement, Volume, _atomic_open, check_label_codes
+from .core import (LabelMap, NiftiFormatError, Placement, Volume, _as_json, _atomic_open,
+                   _read_json, _write_json, check_label_codes, from_json)
 
 __all__ = [
     "read_volume",
@@ -299,33 +299,24 @@ def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
             _emit(fh)
 
 
-def write_volume(v: Volume | LabelMap, path, compress: bool | None = None) -> None:
+def write_volume(v: Volume | LabelMap, path, compress: bool | None = None,
+                 orientation: bytes | None = None) -> None:
     """Write a Volume as float32 or a LabelMap as uint8.
 
-    ``compress=None`` infers gzip from a ``.gz`` suffix.
+    ``compress=None`` infers gzip from a ``.gz`` suffix.  ``orientation``
+    is the qform/sform block to write; None takes a Volume's own (a
+    LabelMap carries none).
     """
-    orientation = v.orientation if isinstance(v, Volume) else None
+    if orientation is None and isinstance(v, Volume):
+        orientation = v.orientation
     write_nifti(path, v.data, v.spacing, compress=compress, orientation=orientation)
 
 
-_PLACEMENT_KEYS = ("parent_shape", "offset", "window_shape")
-
-
 def write_placement(p: Placement, path) -> None:
-    doc = {k: list(getattr(p, k)) for k in _PLACEMENT_KEYS}
-    with _atomic_open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(_as_json(p), path)
 
 
 def read_placement(path) -> Placement:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    missing = [k for k in _PLACEMENT_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"{path}: placement sidecar missing keys {missing}")
-    return Placement(
-        parent_shape=doc["parent_shape"],
-        offset=doc["offset"],
-        window_shape=doc["window_shape"],
-    )
+    """Read a placement sidecar; it is checked like a config, so errors are
+    ConfigErrors naming the file."""
+    return from_json(Placement, _read_json(path), str(path))

@@ -11,13 +11,12 @@ constants exactly.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple, _slabs, from_json
+from .core import (DEFAULT_CLASS_MAP, LabelMap, Volume, _as_json, _as_triple, _check_number,
+                   _slabs, from_json)
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -57,18 +56,11 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_triple(self.shape, "shape"))
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
-        if not self.wall_thickness_mm > 0:
-            raise ValueError(f"wall_thickness_mm must be > 0, got {self.wall_thickness_mm}")
+        _check_number(self.wall_thickness_mm, "wall_thickness_mm", gt=0)
         for name in ("level_background", "level_wall", "level_cavity"):
-            level = getattr(self, name)
-            if not isinstance(level, numbers.Real) or not math.isfinite(level):
-                raise ValueError(f"{name} must be a finite number, got {level!r}")
-        if not 0 <= self.noise_amplitude < math.inf:
-            raise ValueError(
-                f"noise_amplitude must be finite and >= 0, got {self.noise_amplitude}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+            _check_number(getattr(self, name), name)
+        _check_number(self.noise_amplitude, "noise_amplitude", ge=0)
+        _check_number(self.seed, "seed", integer=True, ge=0)
         extent = tuple((n - 1) * s for n, s in zip(self.shape, self.spacing))
         for name, e in (("la", self.la), ("ra", self.ra)):
             for ax in range(3):
@@ -138,5 +130,4 @@ def spec_from_json(obj: dict | str) -> PhantomSpec:
 
 def spec_to_json(spec: PhantomSpec) -> dict:
     """The spec as a JSON-ready dict, in field order, triples as lists."""
-    return asdict(spec, dict_factory=lambda items: {
-        k: list(v) if isinstance(v, tuple) else v for k, v in items})
+    return _as_json(spec)

@@ -15,8 +15,6 @@ timing sidecar are byte-reproducible for identical inputs and config.
 from __future__ import annotations
 
 import csv
-import json
-import numbers
 import os
 import shlex
 import signal
@@ -41,8 +39,12 @@ from .core import (
     LabelMap,
     NiftiFormatError,
     Volume,
+    _as_json,
     _as_triple,
     _atomic_open,
+    _check_number,
+    _read_json,
+    _write_json,
     check_class_map,
     check_label_codes,
     from_json,
@@ -107,13 +109,12 @@ class BackendSpec:
                     "external-command backend needs a command_template containing "
                     "{input} and {output}")
         elif self.kind == "threshold":
-            if self.threshold is None or not 0.0 <= self.threshold <= 1.0:
-                raise ValueError(f"threshold backend needs threshold in [0, 1], got {self.threshold}")
+            _check_number(self.threshold, "threshold", ge=0, le=1)
         elif self.kind == "copy-file":
             if not self.source_path or not isinstance(self.source_path, str):
                 raise ValueError("copy-file backend needs source_path")
-        if not self.timeout_s > 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+        # the wait polls with a C int of milliseconds
+        _check_number(self.timeout_s, "timeout_s", gt=0, le=2147483)
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,12 @@ class PipelineConfig:
                 raise ConfigError(f"duplicate case_id {c.case_id!r}")
             seen.add(c.case_id)
         for name in ("standard_shape", "coarse_factors", "fine_window"):
-            try:
-                object.__setattr__(self, name, _as_triple(getattr(self, name), name))
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+            object.__setattr__(self, name, _as_triple(getattr(self, name), name))
         for ax, (s, f) in enumerate(zip(self.standard_shape, self.coarse_factors)):
             if s % f != 0:
                 raise ConfigError(
                     f"standard_shape[{ax}]={s} is not divisible by coarse_factors[{ax}]={f}")
-        m = self.bbox_margin_vox
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
-            raise ConfigError(f"bbox_margin_vox must be an int >= 0, got {m!r}")
+        _check_number(self.bbox_margin_vox, "bbox_margin_vox", integer=True, ge=0)
 
     @property
     def coarse_shape(self) -> tuple[int, int, int]:
@@ -326,6 +322,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     with _timed(timings_ms, "read"):
         vol = read_volume(case.image)
+    orientation = vol.orientation  # the mask lies on this grid
 
     if cfg.mclahe_params is not None:
         with _timed(timings_ms, "enhance"):
@@ -364,7 +361,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     with _timed(timings_ms, "write"):
         mask_path = case_dir / "mask.nii.gz"
-        write_volume(full_labels, mask_path)
+        write_volume(full_labels, mask_path, orientation=orientation)
         write_placement(to_original, case_dir / "standard_placement.json")
         write_placement(to_standard, case_dir / "window_placement.json")
 
@@ -390,13 +387,10 @@ def _write_result_json(case_dir: Path, result: CaseResult) -> None:
         "status": result.status,
         "flags": list(result.flags),
         "error": result.error,
-        "roi_box": None if result.roi_box is None else
-            {"lo": list(result.roi_box.lo), "hi": list(result.roi_box.hi)},
+        "roi_box": None if result.roi_box is None else _as_json(result.roi_box),
         "timings_ms": {k: round(v, 3) for k, v in result.timings_ms.items()},
     }
-    with _atomic_open(case_dir / "result.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(doc, case_dir / "result.json")
 
 
 #: Column prefixes that differ from the class name.
@@ -434,6 +428,7 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
 
     Case order in the summary matches the config regardless of scheduling.
     """
+    _check_number(workers, "workers", integer=True, ge=1)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
@@ -473,10 +468,4 @@ def config_from_dict(doc: dict, base_dir=".") -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Read a UTF-8 JSON config; relative paths are taken relative to the
     config file's directory."""
-    p = Path(path)
-    with open(p, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return config_from_dict(doc, base_dir=p.parent)
+    return config_from_dict(_read_json(path), base_dir=Path(path).parent)

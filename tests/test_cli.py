@@ -307,3 +307,81 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     rc = main(["downsample", str(tmp_path / "nope.nii.gz"), str(tmp_path / "o.nii.gz")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--n", "0"], "n must be"),
+    (["--n", "-5"], "n must be"),
+    (["--tol", "nan"], "tol must be"),
+    (["--step", "0"], "step h must be"),
+])
+def test_loss_grad_check_rejects_vacuous_arguments(capsys, argv, name):
+    """No samples, a NaN tolerance or a zero step would print PASS or divide
+    by zero; each is an argument error instead."""
+    rc = main(["loss", "grad-check", *argv])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err
+
+
+def test_run_rejects_zero_workers(files, tmp_path, capsys):
+    cfg = {
+        "cases": [{"case_id": "ph", "image": files["image"]}],
+        "output_dir": str(tmp_path / "out"),
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.7},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(cfg_path), "--workers", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: workers must be an int >= 1")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    {"parent_shape": [16, 16, 8], "offset": [4, 4, 2], "window_shape": [8, 8, 4], "scale": 2},
+    {"parent_shape": [16, 16, 8], "offset": [1.5, 4, 2], "window_shape": [8, 8, 4]},
+    {"parent_shape": [16, 16, 8], "offset": [4, 4, 2]},
+])
+def test_stitch_rejects_bad_placement_sidecar(tmp_path, capsys, doc):
+    """A placement sidecar is checked like a config: the error names the
+    file and nothing is written."""
+    child = tmp_path / "win.nii.gz"
+    write_nifti(child, np.ones((8, 8, 4), dtype=np.uint8), (1.0, 1.0, 2.0))
+    place_path = tmp_path / "place.json"
+    place_path.write_text(json.dumps(doc))
+    out = tmp_path / "full.nii.gz"
+    rc = main(["stitch", str(child), str(out), "--placement", str(place_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(place_path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_outputs_keep_the_orientation_block(files, tmp_path):
+    """The enhanced image and the mask lie on the input's grid, so both
+    carry its qform/sform block."""
+    block = bytes(range(1, 77))
+    image = tmp_path / "oriented.nii.gz"
+    write_volume(Volume(data=files["vol"].data, spacing=files["vol"].spacing,
+                        orientation=block), image)
+    enhanced = tmp_path / "enh.nii.gz"
+    assert main(["enhance", str(image), str(enhanced)]) == 0
+    assert read_nifti(enhanced)[2] == block
+
+    cfg = {
+        "cases": [{"case_id": "ph", "image": str(image)}],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [64, 64, 24],
+        "coarse_factors": [4, 4, 2],
+        "fine_window": [48, 32, 16],
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.7},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert read_nifti(tmp_path / "out" / "ph" / "mask.nii.gz")[2] == block

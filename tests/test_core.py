@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biatrium import (BBox, LabelMap, NiftiFormatError, Placement, Volume, read_labelmap,
                       write_nifti)
-from biatrium.core import check_label_codes
+from biatrium import core
+from biatrium.core import ConfigError, _check_number, check_label_codes
 
 from conftest import traced_peak
 
@@ -114,3 +117,35 @@ def test_placement_validation():
         Placement(parent_shape=(10, 10, 10), offset=(0, 0, 0), window_shape=(0, 4, 4))
     with pytest.raises(ValueError, match="window_shape"):
         Placement(parent_shape=(10, 10, 10), offset=(0, 0, 0), window_shape=(math.inf, 4, 4))
+
+
+@pytest.mark.parametrize("value, integer", [
+    (True, False), (np.True_, False), ("1", False), (None, False), ([1], False),
+    (math.nan, False), (-math.inf, False), (10**400, False),
+    (True, True), (1.0, True), (np.float64(2.0), True), ("1", True),
+])
+def test_number_rule_rejects_non_numbers(value, integer):
+    with pytest.raises(ConfigError, match=r"^x must be (an int|a finite number), got"):
+        _check_number(value, "x", integer)
+
+
+def test_number_rule_accepts_numbers_and_checks_bounds():
+    for value in (0, 2.5, np.float32(0.5), np.int64(3), Fraction(1, 2), -1e300):
+        assert _check_number(value, "x") is value
+    for value in (0, np.uint8(7), 10**400):
+        assert _check_number(value, "x", integer=True) is value
+    assert _check_number(1, "x", gt=0, le=1) == 1
+    with pytest.raises(ConfigError, match=r"^x must be a finite number > 0 and <= 1, got 0$"):
+        _check_number(0, "x", gt=0, le=1)
+    with pytest.raises(ConfigError, match=r"^n must be an int >= 2 and < 5, got 5$"):
+        _check_number(5, "n", integer=True, ge=2, lt=5)
+
+
+def test_only_core_module_imports_numbers():
+    """Whether a value is a number is decided once, by the rule in core; no
+    other module may ask the numbers ABCs itself."""
+    pattern = re.compile(r"^\s*(import numbers\b|from numbers import)", re.M)
+    package = pathlib.Path(core.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "core.py" and pattern.search(p.read_text(encoding="utf-8"))]
+    assert offenders == []

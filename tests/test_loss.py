@@ -35,6 +35,10 @@ def test_params_validation():
                 {"gamma_pos": math.inf}, {"gamma_neg": math.inf}):
         with pytest.raises(ValueError):
             AsymLossParams(**bad)
+    for bad in ({"gamma_pos": True}, {"gamma_neg": True}, {"margin": True}, {"eps": True},
+                {"eps": math.inf}, {"margin": "0.05"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AsymLossParams(**bad)
 
 
 def test_label_validation():
@@ -42,6 +46,15 @@ def test_label_validation():
         asym_loss(2, 0.5)
     with pytest.raises(ValueError, match="label"):
         asym_loss_grad(0.5, 0.5)
+
+
+def test_label_is_an_int():
+    for bad in (True, 1.0, "1", np.float64(0.0)):
+        with pytest.raises(ValueError, match="label"):
+            asym_loss(bad, 0.5)
+        with pytest.raises(ValueError, match="label"):
+            asym_loss_grad(bad, 0.5)
+    assert asym_loss(np.int64(1), 0.5) == asym_loss(1, 0.5)
 
 
 def test_positive_term_hand_value():

@@ -188,6 +188,15 @@ def test_json_rejects_unknown_keys():
     ({"level_cavity": math.inf}, "level_cavity"),
     ({"level_wall": -math.inf}, "level_wall"),
     ({"level_cavity": "0.9"}, "level_cavity"),
+    ({"wall_thickness_mm": "4"}, "wall_thickness_mm"),
+    ({"wall_thickness_mm": True}, "wall_thickness_mm"),
+    ({"noise_amplitude": True}, "noise_amplitude"),
+    ({"level_wall": True}, "level_wall"),
+    ({"shape": [192.5, 192, 48]}, "shape"),
+    ({"shape": ["192", "192", "48"]}, "shape"),
+    ({"shape": [True, True, 48]}, "shape"),
+    ({"spacing": [0.625, math.inf, 2.5]}, "spacing"),
+    ({"seed": "0"}, "seed"),
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):

@@ -253,6 +253,21 @@ _BASE_DOC = {
     ({"mclahe": {"n_bins": 128.0}}, "mclahe: n_bins"),
     ({"mclahe": {"n_bins": True}}, "mclahe: n_bins"),
     ({"mclahe": {"clip_limit": True}}, "mclahe: clip_limit"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": True}}, "coarse_backend: threshold"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": "0.4"}}, "coarse_backend: threshold"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": True}},
+     "coarse_backend: timeout_s"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": "5"}},
+     "coarse_backend: timeout_s"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": 2147484}},
+     "coarse_backend: timeout_s"),
+    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": math.inf}},
+     "coarse_backend: timeout_s"),
+    ({"standard_shape": [576.5, 576, 48]}, "standard_shape"),
+    ({"standard_shape": ["576", "576", "48"]}, "standard_shape"),
+    ({"coarse_factors": [True, True, 1]}, "coarse_factors"),
+    ({"bbox_margin_vox": True}, "bbox_margin_vox"),
+    ({"mclahe": {"clip_limit": "0.01"}}, "mclahe: clip_limit"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
@@ -264,6 +279,14 @@ def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     err = capsys.readouterr().err
     assert err.startswith("error:") and path in err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_timeout_upper_bound_loads():
+    """The wait polls with a C int of milliseconds: 2147483 s is the
+    longest timeout it can take, and it loads."""
+    backend = {"kind": "threshold", "threshold": 0.4, "timeout_s": 2147483}
+    cfg = config_from_dict({**_BASE_DOC, "coarse_backend": backend})
+    assert cfg.coarse_backend.timeout_s == 2147483
 
 
 def test_load_config_round_trip_and_bad_json(tmp_path):
