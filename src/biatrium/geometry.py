@@ -38,8 +38,10 @@ def _center_offset(src: int, dst: int) -> int:
 def _extract(v: Volume, offset, window: tuple[int, int, int],
              pad_value: float) -> tuple[Volume, Placement]:
     """Copy the window at ``offset`` out of ``v``, padding where it extends
-    past the volume."""
+    past the volume; the window that is all of ``v`` shares its data."""
     place = Placement(parent_shape=v.shape, offset=offset, window_shape=window)
+    if _is_identity(place):
+        return Volume(data=v.data, spacing=v.spacing), place
     parent_sl, window_sl = _overlap(place)
     out = np.full(window, pad_value, dtype=v.data.dtype)
     out[window_sl] = v.data[parent_sl]
@@ -53,6 +55,8 @@ def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD
     The placement offset per axis is the crop start in the source (>= 0) or
     minus the pad amount on the low side (< 0), so
     ``source_index = target_index + offset`` wherever both grids overlap.
+    When ``target_shape`` is the input's shape, the result shares the
+    input's read-only data.
     """
     target_shape = _as_triple(target_shape, "target_shape")
     offset = [_center_offset(s, t) for s, t in zip(v.shape, target_shape)]
@@ -127,6 +131,11 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     return _extract(v, offset, window, pad_value)
 
 
+def _is_identity(place: Placement) -> bool:
+    """Whether the window is the whole parent, voxel for voxel."""
+    return place.window_shape == place.parent_shape and not any(place.offset)
+
+
 def _overlap(place: Placement):
     """Slices of the parent and of the window covering their common region."""
     parent_sl = []
@@ -147,11 +156,17 @@ def stitch(child, place: Placement, fill_value: float = 0.0):
     Voxels of the window that fall outside the parent (the padded fringe)
     are dropped; parent voxels not covered by the window get ``fill_value``
     (background for a LabelMap).  The return type mirrors the input: LabelMap
-    in, LabelMap out; Volume in, Volume out; bare array otherwise.
+    in, LabelMap out; Volume in, Volume out; bare array otherwise.  A
+    LabelMap or Volume through a placement that is the whole parent shares
+    the child's read-only data; a bare array is always copied.
     """
     if isinstance(child, (LabelMap, Volume)):
-        fill = 0 if isinstance(child, LabelMap) else fill_value
-        return type(child)(data=stitch(child.data, place, fill), spacing=child.spacing)
+        if _is_identity(place) and child.shape == place.window_shape:
+            data = child.data
+        else:
+            fill = 0 if isinstance(child, LabelMap) else fill_value
+            data = stitch(child.data, place, fill)
+        return type(child)(data=data, spacing=child.spacing)
     child = np.asarray(child)
     if child.shape != place.window_shape:
         raise ValueError(

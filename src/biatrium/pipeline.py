@@ -20,8 +20,9 @@ import shlex
 import signal
 import subprocess
 import tempfile
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -77,10 +78,19 @@ __all__ = [
     "config_from_dict",
 ]
 
-BACKEND_KINDS = ("external-command", "threshold", "copy-file")
+#: The field that configures each backend kind; the others stay null.
+_KIND_FIELD = {"external-command": "command_template", "threshold": "threshold",
+               "copy-file": "source_path"}
+BACKEND_KINDS = tuple(_KIND_FIELD)
 
 #: Environment variable overriding where backend scratch files are created.
 TMPDIR_ENV = "BIATRIUM_TMPDIR"
+
+# Process groups of the external backends running now, whichever thread
+# started them.  An interrupt reaches the whole process, so the registry is
+# one per process: run_pipeline kills every group in it before it re-raises.
+_live_groups: set[int] = set()
+_live_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,8 @@ class BackendSpec:
     external-command runs ``command_template`` with {input} and {output}
     replaced by NIfTI paths (input float32, output uint8, exit 0 on
     success); threshold labels voxels >= ``threshold`` as class 1;
-    copy-file reads the mask at ``source_path`` as-is.
+    copy-file reads the mask at ``source_path`` as-is.  The fields of the
+    other kinds must be null; ``timeout_s`` is checked for every kind.
     """
 
     kind: str
@@ -102,6 +113,10 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
+        for name in _KIND_FIELD.values():
+            value = getattr(self, name)
+            if name != _KIND_FIELD[self.kind] and value is not None:
+                raise ValueError(f"{name} must be null for a {self.kind} backend, got {value!r}")
         if self.kind == "external-command":
             t = self.command_template
             if not isinstance(t, str) or "{input}" not in t or "{output}" not in t:
@@ -249,6 +264,8 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
                                     start_new_session=True)
         except OSError as e:
             raise BackendError(f"backend command could not start: {e}") from e
+        with _live_lock:
+            _live_groups.add(proc.pid)
         with proc:
             try:
                 _, stderr = proc.communicate(timeout=spec.timeout_s)
@@ -259,6 +276,9 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             except BaseException:
                 _kill_group(proc)
                 raise
+            finally:
+                with _live_lock:
+                    _live_groups.discard(proc.pid)
         if proc.returncode != 0:
             tail = stderr.decode(errors="replace")[-2000:]
             raise BackendError(
@@ -273,11 +293,23 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
 
 def _kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL the backend's whole process group, then reap the backend."""
+    _killpg(proc.pid)
+    proc.wait()
+
+
+def _killpg(pgid: int) -> None:
     try:
-        os.killpg(proc.pid, signal.SIGKILL)
+        os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-    proc.wait()
+
+
+def _kill_live_groups() -> None:
+    """SIGKILL every registered backend process group; the threads that
+    started them reap them."""
+    with _live_lock:
+        for pgid in _live_groups:
+            _killpg(pgid)
 
 
 def _roi_center(mask: LabelMap, factors, margin: int,
@@ -433,8 +465,22 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run_case(cfg, c), cfg.cases))
+            futures = [pool.submit(run_case, cfg, c) for c in cfg.cases]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                # An interrupt reaches this thread only: no queued case
+                # starts, and running cases lose their backends, including
+                # any started meanwhile, until none is left running.
+                pool.shutdown(wait=False, cancel_futures=True)
+                running = [f for f in futures if not f.cancelled()]
+                _kill_live_groups()
+                while wait(running, timeout=0.1).not_done:
+                    _kill_live_groups()
+                raise
     else:
+        # the case runs on this thread, whose backend wait kills its own
+        # group on an interrupt
         results = [run_case(cfg, c) for c in cfg.cases]
     summary = out_dir / "summary.csv"
     write_summary_csv(results, summary, cfg.class_map)

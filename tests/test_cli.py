@@ -340,6 +340,24 @@ def test_run_rejects_zero_workers(files, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_field_the_backend_kind_does_not_use(files, tmp_path, capsys):
+    """A threshold backend with a source_path is a config error naming the
+    field, not a TypeError traceback from rebasing the path."""
+    cfg = {
+        "cases": [{"case_id": "ph", "image": files["image"]}],
+        "output_dir": str(tmp_path / "out"),
+        "coarse_backend": {"kind": "threshold", "threshold": 0.4, "source_path": 5},
+        "fine_backend": {"kind": "threshold", "threshold": 0.7},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coarse_backend: source_path") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc", [
     None,
     {"parent_shape": [16, 16, 8], "offset": [4, 4, 2], "window_shape": [8, 8, 4], "scale": 2},

@@ -56,6 +56,29 @@ def test_standardize_identity():
     assert place.offset == (0, 0, 0)
 
 
+def test_identity_placement_shares_read_only_data(rng):
+    """Standardizing to the input's own shape, or stitching a LabelMap or
+    Volume through that placement, hands back the same read-only data and
+    allocates nothing of grid size; a bare array is still copied."""
+    v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1.0, 1.0, 2.0),
+               orientation=b"\x01" * 76)
+    out, place = standardize(v, v.shape)
+    assert np.shares_memory(out.data, v.data) and not out.data.flags.writeable
+    assert out.spacing == v.spacing and out.orientation is None
+    assert traced_peak(standardize, v, v.shape) < 0.01 * v.data.nbytes
+
+    labels = LabelMap(data=(v.data > 0.5).astype(np.uint8), spacing=v.spacing)
+    back = stitch(labels, place)
+    assert isinstance(back, LabelMap) and np.shares_memory(back.data, labels.data)
+    assert traced_peak(stitch, labels, place) < 0.01 * labels.data.nbytes
+    assert np.shares_memory(stitch(out, place).data, v.data)
+
+    bare = stitch(labels.data, place)
+    assert np.array_equal(bare, labels.data) and not np.shares_memory(bare, labels.data)
+    with pytest.raises(ValueError, match="shape"):
+        stitch(LabelMap(data=labels.data[:-1], spacing=v.spacing), place)
+
+
 def test_standardize_odd_difference_goes_high():
     v = _index_volume((577, 576, 48))
     out, place = standardize(v, (576, 576, 48))

@@ -224,6 +224,70 @@ def test_write_memory_is_a_fraction_of_the_array(tmp_path, rng, dtype, suffix):
     assert peak <= 0.6 * arr.nbytes, peak / arr.nbytes
 
 
+def _big_endian_copy(path, out_path, dtype) -> None:
+    """``path`` re-encoded big-endian with numpy, for payloads too large
+    for ``_reencode_big_endian``."""
+    blob = path.read_bytes()
+    hdr = np.frombuffer(blob, nifti._HDR_LE, count=1).astype(nifti._HDR_BE)
+    payload = np.frombuffer(blob, np.dtype(dtype).newbyteorder("<"), offset=nifti.VOX_OFFSET)
+    out_path.write_bytes(hdr.tobytes() + blob[nifti.HEADER_SIZE:nifti.VOX_OFFSET]
+                         + payload.astype(payload.dtype.newbyteorder(">")).tobytes())
+
+
+@pytest.mark.parametrize("encoding", ["plain", "gzip", "big-endian"])
+def test_read_memory_is_a_fraction_of_the_output(tmp_path, encoding):
+    """Reads stream a few z-planes at a time into the output: a paper-scale
+    read holds its output, one chunk of stored values (8 of 48 planes) and
+    one gzip read request.  Label files wider than uint8 hold a chunk of the
+    wider stored values, so their bound is taken from the stored array."""
+    shape = (576, 576, 48)
+    x, y, z = np.indices(shape, sparse=True)
+    labels = ((x // 24 + y // 24 + z // 8) % 4).astype(np.uint8)
+    for dtype in (np.uint8, np.int16, np.float32):
+        arr = labels.astype(dtype)
+        path = tmp_path / "x.nii"
+        write_nifti(path, arr, SPACING, compress=encoding == "gzip")
+        if encoding == "big-endian":
+            _big_endian_copy(path, tmp_path / "be.nii", dtype)
+            path = tmp_path / "be.nii"
+        vol = read_volume(path)
+        assert np.array_equal(vol.data, arr)
+        assert traced_peak(read_volume, path) <= 1.25 * vol.data.nbytes, dtype
+        del vol
+        lm = read_labelmap(path)
+        assert np.array_equal(lm.data, labels)
+        assert traced_peak(read_labelmap, path) <= 1.25 * max(lm.data.nbytes, arr.nbytes), dtype
+
+
+def test_gzip_declaring_more_than_it_can_hold_fails_before_allocating(tmp_path):
+    """About 1 KB of gzip can inflate to at most 1032 times that (deflate's
+    largest expansion), so a header declaring 2 GB is a truncated payload,
+    refused before anything of that size is allocated."""
+    blob = _header_bytes(tmp_path, dims=(3, 1024, 1024, 512))
+    rng = np.random.default_rng(0)
+    path = _store(tmp_path / "liar.nii.gz", blob + rng.bytes(1000), gz=True)
+    assert 1000 < path.stat().st_size < 1500
+    for reader in (read_nifti, read_volume, read_labelmap):
+        with pytest.raises(NiftiFormatError, match="liar.nii.gz: truncated payload"):
+            reader(path)
+
+    def refused():
+        with pytest.raises(NiftiFormatError, match="truncated payload"):
+            read_volume(path)
+
+    assert traced_peak(refused) < 1 << 20
+
+
+def test_densest_gzip_still_reads(tmp_path):
+    """An all-zero grid deflates close to the 1032:1 bound, and the bound
+    still lets it through."""
+    arr = np.zeros((576, 576, 48), dtype=np.uint8)
+    path = tmp_path / "zeros.nii.gz"
+    write_nifti(path, arr, SPACING)
+    assert arr.nbytes / path.stat().st_size > 1000
+    assert np.array_equal(read_labelmap(path).data, arr)
+
+
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
 def test_failed_write_leaves_old_file_and_no_temp(tmp_path, rng, monkeypatch, suffix):
     target = tmp_path / f"x{suffix}"

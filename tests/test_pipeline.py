@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import pathlib
 import re
 import shlex
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -31,6 +34,7 @@ from biatrium import (
 )
 from backends import COMPONENT_SPLIT_FINE
 from conftest import traced_peak
+from biatrium import pipeline
 from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
 from biatrium.pipeline import TMPDIR_ENV
@@ -92,6 +96,20 @@ def test_backend_spec_validation():
         BackendSpec(kind="copy-file")
     with pytest.raises(ValueError, match="timeout"):
         BackendSpec(kind="threshold", threshold=0.5, timeout_s=0.0)
+
+
+def test_backend_spec_rejects_fields_its_kind_does_not_use():
+    with pytest.raises(ValueError, match="threshold must be null for a copy-file backend"):
+        BackendSpec(kind="copy-file", source_path="m.nii", threshold="junk")
+    with pytest.raises(ValueError, match="source_path must be null for a threshold backend"):
+        BackendSpec(kind="threshold", threshold=0.4, source_path=5)
+    with pytest.raises(ValueError, match="command_template must be null"):
+        BackendSpec(kind="threshold", threshold=0.4, command_template="run {input} {output}")
+    with pytest.raises(ValueError, match="threshold must be null for a external-command"):
+        BackendSpec(kind="external-command", command_template="run {input} {output}",
+                    threshold=0.5)
+    # timeout_s has a default, so every kind may set it
+    assert BackendSpec(kind="threshold", threshold=0.4, timeout_s=5).timeout_s == 5
 
 
 def _min_cfg(**over):
@@ -405,6 +423,103 @@ def test_external_backend_timeout_kills_process_group(tmp_path):
             pass
 
 
+def _group_running(pgid: int) -> bool:
+    """True while a process of group ``pgid`` exists and is not a zombie."""
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, pgrp = stat.read_text(encoding="ascii").rsplit(")", 1)[1].split()[:3]
+        except OSError:  # the process has gone meanwhile
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            return True
+    return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_interrupt_stops_running_backends_with_workers(tmp_path):
+    """SIGINT to `run --workers 2` while two cases wait on a 12 s backend
+    kills both backends' process groups: the run exits within 2 s of the
+    signal, no backend process is left behind and the queued third case
+    never starts."""
+    vol = Volume(data=np.full((8, 8, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1))
+    write_volume(vol, tmp_path / "image.nii")
+    started = tmp_path / "started.txt"
+    script = f"echo $$ >> {shlex.quote(str(started))}; sleep 12; : {{input}} {{output}}"
+    cfg = {
+        "cases": [{"case_id": f"c{i}", "image": str(tmp_path / "image.nii")} for i in range(3)],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [8, 8, 4],
+        "coarse_factors": [2, 2, 1],
+        "fine_window": [8, 8, 4],
+        "mclahe": None,
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "external-command",
+                         "command_template": f"sh -c {shlex.quote(script)}"},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("biatrium").__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biatrium.cli", "run", "--config", str(tmp_path / "cfg.json"),
+         "--workers", "2"], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pgids = []
+    try:
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and len(pgids) < 2:
+            time.sleep(0.05)
+            pgids = started.read_text().split() if started.exists() else []
+        assert len(pgids) == 2, "both backends should be running"
+        time.sleep(0.5)
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10)
+        assert time.monotonic() - t0 < 2.0
+        assert proc.returncode != 0
+        deadline = time.monotonic() + 1.0
+        while any(_group_running(int(p)) for p in pgids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_group_running(int(p)) for p in pgids)
+        assert not (tmp_path / "out" / "c2").exists()
+    finally:
+        proc.kill()
+        proc.wait()
+        for p in pgids:
+            try:
+                os.killpg(int(p), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_backend_registry_empties_under_thread_contention(tmp_path):
+    """Many workers start and reap backends at once under a short switch
+    interval; every registered process group is removed again."""
+    vol = Volume(data=np.full((8, 8, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1))
+    write_volume(vol, tmp_path / "image.nii")
+    labels = tmp_path / "labels.nii"
+    write_nifti(labels, np.zeros((8, 8, 4), dtype=np.uint8), (1, 1, 1))
+    script = f"cp {shlex.quote(str(labels))} \"$1\""
+    cfg = config_from_dict({
+        "cases": [{"case_id": f"c{i}", "image": str(tmp_path / "image.nii")} for i in range(12)],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [8, 8, 4],
+        "coarse_factors": [2, 2, 1],
+        "fine_window": [8, 8, 4],
+        "mclahe": None,
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "external-command",
+                         "command_template": f"sh -c {shlex.quote(script)} {{input}} {{output}}"},
+    })
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_pipeline(cfg, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(c.ok for c in result.cases), [c.error for c in result.cases]
+    assert pipeline._live_groups == set()
+
+
 def test_external_backend_cannot_start():
     spec = BackendSpec(kind="external-command",
                        command_template="no-such-binary-xyzzy {input} {output}")
@@ -672,3 +787,29 @@ def test_case_working_set_is_bounded(tmp_path):
 
     case()  # the first run also pays one-off costs such as lazy imports
     assert traced_peak(case) <= 3.0 * vol.data.nbytes
+
+
+def test_case_working_set_without_mclahe_is_bounded(tmp_path):
+    """Without MCLAHE, a case whose input already has the standard shape
+    holds one full float32 grid: the read streams into its output and
+    standardize shares it, so the case traces at most 1.75x its input."""
+    vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
+    write_volume(vol, tmp_path / "image.nii.gz")
+    write_volume(gt, tmp_path / "gt.nii.gz")
+    cfg = config_from_dict({
+        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii.gz"),
+                   "gt": str(tmp_path / "gt.nii.gz")}],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": list(vol.shape),
+        "fine_window": [128, 128, 48],
+        "mclahe": None,
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+    })
+
+    def case():
+        result = run_case(cfg, cfg.cases[0])
+        assert result.ok and result.metrics, result.error
+
+    case()  # the first run also pays one-off costs such as lazy imports
+    assert traced_peak(case) <= 1.75 * vol.data.nbytes
