@@ -135,8 +135,8 @@ def _cmd_loss(args) -> int:
     params = AsymLossParams(gamma_pos=args.gamma_pos, gamma_neg=args.gamma_neg,
                             margin=args.margin)
     probs = [read_volume(p) for p in args.probs]
-    gt = read_labelmap(args.gt, classes=args.class_map)
-    codes = args.class_codes if args.class_codes else None
+    codes = args.class_codes or list(range(len(probs)))
+    gt = read_labelmap(args.gt, classes={str(c): c for c in codes})
     print(format_float(volume_loss(probs, gt, params, class_codes=codes)))
     return 0
 
@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-pos", type=float, default=AsymLossParams.gamma_pos)
     p.add_argument("--gamma-neg", type=float, default=AsymLossParams.gamma_neg)
     p.add_argument("--margin", type=float, default=AsymLossParams.margin)
-    p.add_argument("--class-codes", type=int, nargs="+")
-    p.add_argument("--class-map", type=_class_map, default=None)
+    p.add_argument("--class-codes", type=int, nargs="+",
+                   help="class code of each probability volume (default: 0..n-1)")
     p.set_defaults(func=_cmd_loss)
     g = loss_sub.add_parser("grad-check", help="finite-difference gradient verification")
     g.add_argument("--n", type=int, default=1000)

@@ -279,10 +279,6 @@ class BBox:
     def shape(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
-    def center(self) -> tuple[float, float, float]:
-        """Continuous center in voxel-edge coordinates of [lo, hi)."""
-        return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
-
 
 @dataclass(frozen=True)
 class Placement:

@@ -103,13 +103,10 @@ def bbox_from_mask(mask: np.ndarray | LabelMap,
     return BBox(lo=tuple(int(h[0]) for h in hits), hi=tuple(int(h[-1]) + 1 for h in hits))
 
 
-def expand_bbox(box: BBox, margin: int | tuple[int, int, int],
-                bounds: tuple[int, int, int]) -> BBox:
+def expand_bbox(box: BBox, margin: int, bounds: tuple[int, int, int]) -> BBox:
     """Grow the box by ``margin`` voxels per side, clipped to ``bounds``."""
-    if isinstance(margin, int):
-        margin = (margin, margin, margin)
-    lo = tuple(max(0, l - m) for l, m in zip(box.lo, margin))
-    hi = tuple(min(b, h + m) for h, m, b in zip(box.hi, margin, bounds))
+    lo = tuple(max(0, l - margin) for l in box.lo)
+    hi = tuple(min(b, h + margin) for h, b in zip(box.hi, bounds))
     return BBox(lo=lo, hi=hi)
 
 

@@ -270,7 +270,8 @@ def read_labelmap(path, classes: Mapping[str, int] | None = None) -> LabelMap:
     """Read a label map of integers in [0, 255] (any supported datatype, no
     scaling) and check its codes with :func:`check_label_codes`."""
     def integers_in_range(chunk: np.ndarray) -> None:
-        if chunk.dtype.kind == "f" and not np.array_equal(np.rint(chunk), chunk):
+        # plane by plane: rint of the whole chunk would hold a second chunk
+        if chunk.dtype.kind == "f" and not all(np.array_equal(np.rint(p), p) for p in chunk):
             raise NiftiFormatError(f"{path}: label file contains non-integer values")
         if chunk.dtype.kind != "u" and (chunk.min() < 0 or chunk.max() > 255):
             raise NiftiFormatError(f"{path}: label values out of uint8 range")
@@ -282,9 +283,10 @@ def read_labelmap(path, classes: Mapping[str, int] | None = None) -> LabelMap:
         raise NiftiFormatError(f"{path}: {e}") from e
 
 
-def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
+def write_nifti(path, arr: np.ndarray, spacing, *,
                 orientation: bytes | None = None) -> None:
-    """Encode a 3D array (uint8, int16 or float32) as a NIfTI-1 file.
+    """Encode a 3D array (uint8, int16 or float32) as a NIfTI-1 file,
+    gzip-compressed when ``path`` ends in ``.gz``.
 
     The file appears at ``path`` only once it is complete; a failed write
     leaves a previous file there untouched."""
@@ -293,8 +295,6 @@ def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
         raise ValueError(f"expected 3D array, got {arr.ndim}D")
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise ValueError(f"unsupported dtype {arr.dtype}; use uint8, int16 or float32")
-    if compress is None:
-        compress = str(path).endswith(".gz")
 
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE
@@ -323,7 +323,7 @@ def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
         _write_x_fastest(f, arr)
 
     with _atomic_open(path, "wb") as fh:
-        if compress:
+        if str(path).endswith(".gz"):
             # filename and mtime pinned to keep output bytes reproducible
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
                 _emit(gz)
@@ -331,17 +331,16 @@ def write_nifti(path, arr: np.ndarray, spacing, *, compress: bool | None = None,
             _emit(fh)
 
 
-def write_volume(v: Volume | LabelMap, path, compress: bool | None = None,
-                 orientation: bytes | None = None) -> None:
-    """Write a Volume as float32 or a LabelMap as uint8.
+def write_volume(v: Volume | LabelMap, path, *, orientation: bytes | None = None) -> None:
+    """Write a Volume as float32 or a LabelMap as uint8, gzip-compressed
+    when ``path`` ends in ``.gz``.
 
-    ``compress=None`` infers gzip from a ``.gz`` suffix.  ``orientation``
-    is the qform/sform block to write; None takes a Volume's own (a
-    LabelMap carries none).
+    ``orientation`` is the qform/sform block to write; None takes a
+    Volume's own (a LabelMap carries none).
     """
     if orientation is None and isinstance(v, Volume):
         orientation = v.orientation
-    write_nifti(path, v.data, v.spacing, compress=compress, orientation=orientation)
+    write_nifti(path, v.data, v.spacing, orientation=orientation)
 
 
 def write_placement(p: Placement, path) -> None:

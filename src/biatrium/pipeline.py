@@ -88,7 +88,8 @@ TMPDIR_ENV = "BIATRIUM_TMPDIR"
 
 # Process groups of the external backends running now, whichever thread
 # started them.  An interrupt reaches the whole process, so the registry is
-# one per process: run_pipeline kills every group in it before it re-raises.
+# one per process: run_pipeline kills and drops every group in it before it
+# re-raises, and a thread that finds its group dropped raises in turn.
 _live_groups: set[int] = set()
 _live_lock = threading.Lock()
 
@@ -194,10 +195,6 @@ class PipelineConfig:
                     f"standard_shape[{ax}]={s} is not divisible by coarse_factors[{ax}]={f}")
         _check_number(self.bbox_margin_vox, "bbox_margin_vox", integer=True, ge=0)
 
-    @property
-    def coarse_shape(self) -> tuple[int, int, int]:
-        return tuple(s // f for s, f in zip(self.standard_shape, self.coarse_factors))
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -225,14 +222,10 @@ class PipelineResult:
         return all(c.ok for c in self.cases)
 
 
-def _backend_tmpdir():
-    return tempfile.TemporaryDirectory(dir=os.environ.get(TMPDIR_ENV) or None)
-
-
-def invoke_backend(spec: BackendSpec, image: Volume, expected_shape: tuple[int, int, int],
+def invoke_backend(spec: BackendSpec, image: Volume,
                    classes: Mapping[str, int] | None = None) -> LabelMap:
-    """Run one backend and return its label map, validated against
-    ``expected_shape`` and the class codes in ``classes`` (None: default)."""
+    """Run one backend and return its label map, validated against the
+    shape of ``image`` and the class codes in ``classes`` (None: default)."""
     if spec.kind == "threshold":
         labels = (image.data >= np.float32(spec.threshold)).astype(np.uint8)
         out = check_label_codes(LabelMap(data=labels, spacing=image.spacing), classes)
@@ -243,14 +236,13 @@ def invoke_backend(spec: BackendSpec, image: Volume, expected_shape: tuple[int, 
             raise BackendError(f"copy-file backend could not read {spec.source_path}: {e}") from e
     else:
         out = _run_external(spec, image, classes)
-    if out.shape != tuple(expected_shape):
-        raise BackendError(
-            f"backend produced shape {out.shape}, expected {tuple(expected_shape)}")
+    if out.shape != image.shape:
+        raise BackendError(f"backend produced shape {out.shape}, expected {image.shape}")
     return out
 
 
 def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] | None) -> LabelMap:
-    with _backend_tmpdir() as tmp:
+    with tempfile.TemporaryDirectory(dir=os.environ.get(TMPDIR_ENV) or None) as tmp:
         # plain .nii: gzip costs far more time than it saves on scratch files
         in_path = os.path.join(tmp, "input.nii")
         out_path = os.path.join(tmp, "output.nii")
@@ -269,16 +261,23 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
         with proc:
             try:
                 _, stderr = proc.communicate(timeout=spec.timeout_s)
-            except subprocess.TimeoutExpired as e:
-                _kill_group(proc)
-                raise BackendError(
-                    f"backend command timed out after {spec.timeout_s:g} s") from e
-            except BaseException:
-                _kill_group(proc)
+            except BaseException as e:
+                # kill the whole group, then reap the backend
+                _killpg(proc.pid)
+                proc.wait()
+                if isinstance(e, subprocess.TimeoutExpired):
+                    raise BackendError(
+                        f"backend command timed out after {spec.timeout_s:g} s") from e
                 raise
             finally:
                 with _live_lock:
+                    # gone from the registry: an interrupt killed the group
+                    interrupted = proc.pid not in _live_groups
                     _live_groups.discard(proc.pid)
+        if interrupted:
+            # like an interrupt in the waiting thread itself: the case ends
+            # without a result
+            raise KeyboardInterrupt("backend killed by an interrupt")
         if proc.returncode != 0:
             tail = stderr.decode(errors="replace")[-2000:]
             raise BackendError(
@@ -291,12 +290,6 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             raise BackendError(f"backend output unusable: {e}") from e
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL the backend's whole process group, then reap the backend."""
-    _killpg(proc.pid)
-    proc.wait()
-
-
 def _killpg(pgid: int) -> None:
     try:
         os.killpg(pgid, signal.SIGKILL)
@@ -305,11 +298,12 @@ def _killpg(pgid: int) -> None:
 
 
 def _kill_live_groups() -> None:
-    """SIGKILL every registered backend process group; the threads that
-    started them reap them."""
+    """SIGKILL every registered backend process group and drop it from the
+    registry, which tells the thread that started it that it was killed."""
     with _live_lock:
         for pgid in _live_groups:
             _killpg(pgid)
+        _live_groups.clear()
 
 
 def _roi_center(mask: LabelMap, factors, margin: int,
@@ -368,8 +362,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
         coarse_in = downsample_mean(std, cfg.coarse_factors)
 
     with _timed(timings_ms, "coarse_backend"):
-        coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, cfg.coarse_shape,
-                                     classes=BINARY_CLASS_MAP)
+        coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, classes=BINARY_CLASS_MAP)
 
     with _timed(timings_ms, "roi"):
         try:
@@ -385,8 +378,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
     del std
 
     with _timed(timings_ms, "fine_backend"):
-        fine_labels = invoke_backend(cfg.fine_backend, fine_in, cfg.fine_window,
-                                     classes=cfg.class_map)
+        fine_labels = invoke_backend(cfg.fine_backend, fine_in, classes=cfg.class_map)
 
     with _timed(timings_ms, "stitch"):
         full_labels = stitch(stitch(fine_labels, to_standard), to_original)
@@ -479,8 +471,10 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
                     _kill_live_groups()
                 raise
     else:
-        # the case runs on this thread, whose backend wait kills its own
-        # group on an interrupt
+        # The cases run on this thread, whose backend wait kills its own
+        # group on an interrupt.  A one-thread pool would serve too, but the
+        # pool thread's malloc arena raised paper_builtin peak_rss_mb from
+        # 272.7-272.9 to 281.9-282.2 MB (273.0 with MALLOC_ARENA_MAX=1).
         results = [run_case(cfg, c) for c in cfg.cases]
     summary = out_dir / "summary.csv"
     write_summary_csv(results, summary, cfg.class_map)

@@ -198,6 +198,30 @@ def test_loss_value_matches_library(files, tmp_path, capsys, rng):
     assert printed == volume_loss(loaded, read_labelmap(files["gt_path"]))
 
 
+def test_loss_checks_ground_truth_against_the_scored_codes(tmp_path, capsys, rng):
+    """The ground truth may hold exactly the codes ``--class-codes`` scores
+    (default 0..n-1), whatever they are."""
+    gt = np.zeros((6, 6, 4), dtype=np.uint8)
+    gt[2:4, 2:4, 1:3] = 5
+    gt_path = tmp_path / "gt.nii"
+    write_nifti(gt_path, gt, (1, 1, 1))
+    prob_paths = []
+    for i in range(2):
+        path = tmp_path / f"p{i}.nii"
+        write_nifti(path, rng.random(gt.shape, dtype=np.float32), (1, 1, 1))
+        prob_paths.append(str(path))
+    rc = main(["loss", "--probs", *prob_paths, "--gt", str(gt_path), "--class-codes", "0", "5"])
+    assert rc == 0
+    printed = float(capsys.readouterr().out.strip())
+    loaded = [read_volume(p) for p in prob_paths]
+    assert printed == volume_loss(loaded, read_labelmap(gt_path, classes={"x": 5}),
+                                  class_codes=[0, 5])
+    rc = main(["loss", "--probs", *prob_paths, "--gt", str(gt_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[5]" in captured.err
+
+
 def test_loss_nan_exponent_exits_1(files, capsys):
     rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
                "--gamma-pos", "nan"])

@@ -103,7 +103,6 @@ def test_labelmap_coerces_wider_integers():
 def test_bbox_bounds_and_helpers():
     b = BBox(lo=(1, 2, 3), hi=(4, 6, 8))
     assert b.shape == (3, 4, 5)
-    assert b.center() == (2.5, 4.0, 5.5)
     with pytest.raises(ValueError):
         BBox(lo=(1, 2, 3), hi=(1, 6, 8))
     with pytest.raises(ValueError):

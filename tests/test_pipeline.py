@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -123,12 +124,11 @@ def _min_cfg(**over):
     return PipelineConfig(**kwargs)
 
 
-def test_pipeline_config_defaults_and_coarse_shape():
+def test_pipeline_config_defaults():
     cfg = _min_cfg()
     assert cfg.standard_shape == (576, 576, 48)
     assert cfg.coarse_factors == (4, 4, 1)
     assert cfg.fine_window == (256, 256, 48)
-    assert cfg.coarse_shape == (144, 144, 48)
     assert cfg.bbox_margin_vox == 8
     assert cfg.mclahe_params is not None  # enhancement on by default
 
@@ -331,11 +331,9 @@ def test_threshold_backend():
     v = Volume(data=np.linspace(0, 1, 48, dtype=np.float32).reshape(4, 4, 3),
                spacing=(1, 1, 1))
     spec = BackendSpec(kind="threshold", threshold=0.5)
-    out = invoke_backend(spec, v, (4, 4, 3), classes={"background": 0, "foreground": 1})
+    out = invoke_backend(spec, v, classes={"background": 0, "foreground": 1})
     assert isinstance(out, LabelMap)
     assert np.array_equal(out.data, (v.data >= np.float32(0.5)).astype(np.uint8))
-    with pytest.raises(BackendError, match="shape"):
-        invoke_backend(spec, v, (4, 4, 4))
 
 
 def test_copy_file_backend(tmp_path):
@@ -344,11 +342,14 @@ def test_copy_file_backend(tmp_path):
     src = tmp_path / "mask.nii.gz"
     write_nifti(src, arr, (1, 1, 1))
     spec = BackendSpec(kind="copy-file", source_path=str(src))
-    out = invoke_backend(spec, _small_volume(shape=(5, 5, 2)), (5, 5, 2))
+    out = invoke_backend(spec, _small_volume(shape=(5, 5, 2)))
     assert np.array_equal(out.data, arr)
+    # a label map must have its input's shape
+    with pytest.raises(BackendError, match=r"produced shape \(5, 5, 2\), expected \(6, 6, 4\)"):
+        invoke_backend(spec, _small_volume())
     missing = BackendSpec(kind="copy-file", source_path=str(tmp_path / "nope.nii.gz"))
     with pytest.raises(BackendError, match="copy-file"):
-        invoke_backend(missing, _small_volume(), (6, 6, 4))
+        invoke_backend(missing, _small_volume())
 
 
 def test_external_backend_round_trip(tmp_path):
@@ -363,7 +364,7 @@ def test_external_backend_round_trip(tmp_path):
     spec = BackendSpec(kind="external-command",
                        command_template=f"python3 {script} {{input}} {{output}}")
     v = _small_volume(0.7)
-    out = invoke_backend(spec, v, v.shape, classes={"background": 0, "foreground": 1})
+    out = invoke_backend(spec, v, classes={"background": 0, "foreground": 1})
     assert np.all(out.data == 1)
 
 
@@ -373,14 +374,14 @@ def test_external_backend_nonzero_exit():
         command_template='python3 -c "import sys; sys.stderr.write(\'boom\'); sys.exit(3)"'
                          " {input} {output}")
     with pytest.raises(BackendError, match="boom"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def test_external_backend_no_output():
     spec = BackendSpec(kind="external-command",
                        command_template="python3 -c pass {input} {output}")
     with pytest.raises(BackendError, match="no output"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def test_external_backend_timeout():
@@ -389,7 +390,7 @@ def test_external_backend_timeout():
         command_template='python3 -c "import time; time.sleep(30)" {input} {output}',
         timeout_s=0.4)
     with pytest.raises(BackendError, match="timed out"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def _running(pid: int) -> bool:
@@ -409,7 +410,7 @@ def test_external_backend_timeout_kills_process_group(tmp_path):
                        command_template=f"sh -c {shlex.quote(script)} sh {{input}} {{output}}",
                        timeout_s=1)
     with pytest.raises(BackendError, match="timed out"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
     pid = int(pid_file.read_text())
     try:
         deadline = time.monotonic() + 2.0
@@ -437,58 +438,72 @@ def _group_running(pgid: int) -> bool:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
 def test_interrupt_stops_running_backends_with_workers(tmp_path):
-    """SIGINT to `run --workers 2` while two cases wait on a 12 s backend
-    kills both backends' process groups: the run exits within 2 s of the
-    signal, no backend process is left behind and the queued third case
-    never starts."""
+    """SIGINT to `run --workers 1` or `--workers 2` while as many cases wait
+    on a 12 s backend kills each backend's process group: the run exits
+    within 2 s of the signal, no backend process is left behind, no
+    interrupted case writes a result.json and the queued cases never
+    start."""
     vol = Volume(data=np.full((8, 8, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1))
     write_volume(vol, tmp_path / "image.nii")
-    started = tmp_path / "started.txt"
-    script = f"echo $$ >> {shlex.quote(str(started))}; sleep 12; : {{input}} {{output}}"
-    cfg = {
-        "cases": [{"case_id": f"c{i}", "image": str(tmp_path / "image.nii")} for i in range(3)],
-        "output_dir": str(tmp_path / "out"),
-        "standard_shape": [8, 8, 4],
-        "coarse_factors": [2, 2, 1],
-        "fine_window": [8, 8, 4],
-        "mclahe": None,
-        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
-        "fine_backend": {"kind": "external-command",
-                         "command_template": f"sh -c {shlex.quote(script)}"},
-    }
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("biatrium").__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "biatrium.cli", "run", "--config", str(tmp_path / "cfg.json"),
-         "--workers", "2"], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    pgids = []
-    try:
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and len(pgids) < 2:
-            time.sleep(0.05)
-            pgids = started.read_text().split() if started.exists() else []
-        assert len(pgids) == 2, "both backends should be running"
-        time.sleep(0.5)
-        t0 = time.monotonic()
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
-        assert time.monotonic() - t0 < 2.0
-        assert proc.returncode != 0
-        deadline = time.monotonic() + 1.0
-        while any(_group_running(int(p)) for p in pgids) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(_group_running(int(p)) for p in pgids)
-        assert not (tmp_path / "out" / "c2").exists()
-    finally:
-        proc.kill()
-        proc.wait()
-        for p in pgids:
-            try:
-                os.killpg(int(p), signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    for workers in (1, 2):
+        run_dir = tmp_path / f"workers{workers}"
+        run_dir.mkdir()
+        started = run_dir / "started.txt"
+        script = f"echo $$ >> {shlex.quote(str(started))}; sleep 12; : {{input}} {{output}}"
+        cfg = {
+            "cases": [{"case_id": f"c{i}", "image": str(tmp_path / "image.nii")}
+                      for i in range(3)],
+            "output_dir": str(run_dir / "out"),
+            "standard_shape": [8, 8, 4],
+            "coarse_factors": [2, 2, 1],
+            "fine_window": [8, 8, 4],
+            "mclahe": None,
+            "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+            "fine_backend": {"kind": "external-command",
+                             "command_template": f"sh -c {shlex.quote(script)}"},
+        }
+        (run_dir / "cfg.json").write_text(json.dumps(cfg))
+        # a shell that ignores SIGINT passes that on: restore the default,
+        # under which Python raises KeyboardInterrupt
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biatrium.cli", "run", "--config", str(run_dir / "cfg.json"),
+             "--workers", str(workers)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        pgids = []
+        try:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and len(pgids) < workers:
+                time.sleep(0.05)
+                pgids = started.read_text().split() if started.exists() else []
+            assert len(pgids) == workers, "every worker's backend should be running"
+            time.sleep(0.5)
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=10)
+            assert time.monotonic() - t0 < 2.0
+            assert proc.returncode != 0
+            deadline = time.monotonic() + 1.0
+            while any(_group_running(int(p)) for p in pgids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_group_running(int(p)) for p in pgids)
+            for i in range(3):
+                case_dir = run_dir / "out" / f"c{i}"
+                if i < workers:
+                    assert not (case_dir / "result.json").exists(), (workers, i)
+                else:
+                    assert not case_dir.exists(), (workers, i)
+        finally:
+            proc.kill()
+            proc.wait()
+            for p in pgids:
+                try:
+                    os.killpg(int(p), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 def test_backend_registry_empties_under_thread_contention(tmp_path):
@@ -524,7 +539,7 @@ def test_external_backend_cannot_start():
     spec = BackendSpec(kind="external-command",
                        command_template="no-such-binary-xyzzy {input} {output}")
     with pytest.raises(BackendError, match="could not start"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def test_external_backend_unusable_output(tmp_path):
@@ -539,14 +554,14 @@ def test_external_backend_unusable_output(tmp_path):
     spec = BackendSpec(kind="external-command",
                        command_template=f"python3 {script} {{input}} {{output}}")
     with pytest.raises(BackendError, match="unusable"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def test_external_backend_unreadable_output():
     # the backend leaves a directory where the output file belongs
     spec = BackendSpec(kind="external-command", command_template="mkdir {output} {input}.d")
     with pytest.raises(BackendError, match="backend output unusable"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
 
 
 def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
@@ -565,7 +580,7 @@ def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
         f"open({str(record)!r}, 'w').write(os.path.dirname(os.path.abspath(sys.argv[1])))\n")
     spec = BackendSpec(kind="external-command",
                        command_template=f"python3 {script} {{input}} {{output}}")
-    invoke_backend(spec, _small_volume(), (6, 6, 4))
+    invoke_backend(spec, _small_volume())
     seen = record.read_text()
     assert seen.startswith(str(scratch))
 
@@ -597,9 +612,9 @@ def _write_code7_backend(tmp_path, kind):
 def test_backend_output_with_undeclared_code_fails(tmp_path, kind, source):
     spec = _write_code7_backend(tmp_path, kind)
     with pytest.raises(BackendError, match=source + r".*\[7\]"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4))
+        invoke_backend(spec, _small_volume())
     with pytest.raises(BackendError, match=source + r".*\[7\]"):
-        invoke_backend(spec, _small_volume(), (6, 6, 4),
+        invoke_backend(spec, _small_volume(),
                        classes={"background": 0, "foreground": 1})
 
 
@@ -813,3 +828,19 @@ def test_case_working_set_without_mclahe_is_bounded(tmp_path):
 
     case()  # the first run also pays one-off costs such as lazy imports
     assert traced_peak(case) <= 1.75 * vol.data.nbytes
+
+
+def test_bench_tracer_wraps_names_that_exist(monkeypatch):
+    """The benchmark's tracer (bench/spans.py) wraps public names of
+    biatrium.pipeline and biatrium.metrics by name: a rename breaks the
+    traced benchmark run, so entering the tracer must still work, and
+    leaving it restores every name."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    before = {key: getattr(*key) for key in spans.WRAPPED}
+    with spans.Tracer():
+        assert all(getattr(*key) is not fn for key, fn in before.items())
+    assert all(getattr(*key) is fn for key, fn in before.items())
