@@ -203,6 +203,10 @@ class CaseResult:
     mask_path: str | None = None
     flags: tuple[str, ...] = ()
     error: str | None = None
+    #: For a failed case, the stage that was running (None if it failed
+    #: outside every stage) and the exception's type name.
+    failed_stage: str | None = None
+    error_type: str | None = None
     roi_box: BBox | None = None
     timings_ms: Mapping[str, float] = field(default_factory=dict)
     metrics: tuple[MetricRow, ...] = ()
@@ -319,20 +323,33 @@ def _roi_center(mask: LabelMap, factors, margin: int,
     return grown, center
 
 
+@dataclass
+class _Stages:
+    """Wall ms of each finished stage of a case, and the stage running now
+    (None before the first stage and between stages)."""
+    timings_ms: dict[str, float] = field(default_factory=dict)
+    running: str | None = None
+
+
 @contextmanager
-def _timed(timings_ms: dict[str, float], stage: str):
+def _timed(stages: _Stages, stage: str):
+    stages.running = stage
     t0 = time.perf_counter()
     yield
-    timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
+    stages.timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
+    stages.running = None
 
 
 def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
-    """Process one case; exceptions are converted into a failed result."""
+    """Process one case; exceptions are converted into a failed result that
+    names the stage and the exception type."""
     case_dir = Path(cfg.output_dir) / case.case_id
+    stages = _Stages()
     try:
-        return _run_case_inner(cfg, case, case_dir)
+        return _run_case_inner(cfg, case, case_dir, stages)
     except Exception as e:  # noqa: BLE001 - case isolation boundary
-        result = CaseResult(case_id=case.case_id, status="failed", error=str(e))
+        result = CaseResult(case_id=case.case_id, status="failed", error=str(e),
+                            failed_stage=stages.running, error_type=type(e).__name__)
         try:
             case_dir.mkdir(parents=True, exist_ok=True)
             _write_result_json(case_dir, result)
@@ -341,30 +358,30 @@ def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
         return result
 
 
-def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> CaseResult:
-    timings_ms: dict[str, float] = {}
+def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
+                    stages: _Stages) -> CaseResult:
     flags: list[str] = []
     case_dir.mkdir(parents=True, exist_ok=True)
 
-    with _timed(timings_ms, "read"):
+    with _timed(stages, "read"):
         vol = read_volume(case.image)
     orientation = vol.orientation  # the mask lies on this grid
 
     if cfg.mclahe_params is not None:
-        with _timed(timings_ms, "enhance"):
+        with _timed(stages, "enhance"):
             vol = mclahe(vol, cfg.mclahe_params)
 
-    with _timed(timings_ms, "standardize"):
+    with _timed(stages, "standardize"):
         std, to_original = standardize(vol, cfg.standard_shape)
     del vol  # each full grid is dropped as soon as its last reader is done
 
-    with _timed(timings_ms, "downsample"):
+    with _timed(stages, "downsample"):
         coarse_in = downsample_mean(std, cfg.coarse_factors)
 
-    with _timed(timings_ms, "coarse_backend"):
+    with _timed(stages, "coarse_backend"):
         coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, classes=BINARY_CLASS_MAP)
 
-    with _timed(timings_ms, "roi"):
+    with _timed(stages, "roi"):
         try:
             roi_box, center = _roi_center(coarse_mask, cfg.coarse_factors,
                                           cfg.bbox_margin_vox, cfg.standard_shape)
@@ -373,17 +390,17 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
             roi_box = None
             center = tuple(s // 2 for s in cfg.standard_shape)
 
-    with _timed(timings_ms, "crop"):
+    with _timed(stages, "crop"):
         fine_in, to_standard = crop_window(std, center, cfg.fine_window)
     del std
 
-    with _timed(timings_ms, "fine_backend"):
+    with _timed(stages, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, classes=cfg.class_map)
 
-    with _timed(timings_ms, "stitch"):
+    with _timed(stages, "stitch"):
         full_labels = stitch(stitch(fine_labels, to_standard), to_original)
 
-    with _timed(timings_ms, "write"):
+    with _timed(stages, "write"):
         mask_path = case_dir / "mask.nii.gz"
         write_volume(full_labels, mask_path, orientation=orientation)
         write_placement(to_original, case_dir / "standard_placement.json")
@@ -391,13 +408,13 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     metrics: tuple[MetricRow, ...] = ()
     if case.gt is not None:
-        with _timed(timings_ms, "evaluate"):
+        with _timed(stages, "evaluate"):
             gt = read_labelmap(case.gt, classes=cfg.class_map)
             metrics = tuple(evaluate_case(full_labels, gt, classes=cfg.class_map,
                                           case_id=case.case_id))
 
     result = CaseResult(case_id=case.case_id, status="ok", mask_path=str(mask_path),
-                        flags=tuple(flags), roi_box=roi_box, timings_ms=timings_ms,
+                        flags=tuple(flags), roi_box=roi_box, timings_ms=stages.timings_ms,
                         metrics=metrics)
     _write_result_json(case_dir, result)
     return result
@@ -411,6 +428,8 @@ def _write_result_json(case_dir: Path, result: CaseResult) -> None:
         "status": result.status,
         "flags": list(result.flags),
         "error": result.error,
+        "failed_stage": result.failed_stage,
+        "error_type": result.error_type,
         "roi_box": None if result.roi_box is None else _as_json(result.roi_box),
         "timings_ms": {k: round(v, 3) for k, v in result.timings_ms.items()},
     }

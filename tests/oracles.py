@@ -5,11 +5,14 @@ distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
 The exceptions are earlier, simpler versions of rewritten routines
 (``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``,
-``whole_grid_downsample_mean``, ``whole_grid_generate``), kept so that tests
-can require the rewrite to give the same results bit for bit.
+``gzipfile_bytes``, ``whole_grid_downsample_mean``, ``whole_grid_generate``),
+kept so that tests can require the rewrite to give the same results bit for
+bit.
 """
 from __future__ import annotations
 
+import gzip
+import io
 import math
 from fractions import Fraction
 
@@ -26,6 +29,17 @@ def x_fastest_payload(arr) -> bytes:
     """The NIfTI-1 payload of a 3D array (the bytes after the 352-byte
     header): x fastest, as the writer built it with one whole-array copy."""
     return np.asarray(arr).tobytes(order="F")
+
+
+def gzipfile_bytes(data: bytes) -> bytes:
+    """``data`` as ``gzip.GzipFile`` writes it at level 9 with no file name
+    and mtime 0, as the writer did for every ``.gz`` file.  (On Python 3.11
+    ``gzip.compress(data, mtime=0)`` takes zlib's own header, whose OS byte
+    is 3 rather than 255, so it is not this.)"""
+    out = io.BytesIO()
+    with gzip.GzipFile(filename="", fileobj=out, mode="wb", compresslevel=9, mtime=0) as gz:
+        gz.write(data)
+    return out.getvalue()
 
 
 # -- whole-grid references for slab-streamed routines ------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_enhance_matches_library(files, tmp_path):
     got = read_volume(out)
     want = mclahe(files["vol"], MclaheParams(kernel_size=(16, 16, 6), n_bins=64))
     assert np.array_equal(got.data, want.data)
+
+
+def test_enhance_output_is_exact_and_rle_deflated(tmp_path):
+    """An enhanced noisy image is a noisy float payload: its .nii.gz takes
+    the Z_RLE path (gzip XFL byte 0) and reads back bit-identical."""
+    vol, _ = generate(replace(SMALL_SPEC, noise_amplitude=0.05, seed=3))
+    image, out = tmp_path / "image.nii.gz", tmp_path / "enh.nii.gz"
+    write_volume(vol, image)
+    assert main(["enhance", str(image), str(out)]) == 0
+    assert out.read_bytes()[8] == 0
+    want = mclahe(read_volume(image), MclaheParams())
+    assert np.array_equal(read_volume(out).data, want.data)
 
 
 def test_standardize_and_placement(files, tmp_path):

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import gzip
 import pathlib
@@ -6,6 +7,7 @@ import struct
 import sys
 import threading
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 from biatrium import (
     LabelMap,
     NiftiFormatError,
+    PhantomSpec,
     Placement,
     Volume,
+    generate,
     read_labelmap,
     read_nifti,
     read_placement,
@@ -27,7 +31,7 @@ from biatrium import (
 )
 from biatrium import nifti
 from conftest import traced_peak
-from oracles import x_fastest_payload
+from oracles import gzipfile_bytes, x_fastest_payload
 
 SPACING = (0.625, 0.625, 2.5)
 
@@ -88,6 +92,105 @@ def test_gzip_output_is_reproducible(tmp_path, rng):
     write_nifti(tmp_path / "a.nii.gz", arr, SPACING)
     write_nifti(tmp_path / "b.nii.gz", arr, SPACING)
     assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "b.nii.gz").read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["plain", "gzip"])
+def test_read_opens_the_file_once(tmp_path, rng, monkeypatch, encoding):
+    """The size bound and the stream come from one open file."""
+    path = tmp_path / ("x.nii" if encoding == "plain" else "x.nii.gz")
+    arr = _random_array(rng, np.float32)
+    write_nifti(path, arr, SPACING)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    vol = read_volume(path)
+    monkeypatch.undo()
+    assert opened.count(str(path)) == 1
+    assert np.array_equal(vol.data, arr)
+
+
+# -- deflate settings follow the content ------------------------------------
+
+def _speckled(labels, rng, fraction=0.02):
+    out = labels.copy()
+    out[rng.random(out.shape) < fraction] = 1
+    return out
+
+
+@pytest.mark.parametrize("kind", ["phantom_gt", "zeros", "z_extent_1"])
+def test_blocky_map_keeps_gzipfile_level9_bytes(tmp_path, rng, kind):
+    """A blocky map's file is byte for byte what gzip.GzipFile wrote at
+    level 9, so mask hashes do not move.  The default phantom's ground
+    truth is the bench mask nearest the threshold (0.014 transitions per
+    voxel); a z-extent-1 array has no z-transitions at all."""
+    arr = {"phantom_gt": lambda: generate(PhantomSpec())[1].data,
+           "zeros": lambda: np.zeros((576, 576, 48), np.uint8),
+           "z_extent_1": lambda: rng.integers(0, 4, (70, 9, 1), dtype=np.uint8)}[kind]()
+    write_nifti(tmp_path / "x.nii", arr, SPACING)
+    write_nifti(tmp_path / "x.nii.gz", arr, SPACING)
+    header = (tmp_path / "x.nii").read_bytes()[:352]
+    blob = (tmp_path / "x.nii.gz").read_bytes()
+    assert blob == gzipfile_bytes(header + x_fastest_payload(arr))
+
+
+def test_deflate_settings_follow_the_content(tmp_path, rng, monkeypatch):
+    """Level 9 with the default strategy for blocky maps, Z_RLE for a
+    speckled map and a noisy image; the gzip XFL byte says which."""
+    recorded = []
+    real_compressobj = zlib.compressobj
+
+    def recording(level, method, wbits, memlevel, strategy):
+        recorded.append((level, strategy))
+        return real_compressobj(level, method, wbits, memlevel, strategy)
+
+    monkeypatch.setattr(nifti.zlib, "compressobj", recording)
+    vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
+    cases = {
+        "phantom_gt": (gt.data, zlib.Z_DEFAULT_STRATEGY, 2),
+        "zeros": (np.zeros((40, 30, 20), np.uint8), zlib.Z_DEFAULT_STRATEGY, 2),
+        "speckled_gt": (_speckled(gt.data, rng), zlib.Z_RLE, 0),
+        "noisy_image": (vol.data, zlib.Z_RLE, 0),
+    }
+    for name, (arr, strategy, xfl) in cases.items():
+        recorded.clear()
+        path = tmp_path / f"{name}.nii.gz"
+        write_nifti(path, arr, SPACING)
+        assert recorded == [(9, strategy)], name
+        assert path.read_bytes()[8] == xfl, name
+    recorded.clear()
+    write_nifti(tmp_path / "plain.nii", vol.data, SPACING)
+    assert recorded == []
+
+
+def test_rle_path_roundtrips_on_every_layout(tmp_path, rng):
+    """The Z_RLE member is a valid gzip file: every memory layout reads
+    back bit-exact, and a second write gives the same bytes."""
+    arr = _random_array(rng, np.float32, (65, 3, 130))
+    for name, view in _layout_views(arr).items():
+        first, second = tmp_path / f"{name}1.nii.gz", tmp_path / f"{name}2.nii.gz"
+        write_nifti(first, view, SPACING)
+        write_nifti(second, view, SPACING)
+        blob = first.read_bytes()
+        assert blob[8] == 0, name  # XFL of the Z_RLE path
+        assert blob == second.read_bytes(), name
+        assert gzip.decompress(blob)[352:] == x_fastest_payload(arr), name
+        back, _, _ = read_nifti(first)
+        assert np.array_equal(back, arr), name
+
+
+def test_deflate_count_holds_no_full_grid(tmp_path):
+    """The transition count runs slab by slab: a blocky paper-scale map,
+    which is counted to the end, writes holding a fraction of the array
+    (a whole-grid comparison alone would be 1.0x)."""
+    arr = np.zeros((576, 576, 48), np.uint8)
+    arr[100:300, 200:400, 10:30] = 1
+    peak = traced_peak(write_nifti, tmp_path / "x.nii.gz", arr, SPACING)
+    assert peak <= 0.25 * arr.nbytes, peak / arr.nbytes
 
 
 def test_payload_is_x_fastest(tmp_path):

@@ -660,6 +660,7 @@ def test_run_pipeline_end_to_end(env):
 
     doc = json.loads((out / "result.json").read_text())
     assert doc["status"] == "ok"
+    assert doc["failed_stage"] is None and doc["error_type"] is None
     assert doc["roi_box"] == {"lo": list(lo), "hi": list(hi)}
 
     placement = read_placement(out / "standard_placement.json")
@@ -717,6 +718,8 @@ def test_case_isolation_and_partial_failure(env):
     doc_bad = json.loads((env["root"] / "out_iso" / "bad" / "result.json").read_text())
     assert doc_bad["status"] == "failed"
     assert doc_bad["error"]
+    assert doc_bad["failed_stage"] == "read"
+    assert doc_bad["error_type"] == "FileNotFoundError"
     # summary keeps config order and leaves metric cells empty on failure
     lines = (env["root"] / "out_iso" / "summary.csv").read_text().splitlines()
     assert lines[1].startswith("good,ok,1.0")
@@ -775,6 +778,9 @@ def test_run_case_failed_backend_reports_error(env):
     result = run_case(cfg, cfg.cases[0])
     assert result.status == "failed"
     assert "9" in result.error
+    doc = json.loads((env["root"] / "out_badfine" / "ph" / "result.json").read_text())
+    assert doc["failed_stage"] == result.failed_stage == "fine_backend"
+    assert doc["error_type"] == result.error_type == "BackendError"
 
 
 def test_case_working_set_is_bounded(tmp_path):
