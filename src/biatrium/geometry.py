@@ -4,6 +4,13 @@ Everything here is voxel-exact: padding, cropping and block averaging only,
 no interpolation.  Each spatial rearrangement returns a Placement so a
 result computed on the derived grid can be carried back to the parent grid
 with stitch().
+
+Placements chain: the standard grid is a window on the input and the fine
+window a window on the standard grid.  ``downsample_mean``, ``crop_window``
+and ``stitch`` take the standard placement as ``through`` and read or write
+the input directly, so the standard grid never exists as an array; a voxel
+of the chain's last window maps to the input only where it lies inside
+every grid of the chain, and is padding elsewhere.
 """
 from __future__ import annotations
 
@@ -35,50 +42,79 @@ def _center_offset(src: int, dst: int) -> int:
     return (src - dst) // 2 if src >= dst else -((dst - src) // 2)
 
 
-def _extract(v: Volume, offset, window: tuple[int, int, int],
-             pad_value: float) -> tuple[Volume, Placement]:
-    """Copy the window at ``offset`` out of ``v``, padding where it extends
-    past the volume; the window that is all of ``v`` shares its data."""
-    place = Placement(parent_shape=v.shape, offset=offset, window_shape=window)
-    if _is_identity(place):
-        return Volume(data=v.data, spacing=v.spacing), place
-    parent_sl, window_sl = _overlap(place)
-    out = np.full(window, pad_value, dtype=v.data.dtype)
-    out[window_sl] = v.data[parent_sl]
-    return Volume(data=out, spacing=v.spacing), place
+def _extract(v: Volume, chain: tuple[Placement, ...], pad_value: float) -> Volume:
+    """Copy the last window of ``chain`` out of ``v``, padding where it
+    leaves any grid of the chain; a chain of identities shares the data."""
+    data = _window(v.data, chain, pad_value)
+    if np.may_share_memory(data, v.data) and not all(map(_is_identity, chain)):
+        data = data.copy()  # a part of the input never keeps all of it alive
+    return Volume(data=data, spacing=v.spacing)
 
 
-def standardize(v: Volume, target_shape: tuple[int, int, int] = DEFAULT_STANDARD_SHAPE,
-                pad_value: float = 0.0) -> tuple[Volume, Placement]:
+def standardize(v: Volume | tuple[int, int, int],
+                target_shape: tuple[int, int, int] = DEFAULT_STANDARD_SHAPE,
+                pad_value: float = 0.0):
     """Center pad or crop each axis independently to ``target_shape``.
 
-    The placement offset per axis is the crop start in the source (>= 0) or
+    Returns the standardized Volume and its Placement on ``v``.  The
+    placement offset per axis is the crop start in the source (>= 0) or
     minus the pad amount on the low side (< 0), so
     ``source_index = target_index + offset`` wherever both grids overlap.
     When ``target_shape`` is the input's shape, the result shares the
-    input's read-only data.
+    input's read-only data.  Given a shape in place of a Volume, returns the
+    Placement alone and builds no array.
     """
     target_shape = _as_triple(target_shape, "target_shape")
-    offset = [_center_offset(s, t) for s, t in zip(v.shape, target_shape)]
-    return _extract(v, offset, target_shape, pad_value)
+    shape = v.shape if isinstance(v, Volume) else _as_triple(v, "shape")
+    place = Placement(parent_shape=shape, window_shape=target_shape,
+                      offset=[_center_offset(s, t) for s, t in zip(shape, target_shape)])
+    if not isinstance(v, Volume):
+        return place
+    return _extract(v, (place,), pad_value), place
 
 
-def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS) -> Volume:
+def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS,
+                    through: Placement | None = None) -> Volume:
     """Non-overlapping block mean.  Each axis must divide evenly by its
-    factor; spacing scales up by the factors."""
+    factor; spacing scales up by the factors.
+
+    With ``through``, a placement on ``v`` such as standardize() returns,
+    the grid averaged is that window of ``v``, zero outside ``v``, exactly
+    as if it had been standardized first.
+    """
     factors = _as_triple(factors, "factors")
-    data = v.data
-    for ax, (s, f) in enumerate(zip(data.shape, factors)):
+    place = through if through is not None else Placement(
+        parent_shape=v.shape, offset=(0, 0, 0), window_shape=v.shape)
+    grid = place.window_shape
+    for ax, (s, f) in enumerate(zip(grid, factors)):
         if s % f != 0:
             raise ValueError(f"axis {ax} extent {s} is not divisible by factor {f}")
+    # Only blocks that touch the input are averaged; the others are 0.0, the
+    # mean of zeros.  numpy groups a block's sum differently when a block
+    # count of 1 stands for a larger one (the axis drops out and the summed
+    # axes beside it merge into one loop), so such a range keeps a second
+    # block.
+    _, inside = _overlap(place)
+    lo, hi = [], []
+    for sl, n, f in zip(inside, (s // f for s, f in zip(grid, factors)), factors):
+        b0, b1 = sl.start // f, -(-sl.stop // f)
+        if b1 - b0 == 1 < n:
+            b0, b1 = (b0, b1 + 1) if b1 < n else (b0 - 1, b1)
+        lo.append(b0)
+        hi.append(b1)
     fx, fy, fz = factors
-    sx, sy, sz = (s // f for s, f in zip(data.shape, factors))
+    ky, kz = hi[1] - lo[1], hi[2] - lo[2]
+    out = np.zeros(tuple(s // f for s, f in zip(grid, factors)), dtype=np.float32)
     # averaged in float64 one slab of x-block rows at a time, so no
     # full-grid float64 copy is made
-    out = np.empty((sx, sy, sz), dtype=np.float32)
-    for s in _slabs((sx, fx * data[0].size)):
-        blocks = data[s.start * fx:s.stop * fx].astype(np.float64)
-        out[s] = blocks.reshape(-1, fx, sy, fy, sz, fz).mean(axis=(1, 3, 5))
+    for s in _slabs((hi[0] - lo[0], fx * fy * ky * fz * kz)):
+        x0, x1 = lo[0] + s.start, lo[0] + s.stop
+        slab = Placement(parent_shape=grid,
+                         offset=(x0 * fx, lo[1] * fy, lo[2] * fz),
+                         window_shape=((x1 - x0) * fx, ky * fy, kz * fz))
+        blocks = _window(v.data, (place, slab), 0.0, np.float64).astype(np.float64, copy=False)
+        out[x0:x1, lo[1]:hi[1], lo[2]:hi[2]] = (
+            blocks.reshape(-1, fx, ky, fy, kz, fz).mean(axis=(1, 3, 5)))
     spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
     return Volume(data=out, spacing=spacing)
 
@@ -112,7 +148,8 @@ def expand_bbox(box: BBox, margin: int, bounds: tuple[int, int, int]) -> BBox:
 
 def crop_window(v: Volume, center: tuple[int, int, int],
                 window: tuple[int, int, int] = DEFAULT_FINE_WINDOW,
-                pad_value: float = 0.0) -> tuple[Volume, Placement]:
+                pad_value: float = 0.0,
+                through: Placement | None = None) -> tuple[Volume, Placement]:
     """Extract a fixed-size window around ``center``.
 
     The window start is ``center - window // 2`` clamped so the window stays
@@ -120,12 +157,19 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     parent is taken whole and centered in the output with ``pad_value``
     fill; its offset goes negative, recording the pad, exactly as in
     standardize().
+
+    With ``through``, a placement on ``v`` such as standardize() returns,
+    the parent is that window of ``v``: the window is placed on it and read
+    straight from ``v``, with ``pad_value`` wherever it leaves either grid.
     """
     window = _as_triple(window, "window")
     center = _as_triple(center, "center", positive=False)
+    chain = (through,) if through is not None else ()
+    parent = through.window_shape if through is not None else v.shape
     offset = [min(max(c - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
-              for s, w, c in zip(v.shape, window, center)]
-    return _extract(v, offset, window, pad_value)
+              for s, w, c in zip(parent, window, center)]
+    place = Placement(parent_shape=parent, offset=offset, window_shape=window)
+    return _extract(v, chain + (place,), pad_value), place
 
 
 def _is_identity(place: Placement) -> bool:
@@ -133,42 +177,79 @@ def _is_identity(place: Placement) -> bool:
     return place.window_shape == place.parent_shape and not any(place.offset)
 
 
-def _overlap(place: Placement):
-    """Slices of the parent and of the window covering their common region."""
-    parent_sl = []
-    window_sl = []
-    for s, o, w in zip(place.parent_shape, place.offset, place.window_shape):
-        p0 = max(o, 0)
-        p1 = min(o + w, s)
-        if p1 <= p0:
-            raise ValueError(f"placement window does not overlap parent (offset {place.offset})")
-        parent_sl.append(slice(p0, p1))
-        window_sl.append(slice(p0 - o, p1 - o))
-    return tuple(parent_sl), tuple(window_sl)
+def _overlap(*chain: Placement):
+    """Slices of the first parent (the root) and of the last window (the
+    leaf) covering the leaf voxels that lie inside every grid of the chain.
+    Each placement's window is the next one's parent and must overlap it;
+    the leaf itself may still lie wholly in padding, and then both slices
+    are empty."""
+    for outer, inner in zip(chain, chain[1:]):
+        if outer.window_shape != inner.parent_shape:
+            raise ValueError(f"placement on a {inner.parent_shape} parent cannot follow "
+                             f"a {outer.window_shape} window")
+    for place in chain:
+        if any(o >= s or o + w <= 0 for s, o, w in
+               zip(place.parent_shape, place.offset, place.window_shape)):
+            raise ValueError(
+                f"placement window does not overlap parent (offset {place.offset})")
+    root_sl = []
+    leaf_sl = []
+    for ax in range(3):
+        # leaf voxel i sits at i + shift in each parent, from the leaf's up
+        lo, hi, shift = 0, chain[-1].window_shape[ax], 0
+        for place in reversed(chain):
+            shift += place.offset[ax]
+            lo, hi = max(lo, -shift), min(hi, place.parent_shape[ax] - shift)
+        hi = max(lo, hi)
+        root_sl.append(slice(lo + shift, hi + shift))
+        leaf_sl.append(slice(lo, hi))
+    return tuple(root_sl), tuple(leaf_sl)
 
 
-def stitch(child, place: Placement, fill_value: float = 0.0):
+def _window(data: np.ndarray, chain: tuple[Placement, ...], pad_value: float,
+            dtype=None) -> np.ndarray:
+    """The last window of ``chain`` read from ``data`` (the first parent): a
+    view where it lies inside every grid of the chain, otherwise a new
+    array of ``dtype`` (None: ``data``'s) with ``pad_value`` outside them."""
+    if data.shape != chain[0].parent_shape:
+        raise ValueError(
+            f"array shape {data.shape} does not match placement {chain[0].parent_shape}")
+    root_sl, leaf_sl = _overlap(*chain)
+    shape = chain[-1].window_shape
+    if all(s.stop - s.start == n for s, n in zip(leaf_sl, shape)):
+        return data[root_sl]
+    out = np.full(shape, pad_value, dtype=dtype or data.dtype)
+    out[leaf_sl] = data[root_sl]
+    return out
+
+
+def stitch(child, place: Placement, fill_value: float = 0.0,
+           through: Placement | None = None):
     """Paste window contents back onto a fresh parent-shaped array.
 
     Voxels of the window that fall outside the parent (the padded fringe)
     are dropped; parent voxels not covered by the window get ``fill_value``
-    (background for a LabelMap).  The return type mirrors the input: LabelMap
-    in, LabelMap out; Volume in, Volume out; bare array otherwise.  A
-    LabelMap or Volume through a placement that is the whole parent shares
-    the child's read-only data; a bare array is always copied.
+    (background for a LabelMap).  With ``through``, a placement on some
+    grid whose window is ``place``'s parent, the contents go through both
+    placements straight onto that grid, as two stitches with the same fill
+    would put them.  The return type mirrors the input: LabelMap in,
+    LabelMap out; Volume in, Volume out; bare array otherwise.  A LabelMap
+    or Volume through placements that are each the whole parent shares the
+    child's read-only data; a bare array is always copied.
     """
+    chain = ((through,) if through is not None else ()) + (place,)
     if isinstance(child, (LabelMap, Volume)):
-        if _is_identity(place) and child.shape == place.window_shape:
+        if all(map(_is_identity, chain)) and child.shape == place.window_shape:
             data = child.data
         else:
             fill = 0 if isinstance(child, LabelMap) else fill_value
-            data = stitch(child.data, place, fill)
+            data = stitch(child.data, place, fill, through)
         return type(child)(data=data, spacing=child.spacing)
     child = np.asarray(child)
     if child.shape != place.window_shape:
         raise ValueError(
             f"window shape {child.shape} does not match placement {place.window_shape}")
-    parent_sl, window_sl = _overlap(place)
-    out = np.full(place.parent_shape, fill_value, dtype=child.dtype)
-    out[parent_sl] = child[window_sl]
+    root_sl, leaf_sl = _overlap(*chain)
+    out = np.full(chain[0].parent_shape, fill_value, dtype=child.dtype)
+    out[root_sl] = child[leaf_sl]
     return out

@@ -68,7 +68,11 @@ def _row_tables(bins: np.ndarray, tx: int, kernel: tuple[int, int, int],
         row = np.pad(row, pad, mode="edge")
     tid_yz = ((np.arange(nty * ky, dtype=np.int64) // ky)[:, None] * ntz
               + (np.arange(ntz * kz, dtype=np.int64) // kz)[None, :]) * n_bins
-    hists = np.bincount((tid_yz + row).ravel(), minlength=nty * ntz * n_bins)
+    # the flat (tile, bin) indices are int64, so they are counted one x-slab
+    # of the row at a time
+    hists = np.zeros(nty * ntz * n_bins, dtype=np.int64)
+    for s in _slabs(row.shape):
+        hists += np.bincount((tid_yz + row[s]).ravel(), minlength=hists.size)
     hists = hists.reshape(nty * ntz, n_bins)
 
     # clip every bin to the limit, then spread the excess in one pass: an

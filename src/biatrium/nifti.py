@@ -233,7 +233,10 @@ def _read_raw(path, dtype=None, check=None):
                 raise truncated
             if check is not None:
                 check(chunk)
-            _transpose_into(arr[:, :, z0:z0 + len(chunk)], chunk)
+            # one plain copy, converting and byte-swapping on the way: with
+            # only _CHUNK_Z z-values per run, _transpose_into's blocks are
+            # slower here
+            np.copyto(arr[:, :, z0:z0 + len(chunk)], chunk.T, casting="unsafe")
         # drain to EOF so a gzip container verifies its checksum
         while _fill(f, spare, path):
             pass
@@ -246,8 +249,8 @@ def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
     """``dst[...] = src.T``, one cube of ``_TILE`` per axis at a time.
 
     numpy copies a whole-array transpose with one side strided by a full
-    plane; blocking keeps both sides of each copy in cache.  Any byte swap
-    between the two dtypes happens in the same pass.
+    plane; blocking keeps both sides of each copy in cache.  The writer
+    gains by it; the reader copies in one pass (see ``_read_raw``).
     """
     a, b, c = dst.shape
     t = _TILE

@@ -1,12 +1,14 @@
 """Three-stage segmentation driver with pluggable backends.
 
-A case flows: optional contrast enhancement, center pad/crop to the
-standard grid, block-mean downsample, coarse backend (binary mask), ROI
-box + margin scaled back to the standard grid, fixed-size window crop,
-fine backend (multi-class), then stitching through both placements back to
-the original grid.  Trained networks are deliberately outside the process
-boundary: a backend is either a builtin rule (threshold, copy-file) or an
-external command operating on NIfTI files.
+A case flows: optional contrast enhancement, placement of the standard
+grid on the input (center pad/crop, computed as offsets only), block-mean
+downsample read through that placement, coarse backend (binary mask), ROI
+box + margin scaled back to the standard grid, fixed-size window crop read
+through both placements, fine backend (multi-class), then stitching
+through both placements straight back to the original grid.  Trained
+networks are deliberately outside the process boundary: a backend is
+either a builtin rule (threshold, copy-file) or an external command
+operating on NIfTI files.
 
 Cases are isolated: one failure cannot affect another case's output, and
 the batch driver reports partial success.  All artifacts except the
@@ -371,12 +373,13 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
         with _timed(stages, "enhance"):
             vol = mclahe(vol, cfg.mclahe_params)
 
+    # The standard grid is a placement on the input, never an array: the
+    # coarse and fine inputs are read, and the labels written, through it.
     with _timed(stages, "standardize"):
-        std, to_original = standardize(vol, cfg.standard_shape)
-    del vol  # each full grid is dropped as soon as its last reader is done
+        to_original = standardize(vol.shape, cfg.standard_shape)
 
     with _timed(stages, "downsample"):
-        coarse_in = downsample_mean(std, cfg.coarse_factors)
+        coarse_in = downsample_mean(vol, cfg.coarse_factors, through=to_original)
 
     with _timed(stages, "coarse_backend"):
         coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, classes=BINARY_CLASS_MAP)
@@ -391,14 +394,14 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
             center = tuple(s // 2 for s in cfg.standard_shape)
 
     with _timed(stages, "crop"):
-        fine_in, to_standard = crop_window(std, center, cfg.fine_window)
-    del std
+        fine_in, to_standard = crop_window(vol, center, cfg.fine_window, through=to_original)
+    del vol  # the input is dropped as soon as its last reader is done
 
     with _timed(stages, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, classes=cfg.class_map)
 
     with _timed(stages, "stitch"):
-        full_labels = stitch(stitch(fine_labels, to_standard), to_original)
+        full_labels = stitch(fine_labels, to_standard, through=to_original)
 
     with _timed(stages, "write"):
         mask_path = case_dir / "mask.nii.gz"

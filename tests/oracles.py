@@ -5,8 +5,8 @@ distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
 The exceptions are earlier, simpler versions of rewritten routines
 (``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``,
-``gzipfile_bytes``, ``whole_grid_downsample_mean``, ``whole_grid_generate``),
-kept so that tests can require the rewrite to give the same results bit for
+``gzipfile_bytes``, ``whole_grid_downsample_mean``, ``whole_grid_generate``,
+``two_step_chain``), kept so that tests can require the rewrite to give the same results bit for
 bit.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from biatrium.core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple
+from biatrium.core import DEFAULT_CLASS_MAP, LabelMap, Placement, Volume, _as_triple
 from biatrium.metrics import (MetricRow, confusion_counts, dice, hd95, region_points,
                               surface_points)
 
@@ -59,6 +59,87 @@ def whole_grid_downsample_mean(v, factors=(4, 4, 1)):
     spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
     return Volume(data=out.astype(np.float32), spacing=spacing)
 
+
+
+# -- the standard grid as an array: the geometry chain in two steps ----------
+
+def _center_offset(src: int, dst: int) -> int:
+    return (src - dst) // 2 if src >= dst else -((dst - src) // 2)
+
+
+def _array_extract(v: Volume, offset, window, pad_value: float):
+    place = Placement(parent_shape=v.shape, offset=offset, window_shape=window)
+    if _array_is_identity(place):
+        return Volume(data=v.data, spacing=v.spacing), place
+    parent_sl, window_sl = _array_overlap(place)
+    out = np.full(window, pad_value, dtype=v.data.dtype)
+    out[window_sl] = v.data[parent_sl]
+    return Volume(data=out, spacing=v.spacing), place
+
+
+def array_standardize(v: Volume, target_shape, pad_value: float = 0.0):
+    """``biatrium.geometry.standardize`` building the standard grid as an array."""
+    target_shape = _as_triple(target_shape, "target_shape")
+    offset = [_center_offset(s, t) for s, t in zip(v.shape, target_shape)]
+    return _array_extract(v, offset, target_shape, pad_value)
+
+
+def array_crop_window(v: Volume, center, window, pad_value: float = 0.0):
+    """``biatrium.geometry.crop_window`` on a grid that exists as an array."""
+    window = _as_triple(window, "window")
+    center = _as_triple(center, "center", positive=False)
+    offset = [min(max(c - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
+              for s, w, c in zip(v.shape, window, center)]
+    return _array_extract(v, offset, window, pad_value)
+
+
+def _array_is_identity(place: Placement) -> bool:
+    return place.window_shape == place.parent_shape and not any(place.offset)
+
+
+def _array_overlap(place: Placement):
+    parent_sl = []
+    window_sl = []
+    for s, o, w in zip(place.parent_shape, place.offset, place.window_shape):
+        p0 = max(o, 0)
+        p1 = min(o + w, s)
+        if p1 <= p0:
+            raise ValueError(f"placement window does not overlap parent (offset {place.offset})")
+        parent_sl.append(slice(p0, p1))
+        window_sl.append(slice(p0 - o, p1 - o))
+    return tuple(parent_sl), tuple(window_sl)
+
+
+def array_stitch(child, place: Placement, fill_value: float = 0.0):
+    """``biatrium.geometry.stitch`` through one placement."""
+    if isinstance(child, (LabelMap, Volume)):
+        if _array_is_identity(place) and child.shape == place.window_shape:
+            data = child.data
+        else:
+            fill = 0 if isinstance(child, LabelMap) else fill_value
+            data = array_stitch(child.data, place, fill)
+        return type(child)(data=data, spacing=child.spacing)
+    child = np.asarray(child)
+    if child.shape != place.window_shape:
+        raise ValueError(
+            f"window shape {child.shape} does not match placement {place.window_shape}")
+    parent_sl, window_sl = _array_overlap(place)
+    out = np.full(place.parent_shape, fill_value, dtype=child.dtype)
+    out[parent_sl] = child[window_sl]
+    return out
+
+
+def two_step_chain(v: Volume, standard_shape, factors, center, window, fine):
+    """The pipeline's geometry with the standard grid built as an array:
+    standardize, downsample, crop, then stitch the labels ``fine(fine_in)``
+    back through the window and the standard placement one at a time.
+    Returns (coarse_in, fine_in, labels on v's grid, to_original,
+    to_standard)."""
+    std, to_original = array_standardize(v, standard_shape)
+    coarse_in = whole_grid_downsample_mean(std, factors)
+    fine_in, to_standard = array_crop_window(std, center, window)
+    labels = array_stitch(array_stitch(fine(fine_in), to_standard), to_original)
+    return coarse_in, fine_in, labels, to_original, to_standard
 
 def _inside(shape, spacing, e, grow_mm: float = 0.0) -> np.ndarray:
     axes = []

@@ -7,6 +7,7 @@ from biatrium import (
     BBox,
     EmptyMaskError,
     LabelMap,
+    Placement,
     Volume,
     bbox_from_mask,
     crop_window,
@@ -18,7 +19,7 @@ from biatrium import (
 from biatrium.geometry import _overlap
 
 from conftest import traced_peak
-from oracles import whole_grid_downsample_mean
+from oracles import two_step_chain, whole_grid_downsample_mean
 
 
 def _vol(arr, spacing=(1.0, 1.0, 1.0)):
@@ -328,7 +329,6 @@ def test_stitch_shape_mismatch():
 
 
 def test_overlap_rejects_disjoint_placement():
-    from biatrium import Placement
     p = Placement(parent_shape=(4, 4, 4), offset=(10, 0, 0), window_shape=(2, 2, 2))
     with pytest.raises(ValueError, match="overlap"):
         _overlap(p)
@@ -388,3 +388,101 @@ def test_crop_stitch_roundtrip_property(shape, window, center):
     win2, _ = crop_window(Volume(data=np.where(surviving, v.data, -1).astype(np.float32),
                                  spacing=v.spacing), center, window, pad_value=-1)
     assert np.array_equal(win2.data, win.data)
+
+
+# -- the standard grid as a placement ---------------------------------------
+
+def _placement_chain(v, standard_shape, factors, center, window, fine):
+    """The pipeline's geometry: the standard grid is a placement only."""
+    to_original = standardize(v.shape, standard_shape)
+    coarse_in = downsample_mean(v, factors, through=to_original)
+    fine_in, to_standard = crop_window(v, center, window, through=to_original)
+    labels = stitch(fine(fine_in), to_standard, through=to_original)
+    return coarse_in, fine_in, labels, to_original, to_standard
+
+
+def _fine_labels(fine_in):
+    """Nonzero labels on every voxel of the window, its padding included, so
+    a voxel pasted where it does not belong shows."""
+    codes = np.indices(fine_in.shape).sum(axis=0) + (fine_in.data > 0.5)
+    return LabelMap(data=(1 + codes % 3).astype(np.uint8), spacing=fine_in.spacing)
+
+
+def _assert_chains_equal(v, standard_shape, factors, center, window):
+    got = _placement_chain(v, standard_shape, factors, center, window, _fine_labels)
+    ref = two_step_chain(v, standard_shape, factors, center, window, _fine_labels)
+    for g, r in zip(got[:3], ref[:3]):
+        assert type(g) is type(r) and g.spacing == r.spacing
+        assert g.data.dtype == r.data.dtype and np.array_equal(g.data, r.data)
+    assert got[3:] == ref[3:]
+
+
+def _cancelling(rng, shape):
+    """Values in [0, 1), half of them replaced by +-1e16: where the large
+    values of a block cancel, summing it in another order keeps other parts
+    of the small ones, which shows even after rounding to float32."""
+    big = rng.choice([-1e16, 1e16], size=shape)
+    return _vol(np.where(rng.random(shape) < 0.5, big, rng.random(shape)))
+
+
+@pytest.mark.parametrize("shape, standard, factors, window", [
+    ((20, 18, 10), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # smaller on every axis
+    ((40, 37, 21), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # larger on every axis
+    ((40, 12, 16), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # mixed
+    ((25, 19, 9), (32, 32, 16), (4, 4, 2), (15, 17, 7)),     # odd differences
+    ((26, 22, 13), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # pads 3, 5, 1
+    ((32, 32, 16), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # identity
+    ((32, 32, 16), (32, 32, 16), (4, 4, 2), (32, 32, 16)),   # identity window too
+    ((48, 20, 16), (32, 32, 16), (4, 4, 2), (40, 16, 8)),    # window wider than both
+    ((6, 6, 4), (32, 32, 16), (4, 4, 2), (8, 8, 4)),         # window can miss the input
+    ((16, 16, 1), (16, 16, 3), (4, 4, 1), (8, 8, 2)),        # one z-block of input
+])
+def test_placement_chain_equals_two_step_chain(rng, shape, standard, factors, window):
+    """Reading the input through the standard placement gives the coarse
+    input, the fine input and the stitched labels of the two-step chain
+    bit for bit."""
+    centers = [(0, 0, 0), tuple(s - 1 for s in standard), tuple(s // 2 for s in standard)]
+    centers += [tuple(int(rng.integers(0, s)) for s in standard) for _ in range(4)]
+    for center in centers:
+        _assert_chains_equal(_vol(rng.random(shape) + 0.25), standard, factors, center, window)
+        _assert_chains_equal(_cancelling(rng, shape), standard, factors, center, window)
+
+
+def test_placement_chain_equals_two_step_chain_random(rng):
+    for _ in range(150):
+        factors = tuple(int(f) for f in rng.integers(1, 5, size=3))
+        standard = tuple(int(n) * f for n, f in zip(rng.integers(1, 9, size=3), factors))
+        shape = tuple(int(rng.integers(1, 2 * s + 4)) for s in standard)
+        window = tuple(int(rng.integers(1, s + 8)) for s in standard)
+        center = tuple(int(rng.integers(0, s)) for s in standard)
+        _assert_chains_equal(_cancelling(rng, shape), standard, factors, center, window)
+
+
+def test_placement_chain_equals_two_step_chain_batch_small(rng):
+    """The batch_small shape on the default standard grid, window and factors."""
+    v = _vol(rng.random((192, 192, 48), dtype=np.float32))
+    for center in ((288, 288, 24), (200, 360, 24), (575, 0, 47)):
+        _assert_chains_equal(v, (576, 576, 48), (4, 4, 1), center, (256, 256, 48))
+
+
+def test_placement_chain_reads_the_input_without_a_grid_copy(rng):
+    """Standardizing to a shape builds no array; downsampling through a
+    padding placement holds the coarse output and slab-sized temporaries."""
+    v = _vol(rng.random((192, 192, 48), dtype=np.float32))
+    place = standardize(v.shape, (576, 576, 48))
+    assert place == standardize(v, (576, 576, 48))[1]
+    assert traced_peak(standardize, v.shape, (576, 576, 48)) < 10_000
+    coarse_bytes = 144 * 144 * 48 * 4
+    assert traced_peak(downsample_mean, v, (4, 4, 1), place) < coarse_bytes + 0.25 * v.data.nbytes
+
+
+def test_placement_chain_rejects_mismatched_links(rng):
+    v = _vol(rng.random((8, 8, 8), dtype=np.float32))
+    place = standardize((6, 6, 6), (8, 8, 8))
+    with pytest.raises(ValueError, match="does not match"):
+        downsample_mean(v, (2, 2, 2), through=place)
+    with pytest.raises(ValueError, match="does not match"):
+        crop_window(v, (3, 3, 3), (6, 6, 6), through=standardize((6, 6, 6), (6, 6, 6)))
+    _, window = crop_window(v, (4, 4, 4), (4, 4, 4))
+    with pytest.raises(ValueError, match="cannot follow"):
+        stitch(np.zeros((4, 4, 4)), window, through=standardize((8, 8, 8), (6, 6, 6)))

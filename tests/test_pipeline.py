@@ -836,6 +836,31 @@ def test_case_working_set_without_mclahe_is_bounded(tmp_path):
     assert traced_peak(case) <= 1.75 * vol.data.nbytes
 
 
+def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):
+    """The standard grid is a placement, not an array: a 192x192x48 case on
+    the default 576x576x48 grid, without MCLAHE or ground truth, traces
+    less than one float32 standard grid (a copy of the grid alone is
+    63.7 MB)."""
+    vol, _ = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
+    assert vol.shape == (192, 192, 48)
+    write_volume(vol, tmp_path / "image.nii")
+    cfg = config_from_dict({
+        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii")}],
+        "output_dir": str(tmp_path / "out"),
+        "mclahe": None,
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+    })
+    assert cfg.standard_shape == (576, 576, 48)
+
+    def case():
+        result = run_case(cfg, cfg.cases[0])
+        assert result.ok and not result.flags, result.error
+
+    case()  # the first run also pays one-off costs such as lazy imports
+    assert traced_peak(case) < 576 * 576 * 48 * 4
+
+
 def test_bench_tracer_wraps_names_that_exist(monkeypatch):
     """The benchmark's tracer (bench/spans.py) wraps public names of
     biatrium.pipeline and biatrium.metrics by name: a rename breaks the
