@@ -7,10 +7,12 @@ with stitch().
 
 Placements chain: the standard grid is a window on the input and the fine
 window a window on the standard grid.  ``downsample_mean``, ``crop_window``
-and ``stitch`` take the standard placement as ``through`` and read or write
-the input directly, so the standard grid never exists as an array; a voxel
-of the chain's last window maps to the input only where it lies inside
-every grid of the chain, and is padding elsewhere.
+and ``stitch`` take the standard placement as ``through`` and read the
+input (stitch: the window) through the chain, so the standard grid never
+exists as an array.  One read, ``_window``, builds every result: a voxel
+maps to the source only where it lies inside every grid of the chain, and
+is padding elsewhere; a window that is all of its source, in the source's
+dtype, is the source's read-only data itself, and any other is a new array.
 """
 from __future__ import annotations
 
@@ -42,15 +44,6 @@ def _center_offset(src: int, dst: int) -> int:
     return (src - dst) // 2 if src >= dst else -((dst - src) // 2)
 
 
-def _extract(v: Volume, chain: tuple[Placement, ...], pad_value: float) -> Volume:
-    """Copy the last window of ``chain`` out of ``v``, padding where it
-    leaves any grid of the chain; a chain of identities shares the data."""
-    data = _window(v.data, chain, pad_value)
-    if np.may_share_memory(data, v.data) and not all(map(_is_identity, chain)):
-        data = data.copy()  # a part of the input never keeps all of it alive
-    return Volume(data=data, spacing=v.spacing)
-
-
 def standardize(v: Volume | tuple[int, int, int],
                 target_shape: tuple[int, int, int] = DEFAULT_STANDARD_SHAPE,
                 pad_value: float = 0.0):
@@ -70,7 +63,7 @@ def standardize(v: Volume | tuple[int, int, int],
                       offset=[_center_offset(s, t) for s, t in zip(shape, target_shape)])
     if not isinstance(v, Volume):
         return place
-    return _extract(v, (place,), pad_value), place
+    return Volume(data=_window(v.data, (place,), pad_value), spacing=v.spacing), place
 
 
 def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS,
@@ -112,7 +105,7 @@ def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPL
         slab = Placement(parent_shape=grid,
                          offset=(x0 * fx, lo[1] * fy, lo[2] * fz),
                          window_shape=((x1 - x0) * fx, ky * fy, kz * fz))
-        blocks = _window(v.data, (place, slab), 0.0, np.float64).astype(np.float64, copy=False)
+        blocks = _window(v.data, (place, slab), 0.0, np.float64)
         out[x0:x1, lo[1]:hi[1], lo[2]:hi[2]] = (
             blocks.reshape(-1, fx, ky, fy, kz, fz).mean(axis=(1, 3, 5)))
     spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
@@ -169,12 +162,7 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     offset = [min(max(c - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
               for s, w, c in zip(parent, window, center)]
     place = Placement(parent_shape=parent, offset=offset, window_shape=window)
-    return _extract(v, chain + (place,), pad_value), place
-
-
-def _is_identity(place: Placement) -> bool:
-    """Whether the window is the whole parent, voxel for voxel."""
-    return place.window_shape == place.parent_shape and not any(place.offset)
+    return Volume(data=_window(v.data, chain + (place,), pad_value), spacing=v.spacing), place
 
 
 def _overlap(*chain: Placement):
@@ -208,48 +196,47 @@ def _overlap(*chain: Placement):
 
 def _window(data: np.ndarray, chain: tuple[Placement, ...], pad_value: float,
             dtype=None) -> np.ndarray:
-    """The last window of ``chain`` read from ``data`` (the first parent): a
-    view where it lies inside every grid of the chain, otherwise a new
-    array of ``dtype`` (None: ``data``'s) with ``pad_value`` outside them."""
+    """The last window of ``chain`` read from ``data`` (the first parent) as
+    ``dtype`` (None: ``data``'s), ``pad_value`` where it leaves a grid of the
+    chain.  The module's one copy rule: ``data`` itself if the window is all
+    of it in its dtype, otherwise a new array."""
     if data.shape != chain[0].parent_shape:
         raise ValueError(
             f"array shape {data.shape} does not match placement {chain[0].parent_shape}")
     root_sl, leaf_sl = _overlap(*chain)
     shape = chain[-1].window_shape
-    if all(s.stop - s.start == n for s, n in zip(leaf_sl, shape)):
-        return data[root_sl]
-    out = np.full(shape, pad_value, dtype=dtype or data.dtype)
-    out[leaf_sl] = data[root_sl]
+    dtype = data.dtype if dtype is None else np.dtype(dtype)
+    part = data[root_sl]
+    if part.shape == shape:
+        if shape == data.shape and dtype == data.dtype:
+            return data
+        return part.astype(dtype, order="C")
+    out = np.full(shape, pad_value, dtype=dtype)
+    out[leaf_sl] = part
     return out
 
 
 def stitch(child, place: Placement, fill_value: float = 0.0,
            through: Placement | None = None):
-    """Paste window contents back onto a fresh parent-shaped array.
+    """Paste window contents back onto a parent-shaped array.
 
     Voxels of the window that fall outside the parent (the padded fringe)
     are dropped; parent voxels not covered by the window get ``fill_value``
     (background for a LabelMap).  With ``through``, a placement on some
     grid whose window is ``place``'s parent, the contents go through both
     placements straight onto that grid, as two stitches with the same fill
-    would put them.  The return type mirrors the input: LabelMap in,
-    LabelMap out; Volume in, Volume out; bare array otherwise.  A LabelMap
-    or Volume through placements that are each the whole parent shares the
-    child's read-only data; a bare array is always copied.
+    would put them.  The parent is read as a window on the child through
+    the inverted chain, under _window's copy rule.  The return type mirrors
+    the input: LabelMap in, LabelMap out; Volume in, Volume out; bare array
+    otherwise, which is always a new array.
     """
     chain = ((through,) if through is not None else ()) + (place,)
+    _overlap(*chain)  # names a mismatched link in the caller's order
+    inverse = tuple(Placement(parent_shape=p.window_shape, offset=[-o for o in p.offset],
+                              window_shape=p.parent_shape) for p in reversed(chain))
     if isinstance(child, (LabelMap, Volume)):
-        if all(map(_is_identity, chain)) and child.shape == place.window_shape:
-            data = child.data
-        else:
-            fill = 0 if isinstance(child, LabelMap) else fill_value
-            data = stitch(child.data, place, fill, through)
-        return type(child)(data=data, spacing=child.spacing)
+        fill = 0 if isinstance(child, LabelMap) else fill_value
+        return type(child)(data=_window(child.data, inverse, fill), spacing=child.spacing)
     child = np.asarray(child)
-    if child.shape != place.window_shape:
-        raise ValueError(
-            f"window shape {child.shape} does not match placement {place.window_shape}")
-    root_sl, leaf_sl = _overlap(*chain)
-    out = np.full(chain[0].parent_shape, fill_value, dtype=child.dtype)
-    out[root_sl] = child[leaf_sl]
-    return out
+    out = _window(child, inverse, fill_value)
+    return out.copy() if out is child else out

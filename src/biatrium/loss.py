@@ -43,7 +43,8 @@ class AsymLossParams:
         for name in ("gamma_pos", "gamma_neg"):
             _check_number(getattr(self, name), f"focusing exponents: {name}", ge=0)
         _check_number(self.margin, "margin", ge=0, lt=1)
-        _check_number(self.eps, "eps", gt=0)
+        # 1 - eps must round below 1, or the clamp lets p reach the gradient's pole
+        _check_number(self.eps, "eps", gt=2.0 ** -54)
 
 
 def _kernel(y, p, params: AsymLossParams):
@@ -71,15 +72,11 @@ def asym_loss_grad(y: int, p: float, params: AsymLossParams | None = None) -> fl
     p = float(np.clip(p, params.eps, 1.0 - params.eps))
     if yi == 1:
         gp = params.gamma_pos
-        if gp == 0:
-            return -1.0 / p
         return float(gp * (1.0 - p) ** (gp - 1.0) * np.log(p) - (1.0 - p) ** gp / p)
     q = p - params.margin
     if q <= 0:
         return 0.0
     gn = params.gamma_neg
-    if gn == 0:
-        return float(1.0 / (1.0 - q))
     return float(-gn * q ** (gn - 1.0) * np.log1p(-q) + q ** gn / (1.0 - q))
 
 

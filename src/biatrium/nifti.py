@@ -31,8 +31,8 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .core import (LabelMap, NiftiFormatError, Placement, Volume, _as_json, _atomic_open,
-                   _read_json, _slabs, _write_json, check_label_codes, from_json)
+from .core import (LabelMap, NiftiFormatError, Placement, Volume, _as_json, _as_triple,
+                   _atomic_open, _read_json, _slabs, _write_json, check_label_codes, from_json)
 
 __all__ = [
     "read_volume",
@@ -52,6 +52,11 @@ GZIP_MAGIC = b"\x1f\x8b"
 # datatype code -> numpy dtype (byte order applied at parse time)
 DTYPE_CODES = {2: np.uint8, 4: np.int16, 16: np.float32}
 _CODE_FOR_DTYPE = {np.dtype(v): k for k, v in DTYPE_CODES.items()}
+
+# What the int16 dim and float32 pixdim header fields hold, as Python numbers
+_MAX_DIM = int(np.iinfo(np.int16).max)
+_MIN_SPACING = float(np.finfo(np.float32).smallest_subnormal)
+_MAX_SPACING = float(np.finfo(np.float32).max)
 
 # Raw byte span of the qform/sform block (codes, quaternion, srows).
 _ORIENT_SPAN = slice(252, 328)
@@ -339,12 +344,18 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     gzip-compressed when ``path`` ends in ``.gz``.
 
     The file appears at ``path`` only once it is complete; a failed write
-    leaves a previous file there untouched."""
+    leaves a previous file there untouched.  What read_nifti would refuse
+    raises ValueError before any file is opened."""
     arr = np.asarray(arr)
     if arr.ndim != 3:
         raise ValueError(f"expected 3D array, got {arr.ndim}D")
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise ValueError(f"unsupported dtype {arr.dtype}; use uint8, int16 or float32")
+    if not all(1 <= n <= _MAX_DIM for n in arr.shape):
+        raise ValueError(f"array shape {arr.shape} needs every dimension in 1..{_MAX_DIM}")
+    spacing = _as_triple(spacing, "spacing", float)
+    if not all(_MIN_SPACING <= s <= _MAX_SPACING for s in spacing):
+        raise ValueError(f"spacing {spacing} is not positive and finite as float32")
 
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE

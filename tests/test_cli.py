@@ -416,6 +416,22 @@ def test_stitch_rejects_bad_placement_sidecar(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_stitch_onto_a_parent_too_large_for_the_header_exits_1(tmp_path, capsys):
+    """A parent extent past the int16 header field is an error, not a
+    traceback, and nothing is written."""
+    child = tmp_path / "win.nii.gz"
+    write_nifti(child, np.ones((8, 1, 1), dtype=np.uint8), (1.0, 1.0, 2.0))
+    place_path = tmp_path / "place.json"
+    place_path.write_text(json.dumps(
+        {"parent_shape": [40000, 1, 1], "offset": [0, 0, 0], "window_shape": [8, 1, 1]}))
+    out = tmp_path / "full.nii.gz"
+    rc = main(["stitch", str(child), str(out), "--placement", str(place_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "40000" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["place.json", "win.nii.gz"]
+
+
 def test_outputs_keep_the_orientation_block(files, tmp_path):
     """The enhanced image and the mask lie on the input's grid, so both
     carry its qform/sform block."""

@@ -334,6 +334,59 @@ def test_overlap_rejects_disjoint_placement():
         _overlap(p)
 
 
+# -- one copy rule ------------------------------------------------------------
+
+_SHAPE = (8, 6, 4)
+_PADDED = standardize(_SHAPE, (12, 10, 8))  # 2 voxels of padding on every side
+# name: (placement chain from the first grid to the last, whether the two
+# grids coincide voxel for voxel)
+_CHAINS = {
+    "whole": ((Placement(parent_shape=_SHAPE, offset=(0, 0, 0), window_shape=_SHAPE),), True),
+    "pad_then_crop_back": ((_PADDED, Placement(parent_shape=(12, 10, 8), offset=(2, 2, 2),
+                                               window_shape=_SHAPE)), True),
+    "strict_part": ((Placement(parent_shape=_SHAPE, offset=(1, 1, 1),
+                               window_shape=(6, 4, 2)),), False),
+    "padded_every_side": ((_PADDED,), False),
+}
+_READS = ([("standardize", "volume", c) for c in ("whole", "strict_part", "padded_every_side")]
+          + [("crop_window", "volume", c) for c in _CHAINS]
+          + [("stitch", k, c) for k in ("labelmap", "volume", "array") for c in _CHAINS])
+
+
+def _read_through(op, kind, chain):
+    """(result data, source data) of ``op`` along ``chain``: standardize and
+    crop_window read its last grid out of its first, stitch the reverse."""
+    through = chain[0] if len(chain) == 2 else None
+    if op == "stitch":
+        shape = chain[-1].window_shape
+        data = np.arange(np.prod(shape)).reshape(shape)
+        src = {"labelmap": LabelMap(data=(data % 4).astype(np.uint8), spacing=(1, 1, 1)),
+               "volume": _vol(data), "array": data.astype(np.float32)}[kind]
+        out = stitch(src, chain[-1], through=through)
+    else:
+        src, window = _index_volume(chain[0].parent_shape), chain[-1]
+        if op == "standardize":
+            out, place = standardize(src, window.window_shape)
+        else:
+            center = tuple(o + n // 2 for o, n in zip(window.offset, window.window_shape))
+            out, place = crop_window(src, center, window.window_shape, through=through)
+        assert place == window
+    return tuple(x if isinstance(x, np.ndarray) else x.data for x in (out, src))
+
+
+@pytest.mark.parametrize("op, kind, chain", _READS)
+def test_result_shares_the_source_only_when_it_is_all_of_it(op, kind, chain):
+    """A LabelMap or Volume result shares the source's read-only data
+    exactly when the chain puts one grid on the whole other, also when no
+    single link does (pad, then crop back); a strict part or a window padded
+    on every side is a new array, and a bare array result always is."""
+    links, whole = _CHAINS[chain]
+    out, src = _read_through(op, kind, links)
+    assert np.shares_memory(out, src) == (whole and kind != "array")
+    if whole:
+        assert np.array_equal(out, src)
+
+
 # -- composition round trips ------------------------------------------------
 
 def test_standardize_then_stitch_index_tracking(rng):

@@ -36,7 +36,7 @@ def test_params_validation():
         with pytest.raises(ValueError):
             AsymLossParams(**bad)
     for bad in ({"gamma_pos": True}, {"gamma_neg": True}, {"margin": True}, {"eps": True},
-                {"eps": math.inf}, {"margin": "0.05"}):
+                {"eps": math.inf}, {"eps": 2.0 ** -54}, {"margin": "0.05"}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             AsymLossParams(**bad)
 
@@ -140,6 +140,13 @@ def test_grad_hand_values():
     assert asym_loss_grad(1, 0.25, params) == -4.0
     # y=0, g-=0, m=0: d/dp[-log(1-p)] = 1/(1-p)
     assert asym_loss_grad(0, 0.75, params) == 4.0
+    # at the clamp bounds, down to the smallest eps that keeps 1 - eps below 1
+    for eps in (1e-7, 2.0 ** -53):
+        params = AsymLossParams(gamma_pos=0.0, gamma_neg=0.0, margin=0.0, eps=eps)
+        assert asym_loss_grad(1, 0.0, params) == -1.0 / eps
+        assert asym_loss_grad(1, 1.0, params) == -1.0 / (1.0 - eps)
+        assert asym_loss_grad(0, 0.0, params) == 1.0 / (1.0 - eps)
+        assert asym_loss_grad(0, 1.0, params) == 1.0 / (1.0 - (1.0 - eps))
 
 
 def test_grad_zero_below_margin():

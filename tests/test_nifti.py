@@ -611,6 +611,33 @@ def test_write_rejects_unsupported_dtype(tmp_path):
         write_nifti(tmp_path / "x.nii", np.zeros((2, 2, 2), dtype=np.float64), (1, 1, 1))
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("shape, spacing, match", [
+    ((2, 2, 2), (0, 1, 1), "spacing"),
+    ((2, 2, 2), (float("nan"), 1, 1), "spacing"),
+    ((2, 2, 2), (-1, 1, 1), "spacing"),
+    ((2, 2, 2), (1e-50, 1, 1), "spacing"),   # 0 as float32
+    ((2, 2, 2), (1e39, 1, 1), "spacing"),    # inf as float32
+    ((0, 2, 2), (1, 1, 1), r"\(0, 2, 2\)"),
+    ((32768, 1, 1), (1, 1, 1), r"\(32768, 1, 1\)"),  # past the int16 dim field
+])
+def test_write_refuses_what_the_reader_refuses(tmp_path, suffix, shape, spacing, match):
+    """Header values read_nifti would reject raise ValueError, and neither
+    the file nor a temporary file is left behind."""
+    with pytest.raises(ValueError, match=match):
+        write_nifti(tmp_path / f"x{suffix}", np.zeros(shape, dtype=np.uint8), spacing)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_accepts_the_header_limits(tmp_path):
+    limits = np.finfo(np.float32)
+    spacing = (float(limits.max), float(limits.smallest_subnormal), 1.0)
+    path = tmp_path / "x.nii"
+    write_nifti(path, np.ones((32767, 1, 1), dtype=np.uint8), spacing)
+    arr, got, _ = read_nifti(path)
+    assert arr.shape == (32767, 1, 1) and got == spacing
+
+
 def test_corrupt_gzip_rejected(tmp_path, rng):
     p = tmp_path / "x.nii.gz"
     write_nifti(p, _random_array(rng, np.uint8), SPACING)

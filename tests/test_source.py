@@ -1,0 +1,53 @@
+"""Checks on the package source itself, run in place of a linter."""
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "biatrium"
+
+
+def _defined(stmt) -> list[str]:
+    """Names a module-level function, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced(stmt) -> set[str]:
+    """Names a statement reads: as a name, as an attribute or in an import."""
+    names = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def unused_module_names(root=SRC) -> list[str]:
+    """``module.name`` of every module-level function, class or assignment
+    in ``root/*.py`` (dunders aside) that no other statement there reads."""
+    stmts = [(p.stem, s) for p in sorted(root.glob("*.py"))
+             for s in ast.parse(p.read_text(), str(p)).body]
+    refs = [_referenced(s) for _, s in stmts]
+    return [f"{module}.{name}"
+            for i, (module, stmt) in enumerate(stmts) for name in _defined(stmt)
+            if not (name.startswith("__") and name.endswith("__"))
+            and not any(name in r for j, r in enumerate(refs) if j != i)]
+
+
+def test_every_module_level_name_is_used():
+    assert unused_module_names() == []
+
+
+def test_unused_name_scan_finds_a_leftover(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import used\n"
+        "X = 1\n"
+        "__version__ = '1'\n"
+        "def leftover(n):\n    return leftover(n - 1) if n else used(X)\n")
+    (tmp_path / "b.py").write_text("def used(x):\n    return x\n")
+    assert unused_module_names(tmp_path) == ["a.leftover"]
