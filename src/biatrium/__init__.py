@@ -42,7 +42,6 @@ from .metrics import (
     hausdorff,
     hd95,
     read_report_csv,
-    region_points,
     surface_points,
     write_report_csv,
 )

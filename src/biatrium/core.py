@@ -3,6 +3,7 @@
 Volumes and label maps are axis-aligned 3D grids indexed (x, y, z) with a
 physical spacing in mm per axis.  Placements record how a child grid (a
 padded or cropped window) maps back into its parent grid.
+Public constructors check their input; ``_derived`` builds results from checked values.
 """
 from __future__ import annotations
 
@@ -204,6 +205,14 @@ def _write_json(doc, path) -> None:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _derived(cls, **fields):
+    """``cls`` of checked ``fields``, arrays made read-only, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,12 +13,15 @@ exists as an array.  One read, ``_window``, builds every result: a voxel
 maps to the source only where it lies inside every grid of the chain, and
 is padding elsewhere; a window that is all of its source, in the source's
 dtype, is the source's read-only data itself, and any other is a new array.
+Results are derived (``core._derived``), not checked again: the only outside
+value that enters a window, a pad or fill value, must be finite as float32.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple, _slabs
+from .core import (BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple,
+                   _check_number, _derived, _slabs)
 
 __all__ = [
     "DEFAULT_STANDARD_SHAPE",
@@ -35,6 +38,7 @@ __all__ = [
 DEFAULT_STANDARD_SHAPE = (576, 576, 48)
 DEFAULT_DOWNSAMPLE_FACTORS = (4, 4, 1)
 DEFAULT_FINE_WINDOW = (256, 256, 48)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _center_offset(src: int, dst: int) -> int:
@@ -57,13 +61,14 @@ def standardize(v: Volume | tuple[int, int, int],
     input's read-only data.  Given a shape in place of a Volume, returns the
     Placement alone and builds no array.
     """
+    _check_number(pad_value, "pad_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
     target_shape = _as_triple(target_shape, "target_shape")
     shape = v.shape if isinstance(v, Volume) else _as_triple(v, "shape")
     place = Placement(parent_shape=shape, window_shape=target_shape,
                       offset=[_center_offset(s, t) for s, t in zip(shape, target_shape)])
     if not isinstance(v, Volume):
         return place
-    return Volume(data=_window(v.data, (place,), pad_value), spacing=v.spacing), place
+    return _derived(Volume, data=_window(v.data, (place,), pad_value), spacing=v.spacing), place
 
 
 def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPLE_FACTORS,
@@ -76,8 +81,7 @@ def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPL
     as if it had been standardized first.
     """
     factors = _as_triple(factors, "factors")
-    place = through if through is not None else Placement(
-        parent_shape=v.shape, offset=(0, 0, 0), window_shape=v.shape)
+    place = through if through is not None else standardize(v.shape, v.shape)
     grid = place.window_shape
     for ax, (s, f) in enumerate(zip(grid, factors)):
         if s % f != 0:
@@ -102,14 +106,14 @@ def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPL
     # full-grid float64 copy is made
     for s in _slabs((hi[0] - lo[0], fx * fy * ky * fz * kz)):
         x0, x1 = lo[0] + s.start, lo[0] + s.stop
-        slab = Placement(parent_shape=grid,
-                         offset=(x0 * fx, lo[1] * fy, lo[2] * fz),
-                         window_shape=((x1 - x0) * fx, ky * fy, kz * fz))
+        slab = _derived(Placement, parent_shape=grid,
+                        offset=(x0 * fx, lo[1] * fy, lo[2] * fz),
+                        window_shape=((x1 - x0) * fx, ky * fy, kz * fz))
         blocks = _window(v.data, (place, slab), 0.0, np.float64)
         out[x0:x1, lo[1]:hi[1], lo[2]:hi[2]] = (
             blocks.reshape(-1, fx, ky, fy, kz, fz).mean(axis=(1, 3, 5)))
-    spacing = tuple(sp * f for sp, f in zip(v.spacing, factors))
-    return Volume(data=out, spacing=spacing)
+    spacing = _as_triple([sp * f for sp, f in zip(v.spacing, factors)], "spacing", float)
+    return _derived(Volume, data=out, spacing=spacing)
 
 
 def bbox_from_mask(mask: np.ndarray | LabelMap,
@@ -155,6 +159,7 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     the parent is that window of ``v``: the window is placed on it and read
     straight from ``v``, with ``pad_value`` wherever it leaves either grid.
     """
+    _check_number(pad_value, "pad_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
     window = _as_triple(window, "window")
     center = _as_triple(center, "center", positive=False)
     chain = (through,) if through is not None else ()
@@ -162,7 +167,8 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     offset = [min(max(c - w // 2, 0), s - w) if w <= s else _center_offset(s, w)
               for s, w, c in zip(parent, window, center)]
     place = Placement(parent_shape=parent, offset=offset, window_shape=window)
-    return Volume(data=_window(v.data, chain + (place,), pad_value), spacing=v.spacing), place
+    data = _window(v.data, chain + (place,), pad_value)
+    return _derived(Volume, data=data, spacing=v.spacing), place
 
 
 def _overlap(*chain: Placement):
@@ -230,13 +236,14 @@ def stitch(child, place: Placement, fill_value: float = 0.0,
     the input: LabelMap in, LabelMap out; Volume in, Volume out; bare array
     otherwise, which is always a new array.
     """
+    _check_number(fill_value, "fill_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
     chain = ((through,) if through is not None else ()) + (place,)
     _overlap(*chain)  # names a mismatched link in the caller's order
-    inverse = tuple(Placement(parent_shape=p.window_shape, offset=[-o for o in p.offset],
-                              window_shape=p.parent_shape) for p in reversed(chain))
+    inverse = tuple(_derived(Placement, parent_shape=p.window_shape, window_shape=p.parent_shape,
+                             offset=tuple(-o for o in p.offset)) for p in reversed(chain))
     if isinstance(child, (LabelMap, Volume)):
-        fill = 0 if isinstance(child, LabelMap) else fill_value
-        return type(child)(data=_window(child.data, inverse, fill), spacing=child.spacing)
+        data = _window(child.data, inverse, 0 if isinstance(child, LabelMap) else fill_value)
+        return _derived(type(child), data=data, spacing=child.spacing)
     child = np.asarray(child)
     out = _window(child, inverse, fill_value)
     return out.copy() if out is child else out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Volume, _as_triple, _check_number, _slabs
+from .core import Volume, _as_triple, _check_number, _derived, _slabs
 
 __all__ = ["MclaheParams", "mclahe"]
 
@@ -165,4 +165,4 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
                     vals *= wxy * wzs[cz]
                     acc += vals
         out[s] = np.clip(acc, 0.0, 1.0)
-    return Volume(data=out, spacing=v.spacing, orientation=v.orientation)
+    return _derived(Volume, data=out, spacing=v.spacing, orientation=v.orientation)

@@ -13,8 +13,8 @@ gives Dice 0.0 / distance inf with flag "pred_empty" or "gt_empty".
 ``evaluate_case`` works inside the bounding box of the two maps' union
 foreground and queries nearest neighbours only for points that are in one
 set but not the other; its rows equal those of the full-grid composition
-of ``confusion_counts``, ``surface_points``/``region_points`` and ``hd95``
-float for float.
+of ``confusion_counts``, ``surface_points`` (or every class voxel's
+center) and ``hd95`` float for float.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "confusion_counts",
     "dice",
     "surface_points",
-    "region_points",
     "hd95",
     "hausdorff",
     "evaluate_case",
@@ -108,11 +107,6 @@ def surface_points(m: LabelMap, class_code: int) -> np.ndarray:
     """Centers (mm) of class voxels with >= 1 of 6 face-neighbors outside
     the class; out-of-bounds neighbors count as outside.  Shape (n, 3)."""
     return _centers_mm(_surface_mask(m.data == class_code), m.spacing)
-
-
-def region_points(m: LabelMap, class_code: int) -> np.ndarray:
-    """Centers (mm) of every class voxel.  Shape (n, 3)."""
-    return _centers_mm(m.data == class_code, m.spacing)
 
 
 def _pooled_distance(a, b, pick, a_in_b=None, b_in_a=None) -> float:

@@ -13,6 +13,7 @@ C-contiguous arrays in native byte order.  Reads and writes both stream a
 few z-planes at a time through one reused buffer, so either holds a
 fraction of the array beyond the array itself.  A read checks the payload
 its header declares against what the file can hold before it allocates.
+Raw reads and writes carry NaN and inf; ``read_volume`` refuses them, naming the file.
 
 Gzip files are one deflate member at level 9.  A blocky array (at most one
 voxel in 32 differs from its z-neighbour, as in a label map) takes zlib's
@@ -316,14 +317,19 @@ def read_volume(path) -> Volume:
     """
     data, spacing, orient, (slope, inter) = _read_raw(path, np.float32)
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
-        data *= np.float32(slope)
-        data += np.float32(inter)
-    return Volume(data=data, spacing=spacing, orientation=orient)
+        with np.errstate(over="ignore", invalid="ignore"):  # Volume refuses inf, NaN
+            data *= np.float32(slope)
+            data += np.float32(inter)
+    try:
+        return Volume(data=data, spacing=spacing, orientation=orient)
+    except ValueError as e:
+        raise NiftiFormatError(f"{path}: {e}") from e
 
 
 def read_labelmap(path, classes: Mapping[str, int] | None = None) -> LabelMap:
     """Read a label map of integers in [0, 255] (any supported datatype, no
     scaling) and check its codes with :func:`check_label_codes`."""
+    @np.errstate(invalid="ignore")  # a NaN is non-integer; rint of a signalling one warns
     def integers_in_range(chunk: np.ndarray) -> None:
         # plane by plane: rint of the whole chunk would hold a second chunk
         if chunk.dtype.kind == "f" and not all(np.array_equal(np.rint(p), p) for p in chunk):
@@ -345,7 +351,7 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
 
     The file appears at ``path`` only once it is complete; a failed write
     leaves a previous file there untouched.  What read_nifti would refuse
-    raises ValueError before any file is opened."""
+    raises ValueError before any file is opened; NaN and inf are written."""
     arr = np.asarray(arr)
     if arr.ndim != 3:
         raise ValueError(f"expected 3D array, got {arr.ndim}D")

@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from biatrium.core import DEFAULT_CLASS_MAP, LabelMap, Placement, Volume, _as_triple
-from biatrium.metrics import (MetricRow, confusion_counts, dice, hd95, region_points,
-                              surface_points)
+from biatrium.metrics import MetricRow, confusion_counts, dice, hd95, surface_points
 
 
 # -- NIfTI payload reference ------------------------------------------------
@@ -260,6 +259,12 @@ def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def brute_dice(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 1.0 if denom == 0 else 2.0 * tp / denom
+
+
+def region_points(m: LabelMap, class_code: int) -> np.ndarray:
+    """Centers (mm) of every voxel of class ``class_code``, shape (n, 3):
+    the point set of ``point_mode="region"``."""
+    return np.argwhere(m.data == class_code).astype(np.float64) * np.asarray(m.spacing)
 
 
 def full_grid_evaluate_case(pred, gt, classes=None, case_id="case", point_mode="surface"):

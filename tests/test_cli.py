@@ -340,6 +340,32 @@ def test_enhance_huge_header_exits_1(tmp_path, capsys):
     assert "truncated payload" in capsys.readouterr().err
 
 
+def test_enhance_nan_payload_names_the_file(tmp_path, capsys):
+    """A raw float32 file may carry NaN; as a volume it is refused, and the
+    error names the file."""
+    src = tmp_path / "nan_voxel.nii"
+    arr = np.zeros((4, 4, 2), dtype=np.float32)
+    arr[1, 2, 1] = np.nan
+    write_nifti(src, arr, (1, 1, 1))
+    rc = main(["enhance", str(src), str(tmp_path / "out.nii")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(src) in err and "non-finite" in err
+    assert not (tmp_path / "out.nii").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["standardize", "--target", "72,72,24", "--fill", "nan"],
+    ["crop-roi", "--center", "32,32,12", "--window", "80,32,12", "--fill", "1e39"],
+])
+def test_non_finite_fill_exits_1_naming_it(files, tmp_path, capsys, argv):
+    out = tmp_path / "out.nii"
+    rc = main([argv[0], files["image"], str(out), *argv[1:]])
+    assert rc == 1
+    assert "pad_value must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     rc = main(["downsample", str(tmp_path / "nope.nii.gz"), str(tmp_path / "o.nii.gz")])
     assert rc == 1

@@ -7,12 +7,14 @@ from biatrium import (
     BBox,
     EmptyMaskError,
     LabelMap,
+    MclaheParams,
     Placement,
     Volume,
     bbox_from_mask,
     crop_window,
     downsample_mean,
     expand_bbox,
+    mclahe,
     standardize,
     stitch,
 )
@@ -100,6 +102,25 @@ def test_standardize_custom_fill():
     v = _vol(np.ones((2, 2, 2)))
     out, _ = standardize(v, (4, 2, 2), pad_value=-5.0)
     assert out.data[0, 0, 0] == -5.0
+    lowest = float(np.finfo(np.float32).min)
+    out, _ = standardize(v, (4, 2, 2), pad_value=lowest)
+    assert out.data[0, 0, 0] == lowest
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+def test_pad_and_fill_values_must_be_finite_as_float32(bad):
+    """The caller's pad or fill value is the one outside value that enters
+    a window; one that is not finite as float32 (1e39 overflows to inf) is
+    refused by name."""
+    v = _index_volume((4, 4, 4))
+    with pytest.raises(ValueError, match="pad_value"):
+        standardize(v, (6, 6, 6), pad_value=bad)
+    with pytest.raises(ValueError, match="pad_value"):
+        crop_window(v, (2, 2, 2), (6, 6, 6), pad_value=bad)
+    win, place = crop_window(v, (2, 2, 2), (2, 2, 2))
+    for child in (win, win.data):
+        with pytest.raises(ValueError, match="fill_value"):
+            stitch(child, place, fill_value=bad)
 
 
 def test_standardize_rejects_bad_target():
@@ -158,6 +179,12 @@ def test_downsample_working_set_is_a_fraction_of_the_input(rng):
     slab-sized temporaries."""
     v = _vol(rng.random((192, 192, 48), dtype=np.float32))
     assert traced_peak(downsample_mean, v, (4, 4, 1)) <= 0.25 * v.data.nbytes
+
+
+def test_downsample_spacing_overflow_is_refused():
+    v = _vol(np.ones((2, 2, 2)), spacing=(1e308, 1.0, 1.0))
+    with pytest.raises(ValueError, match="spacing"):
+        downsample_mean(v, (2, 1, 1))
 
 
 def test_downsample_rejects_non_divisible():
@@ -478,7 +505,7 @@ def _cancelling(rng, shape):
     return _vol(np.where(rng.random(shape) < 0.5, big, rng.random(shape)))
 
 
-@pytest.mark.parametrize("shape, standard, factors, window", [
+_CHAIN_CASES = [
     ((20, 18, 10), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # smaller on every axis
     ((40, 37, 21), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # larger on every axis
     ((40, 12, 16), (32, 32, 16), (4, 4, 2), (16, 16, 8)),    # mixed
@@ -489,7 +516,10 @@ def _cancelling(rng, shape):
     ((48, 20, 16), (32, 32, 16), (4, 4, 2), (40, 16, 8)),    # window wider than both
     ((6, 6, 4), (32, 32, 16), (4, 4, 2), (8, 8, 4)),         # window can miss the input
     ((16, 16, 1), (16, 16, 3), (4, 4, 1), (8, 8, 2)),        # one z-block of input
-])
+]
+
+
+@pytest.mark.parametrize("shape, standard, factors, window", _CHAIN_CASES)
 def test_placement_chain_equals_two_step_chain(rng, shape, standard, factors, window):
     """Reading the input through the standard placement gives the coarse
     input, the fine input and the stitched labels of the two-step chain
@@ -499,6 +529,32 @@ def test_placement_chain_equals_two_step_chain(rng, shape, standard, factors, wi
     for center in centers:
         _assert_chains_equal(_vol(rng.random(shape) + 0.25), standard, factors, center, window)
         _assert_chains_equal(_cancelling(rng, shape), standard, factors, center, window)
+
+
+def _assert_passes_public_checks(r: Volume):
+    """``r``, a Volume built without the public checks, is one the public
+    constructor takes unchanged."""
+    assert type(r) is Volume and isinstance(r.spacing, tuple)
+    assert r.data.ndim == 3 and r.data.dtype == np.float32 and not r.data.flags.writeable
+    again = Volume(data=r.data.copy(), spacing=r.spacing, orientation=r.orientation)
+    assert again.spacing == r.spacing and np.array_equal(again.data, r.data)
+
+
+@pytest.mark.parametrize("shape, standard, factors, window", _CHAIN_CASES)
+def test_derived_volumes_pass_the_public_checks(rng, shape, standard, factors, window):
+    """Every Volume that mclahe, standardize, crop_window, downsample_mean
+    and stitch derive, on the chains above, with and without ``through``."""
+    v = _cancelling(rng, shape)
+    center = tuple(int(rng.integers(0, s)) for s in standard)
+    to_original = standardize(v.shape, standard)
+    std, _ = standardize(v, standard, pad_value=-2.5)
+    fine_in, to_standard = crop_window(v, center, window, pad_value=7.0, through=to_original)
+    fine_std, _ = crop_window(std, center, window)
+    for r in (std, fine_in, fine_std, stitch(fine_std, to_standard),
+              downsample_mean(std, factors), downsample_mean(v, factors, through=to_original),
+              stitch(fine_in, to_standard, 1.5, through=to_original),
+              mclahe(v), mclahe(std, MclaheParams(kernel_size=factors, n_bins=16))):
+        _assert_passes_public_checks(r)
 
 
 def test_placement_chain_equals_two_step_chain_random(rng):

@@ -19,7 +19,6 @@ from biatrium import (
     hausdorff,
     hd95,
     read_report_csv,
-    region_points,
     surface_points,
     write_report_csv,
 )
@@ -31,6 +30,7 @@ from oracles import (
     brute_hd95,
     brute_surface_points,
     full_grid_evaluate_case,
+    region_points,
 )
 
 

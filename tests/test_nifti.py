@@ -1,7 +1,9 @@
 import builtins
+import collections
 import gc
 import gzip
 import pathlib
+import random
 import re
 import struct
 import sys
@@ -489,6 +491,55 @@ def test_zero_slope_means_unscaled(tmp_path):
     assert np.array_equal(read_volume(path).data, arr.astype(np.float32))
 
 
+def _with_scl(path, slope: float, inter: float) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[112:120] = struct.pack("<2f", slope, inter)  # scl_slope, scl_inter
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("slope, inter", [
+    (1e35, 0.0),     # 32767 * slope overflows float32
+    (1e34, 3e38),    # the product fits, adding the intercept overflows
+    (np.inf, 0.0),   # inf * 0 is NaN
+    (np.nan, 0.0),
+    (2.0, -np.inf),
+])
+def test_scaling_to_non_finite_names_the_file(tmp_path, slope, inter):
+    """Scaling that leaves float32 is a NiftiFormatError naming the file,
+    with no numpy warning on the way; the raw reader still reads it."""
+    path = tmp_path / "scaled.nii"
+    arr = np.array([0, 1, 30000, 32767], dtype=np.int16).reshape(2, 2, 1)
+    write_nifti(path, arr, (1, 1, 1))
+    _with_scl(path, slope, inter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NiftiFormatError, match=r"scaled\.nii: .*non-finite"):
+            read_volume(path)
+        assert np.array_equal(read_nifti(path)[0], arr)
+
+
+# quiet, signalling, negative and payload-carrying NaNs, and both infinities
+_NON_FINITE_BITS = [0x7FC00000, 0x7F800001, 0xFFC00000, 0x7FC12345, 0x7F800000, 0xFF800000]
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_raw_pair_carries_non_finite_bits_and_read_volume_names_the_file(tmp_path, suffix):
+    """read_nifti/write_nifti carry any float32 bits; read_volume refuses
+    a value that is not finite and names the file."""
+    bits = np.zeros((3, 4, 2), dtype=np.uint32)
+    bits.flat[[1, 5, 8, 13, 20, 23]] = _NON_FINITE_BITS
+    path = tmp_path / f"nan_voxels{suffix}"
+    write_nifti(path, bits.view(np.float32), (1, 1, 1))
+    arr, _, _ = read_nifti(path)
+    assert arr.dtype == np.float32 and np.array_equal(arr.view(np.uint32), bits)
+    for word in _NON_FINITE_BITS:
+        one = np.zeros((2, 2, 2), dtype=np.uint32)
+        one[1, 0, 1] = word
+        write_nifti(path, one.view(np.float32), (1, 1, 1))
+        with pytest.raises(NiftiFormatError, match=f"nan_voxels{suffix}: .*non-finite"):
+            read_volume(path)
+
+
 def test_orientation_block_preserved(tmp_path, rng):
     arr = _random_array(rng, np.float32)
     orient = bytes(rng.integers(0, 256, size=76, dtype=np.uint8))
@@ -719,6 +770,61 @@ def test_header_fuzz_reads_or_raises_format_error(tmp_path, dims, datatype, vox_
     except NiftiFormatError:
         return
     assert arr.shape == tuple(dims[1:4])
+
+
+def _mutants(seeds: list[bytes], n: int, seed: int):
+    """``n`` stored files, each a mutant of one of the plain files
+    ``seeds``: a non-finite or largest-finite float32 word over a header
+    float (pixdim, vox_offset, scl_slope, scl_inter) or a payload word,
+    random header bytes, or random bytes or a cut of the stored file; half
+    of them gzip-compressed."""
+    rnd = random.Random(seed)
+    words = _NON_FINITE_BITS + [0x7F7FFFFF]
+    for i in range(n):
+        blob = bytearray(rnd.choice(seeds))
+        if i % 3 == 0:
+            at = rnd.choice([84, 88, 92, 108, 112, 116, *range(352, len(blob) - 3, 4)])
+            blob[at:at + 4] = struct.pack("<I", rnd.choice(words))
+        elif i % 3 == 1:
+            for _ in range(rnd.randint(1, 4)):
+                blob[rnd.randrange(nifti.HEADER_SIZE)] = rnd.randrange(256)
+        stored = bytearray(gzip.compress(blob, mtime=0) if rnd.random() < 0.5 else blob)
+        if i % 3 == 2:
+            if rnd.random() < 0.2:
+                del stored[rnd.randrange(len(stored)):]
+            else:
+                for _ in range(rnd.randint(1, 4)):
+                    stored[rnd.randrange(len(stored))] = rnd.randrange(256)
+        yield bytes(stored)
+
+
+def test_seeded_mutation_run_reads_or_raises_format_error(tmp_path):
+    """3,000 seeded mutants of small uint8, int16 and float32 files, plain
+    and gzip: every reader returns or raises NiftiFormatError, with every
+    warning an error."""
+    rng = np.random.default_rng(16)
+    seeds = []
+    for arr in (rng.integers(0, 4, size=(5, 4, 3), dtype=np.uint8),
+                rng.integers(-40, 40, size=(4, 3, 3), dtype=np.int16),
+                rng.random((3, 5, 4), dtype=np.float32)):
+        write_nifti(tmp_path / "seed.nii", arr, SPACING)
+        seeds.append((tmp_path / "seed.nii").read_bytes())
+    path = tmp_path / "mutant.nii"
+    readers = (read_volume, read_labelmap, read_nifti)
+    outcomes = collections.Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stored in _mutants(seeds, 3000, seed=16):
+            path.write_bytes(stored)
+            for reader in readers:
+                try:
+                    reader(path)
+                    outcomes[reader.__name__, "read"] += 1
+                except NiftiFormatError:
+                    outcomes[reader.__name__, "refused"] += 1
+    # every reader both read and refused a good share of the mutants
+    assert all(outcomes[r.__name__, o] > 300 for r in readers for o in ("read", "refused")), \
+        outcomes
 
 
 # -- placement sidecars -----------------------------------------------------

@@ -22,6 +22,7 @@ from biatrium import (
     LabelMap,
     PhantomSpec,
     PipelineConfig,
+    Placement,
     Volume,
     config_from_dict,
     generate,
@@ -859,6 +860,32 @@ def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):
 
     case()  # the first run also pays one-off costs such as lazy imports
     assert traced_peak(case) < 576 * 576 * 48 * 4
+
+
+def test_paper_scale_case_checks_the_input_once(tmp_path, monkeypatch):
+    """Each invariant is checked where data enters: a case on the default
+    576x576x48 grid with MCLAHE runs the public Volume checks once, on the
+    read, and the Placement checks at most twice, on the standard and the
+    fine placement.  Every other result is derived from checked values."""
+    data = np.zeros((576, 576, 48), dtype=np.float32)
+    data[200:380, 180:400, 10:40] = 1.0
+    write_nifti(tmp_path / "image.nii", data, (0.625, 0.625, 2.5))
+    cfg = config_from_dict({
+        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii")}],
+        "output_dir": str(tmp_path / "out"),
+        "coarse_backend": {"kind": "threshold", "threshold": 0.5},
+        "fine_backend": {"kind": "threshold", "threshold": 0.5},
+    })
+    assert cfg.mclahe_params is not None and cfg.standard_shape == data.shape
+    checks = {Volume: 0, Placement: 0}
+    for cls in checks:
+        def counted(self, cls=cls, post_init=cls.__post_init__):
+            checks[cls] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    result = run_case(cfg, cfg.cases[0])
+    assert result.ok and not result.flags, result.error
+    assert checks[Volume] == 1 and checks[Placement] <= 2, checks
 
 
 def test_bench_tracer_wraps_names_that_exist(monkeypatch):

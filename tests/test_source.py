@@ -51,3 +51,41 @@ def test_unused_name_scan_finds_a_leftover(tmp_path):
         "def leftover(n):\n    return leftover(n - 1) if n else used(X)\n")
     (tmp_path / "b.py").write_text("def used(x):\n    return x\n")
     assert unused_module_names(tmp_path) == ["a.leftover"]
+
+
+# Modules that may call each name: the public Volume constructor is the
+# boundary for files (nifti) and generated phantoms; everything derived
+# from checked values goes through core._derived, the one bypass.
+_CALLERS = {"Volume": {"core", "nifti", "phantom"}, "object.__new__": {"core"}}
+
+
+def boundary_breaches(root=SRC) -> list[str]:
+    """``module:line name`` of every call in ``root/*.py`` of a name in
+    ``_CALLERS`` from a module not listed for it.  ``Volume`` matches
+    however it is reached (``Volume(...)``, ``core.Volume(...)``)."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        for n in ast.walk(ast.parse(p.read_text(), str(p))):
+            if not isinstance(n, ast.Call):
+                continue
+            name = ast.unparse(n.func)
+            if name.rsplit(".", 1)[-1] == "Volume":
+                name = "Volume"
+            if name in _CALLERS and p.stem not in _CALLERS[name]:
+                found.append(f"{p.stem}:{n.lineno} {name}")
+    return found
+
+
+def test_checks_stay_at_the_boundary():
+    assert boundary_breaches() == []
+
+
+def test_boundary_scan_finds_a_rescan_and_a_second_bypass(tmp_path):
+    (tmp_path / "core.py").write_text("def _derived(cls):\n    return object.__new__(cls)\n")
+    (tmp_path / "nifti.py").write_text("def read(a, s):\n    return Volume(data=a, spacing=s)\n")
+    (tmp_path / "geometry.py").write_text(
+        "def pad(v):\n    return core.Volume(data=v.data, spacing=v.spacing)\n"
+        "def raw(cls):\n    return object.__new__(cls)\n")
+    (tmp_path / "pipeline.py").write_text(
+        "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n")
+    assert boundary_breaches(tmp_path) == ["geometry:2 Volume", "geometry:4 object.__new__"]
