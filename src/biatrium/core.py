@@ -16,8 +16,9 @@ import os
 import threading
 import typing
 from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -104,13 +105,97 @@ def check_label_codes(labels: LabelMap, classes: Mapping[str, int] | None = None
     return labels
 
 
-def _slabs(shape, most: int | None = None) -> list[slice]:
+def _slabs(shape, most: int | None = None, voxels: int = _SLAB_VOXELS) -> list[slice]:
     """Slices cutting axis 0 of a grid of ``shape`` into slabs of about
-    ``_SLAB_VOXELS`` voxels, at least one and at most ``most`` (None: any
-    number of) rows thick."""
+    ``voxels`` voxels, at least one and at most ``most`` (None: any number
+    of) rows thick."""
     n = shape[0]
-    step = max(1, min(most or n, _SLAB_VOXELS // max(1, math.prod(shape[1:]))))
+    step = max(1, min(most or n, voxels // max(1, math.prod(shape[1:]))))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+#: Most threads one case uses.  Each thread holds its own slab-sized
+#: temporaries, so a pass shared out over threads cuts smaller slabs.
+_MAX_CASE_THREADS = 4
+#: Threads each case may use.  run_pipeline's case pool sets it in each
+#: worker thread; where it is unset (one worker, or a library call), a case
+#: has the whole machine.
+_case_threads: ContextVar[int] = ContextVar("_case_threads")
+
+
+def _thread_budget(workers: int = 1) -> int:
+    """Threads per case while ``workers`` cases run at once: the CPUs this
+    process may use shared out, at least 1 and at most ``_MAX_CASE_THREADS``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(_MAX_CASE_THREADS, (cpus or 1) // workers))
+
+
+def _threads() -> int:
+    """Threads the running case may use."""
+    return _case_threads.get(0) or _thread_budget()
+
+
+def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
+    """Call every zero-argument callable of ``tasks``; return the results in
+    task order.  The one place a case starts threads.
+
+    The tasks are cut into contiguous runs, one per thread of the case's
+    budget.  Helper threads take the first runs and the calling thread the
+    last; each calls its run in order and stops at the first task that
+    raises.  Every helper is joined before this returns or raises, also
+    when an interrupt arrives meanwhile; then that interrupt, or else the
+    first failure in task order, is raised.  With a budget of 1, the tasks
+    just run here in order.
+    """
+    n = min(len(tasks), _threads())
+    if n <= 1:
+        return [task() for task in tasks]
+    runs = [tasks[i * len(tasks) // n:(i + 1) * len(tasks) // n] for i in range(n)]
+    results: list = [[] for _ in runs]
+    errors: list = [None] * n
+    finished = [threading.Event() for _ in range(n - 1)]
+
+    def work(i: int) -> None:
+        try:
+            results[i] = [task() for task in runs[i]]
+        except BaseException as e:  # raised again by the calling thread
+            errors[i] = e
+        finally:
+            finished[i].set()
+
+    helpers = []
+    interrupt = None
+    try:
+        for i in range(n - 1):
+            # listed before it starts, so an interrupt cannot miss its join
+            helpers.append(threading.Thread(target=work, args=(i,)))
+            helpers[-1].start()
+        try:
+            results[-1] = [task() for task in runs[-1]]
+        except Exception as e:  # not an interrupt: that leaves after the joins
+            errors[-1] = e
+    finally:
+        for helper, done in zip(helpers, finished):
+            while helper.is_alive():
+                try:
+                    # join() alone does not do: an interrupt that breaks it
+                    # marks the thread stopped while it still runs
+                    done.wait()
+                    helper.join()
+                except BaseException as e:  # keep joining; raised after the last
+                    interrupt = e
+    failure = interrupt or next((e for e in errors if e is not None), None)
+    if failure is None:
+        return [r for run in results for r in run]
+    # the failure's traceback will hold this frame, so the frame lets go of
+    # the failure: a cycle would keep the caller's arrays alive until the
+    # next garbage collection
+    errors.clear()
+    interrupt = None
+    try:
+        raise failure
+    finally:
+        failure = None
 
 
 def _codes_present(data: np.ndarray) -> list[int]:

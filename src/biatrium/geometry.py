@@ -14,13 +14,14 @@ maps to the source only where it lies inside every grid of the chain, and
 is padding elsewhere; a window that is all of its source, in the source's
 dtype, is the source's read-only data itself, and any other is a new array.
 Results are derived (``core._derived``), not checked again: the only outside
-value that enters a window, a pad or fill value, must be finite as float32.
+value that enters a window, a pad or fill value, must be finite as float32,
+and a fill value for a bare integer array a whole number that array holds.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (BBox, EmptyMaskError, LabelMap, Placement, Volume, _as_triple,
+from .core import (BBox, ConfigError, EmptyMaskError, LabelMap, Placement, Volume, _as_triple,
                    _check_number, _derived, _slabs)
 
 __all__ = [
@@ -234,7 +235,8 @@ def stitch(child, place: Placement, fill_value: float = 0.0,
     would put them.  The parent is read as a window on the child through
     the inverted chain, under _window's copy rule.  The return type mirrors
     the input: LabelMap in, LabelMap out; Volume in, Volume out; bare array
-    otherwise, which is always a new array.
+    otherwise, which is always a new array of the input's dtype (an integer
+    or bool array refuses a ``fill_value`` it cannot hold exactly).
     """
     _check_number(fill_value, "fill_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
     chain = ((through,) if through is not None else ()) + (place,)
@@ -245,5 +247,12 @@ def stitch(child, place: Placement, fill_value: float = 0.0,
         data = _window(child.data, inverse, 0 if isinstance(child, LabelMap) else fill_value)
         return _derived(type(child), data=data, spacing=child.spacing)
     child = np.asarray(child)
+    if child.dtype.kind in "biu":
+        # a cast would wrap or truncate a value the array cannot hold
+        lo, hi = (0, 1) if child.dtype.kind == "b" else (
+            np.iinfo(child.dtype).min, np.iinfo(child.dtype).max)
+        if not (float(fill_value).is_integer() and lo <= fill_value <= hi):
+            raise ConfigError(f"fill_value for a {child.dtype} array must be a whole number "
+                              f"in [{lo}, {hi}], got {fill_value!r}")
     out = _window(child, inverse, fill_value)
     return out.copy() if out is child else out

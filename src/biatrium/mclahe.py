@@ -9,21 +9,26 @@ size; positions outside the center lattice clamp to the edge tile); the
 padding only feeds the edge tiles' histograms.
 
 Binning and blending stream over x-slabs of about ``core._SLAB_VOXELS``
-voxels, no thicker than one tile.  A tile row's tables are built when the
-first slab that reads them arrives and dropped after the last, so at most
-three rows are held at once and table memory follows one tile row, not the
-tile grid.  Besides the input, the working set is the float32 output, one
-small unsigned bin index per voxel and slab- and row-sized temporaries.
-All steps are plain array arithmetic, so the result is deterministic and
-bit-identical across runs regardless of threading.
+voxels, no thicker than one tile, shared out over the case's threads in
+contiguous runs.  A tile row's tables are built once, when the first slab
+that reads them arrives, shared by every thread and dropped after the last,
+so at most three rows are held at once and table memory follows one tile
+row, not the tile grid.  Besides the input, the working set is the float32
+output, one small unsigned bin index per voxel, row-sized tables and
+slab-sized temporaries per thread.  Every voxel goes through the same
+array arithmetic in the same order on any thread, so the result is
+deterministic and bit-identical at every thread budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 
-from .core import Volume, _as_triple, _check_number, _derived, _slabs
+from .core import (_SLAB_VOXELS, Volume, _as_triple, _check_number, _derived, _in_parallel,
+                   _slabs, _threads)
 
 __all__ = ["MclaheParams", "mclahe"]
 
@@ -114,28 +119,36 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     kernel = params.resolve_kernel(data.shape)
     n_bins = params.n_bins
     _, sy, sz = data.shape
-    # a slab no thicker than a tile reads at most three tile rows
-    slabs = _slabs(data.shape, kernel[0])
+    # a slab no thicker than a tile reads at most three tile rows; each of
+    # the case's threads holds one slab's temporaries, so the slabs shrink
+    # with the thread budget and the working set does not grow with it
+    slabs = _slabs(data.shape, kernel[0], _SLAB_VOXELS // _threads())
 
-    # pass 1: normalize and bin slab by slab; only the bins are kept
+    # pass 1: normalize and bin slab by slab, the slabs shared out over the
+    # case's threads; only the bins are kept
     lo = float(data.min())
     hi = float(data.max())
     bins = np.zeros(data.shape, dtype=np.min_scalar_type(n_bins - 1))
+
+    def bin_slab(s: slice) -> None:
+        norm = data[s].astype(np.float64)
+        norm -= lo
+        norm /= hi - lo
+        norm *= n_bins
+        bins[s] = np.minimum(norm.astype(np.int32), n_bins - 1)
+
     if hi > lo:
-        for s in slabs:
-            norm = data[s].astype(np.float64)
-            norm -= lo
-            norm /= hi - lo
-            norm *= n_bins
-            bins[s] = np.minimum(norm.astype(np.int32), n_bins - 1)
+        _in_parallel([partial(bin_slab, s) for s in slabs])
 
     # pass 2: blend the 8 nearest tile tables for every voxel (weights depend
     # only on the coordinate), one slab at a time, in the corner order and
-    # weight product order of the per-voxel formula.  A tile row's tables are
-    # built when the first slab that reads them arrives and dropped after the
-    # last; the rows a slab reads are stacked so each corner is a single
-    # take() of flattened (row, tile, bin) indices.  Those are in range by
-    # construction, so "clip" only skips numpy's slower checked path
+    # weight product order of the per-voxel formula.  The slabs go in groups
+    # that start on the same tile row: a group's rows (at most three) are
+    # built once, before its slabs are shared out over the case's threads,
+    # and a row is dropped after the last group that reads it.  The rows are
+    # stacked so each corner is a single take() of flattened (row, tile, bin)
+    # indices.  Those are in range by construction, so "clip" only skips
+    # numpy's slower checked path
     ntiles = tuple(-(-s // k) for s, k in zip(data.shape, kernel))
     _, nty, ntz = ntiles
     row_size = nty * ntz * n_bins
@@ -146,15 +159,9 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     wxs = (1.0 - wx[:, None, None], wx[:, None, None])
     wys = (1.0 - wy[None, :, None], wy[None, :, None])
     wzs = (1.0 - wz[None, None, :], wz[None, None, :])
-
-    rows = {}
     out = np.empty(data.shape, dtype=np.float32)
-    for s in slabs:
-        first, last = int(ix0[s.start]), int(ix1[s.stop - 1])
-        rows = {tx: rows[tx] if tx in rows else
-                _row_tables(bins, tx, kernel, ntiles, n_bins, params.clip_limit)
-                for tx in range(first, last + 1)}
-        flat = np.stack(list(rows.values())).reshape(-1)
+
+    def blend(s: slice, flat: np.ndarray, first: int) -> None:
         acc = np.zeros((s.stop - s.start, sy, sz))
         for cx, ix in enumerate((ix0, ix1)):
             bx = bins[s] + ((ix[s] - first) * row_size)[:, None, None]
@@ -165,4 +172,13 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
                     vals *= wxy * wzs[cz]
                     acc += vals
         out[s] = np.clip(acc, 0.0, 1.0)
+
+    rows = {}
+    for first, group in groupby(slabs, key=lambda s: int(ix0[s.start])):
+        group = list(group)
+        rows = {tx: rows[tx] if tx in rows else
+                _row_tables(bins, tx, kernel, ntiles, n_bins, params.clip_limit)
+                for tx in range(first, int(ix1[group[-1].stop - 1]) + 1)}
+        flat = np.stack(list(rows.values())).reshape(-1)
+        _in_parallel([partial(blend, s, flat, first) for s in group])
     return _derived(Volume, data=out, spacing=v.spacing, orientation=v.orientation)

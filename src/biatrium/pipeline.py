@@ -5,14 +5,16 @@ grid on the input (center pad/crop, computed as offsets only), block-mean
 downsample read through that placement, coarse backend (binary mask), ROI
 box + margin scaled back to the standard grid, fixed-size window crop read
 through both placements, fine backend (multi-class), then stitching
-through both placements straight back to the original grid.  Trained
+through both placements straight back to the original grid, and the
+mask write beside the evaluation against the ground truth.  Trained
 networks are deliberately outside the process boundary: a backend is
 either a builtin rule (threshold, copy-file) or an external command
 operating on NIfTI files.
 
 Cases are isolated: one failure cannot affect another case's output, and
 the batch driver reports partial success.  All artifacts except the
-timing sidecar are byte-reproducible for identical inputs and config.
+timing sidecar are byte-reproducible for identical inputs and config,
+whatever the worker count and the threads each case uses.
 """
 from __future__ import annotations
 
@@ -45,8 +47,11 @@ from .core import (
     _as_json,
     _as_triple,
     _atomic_open,
+    _case_threads,
     _check_number,
+    _in_parallel,
     _read_json,
+    _thread_budget,
     _write_json,
     check_class_map,
     check_label_codes,
@@ -205,8 +210,9 @@ class CaseResult:
     mask_path: str | None = None
     flags: tuple[str, ...] = ()
     error: str | None = None
-    #: For a failed case, the stage that was running (None if it failed
-    #: outside every stage) and the exception's type name.
+    #: For a failed case, the stage that raised (None if the error came from
+    #: outside every stage; the write if it and the overlapped evaluation
+    #: both failed) and the exception's type name.
     failed_stage: str | None = None
     error_type: str | None = None
     roi_box: BBox | None = None
@@ -327,19 +333,22 @@ def _roi_center(mask: LabelMap, factors, margin: int,
 
 @dataclass
 class _Stages:
-    """Wall ms of each finished stage of a case, and the stage running now
-    (None before the first stage and between stages)."""
+    """Wall ms of each finished stage of a case, and every exception a stage
+    raised, with the stage's name.  Stages may overlap, so a failure is
+    named by the exception that ended the case, not by what ran last."""
     timings_ms: dict[str, float] = field(default_factory=dict)
-    running: str | None = None
+    raised: list[tuple[BaseException, str]] = field(default_factory=list)
 
 
 @contextmanager
 def _timed(stages: _Stages, stage: str):
-    stages.running = stage
     t0 = time.perf_counter()
-    yield
+    try:
+        yield
+    except BaseException as e:
+        stages.raised.append((e, stage))
+        raise
     stages.timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
-    stages.running = None
 
 
 def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
@@ -350,8 +359,12 @@ def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
     try:
         return _run_case_inner(cfg, case, case_dir, stages)
     except Exception as e:  # noqa: BLE001 - case isolation boundary
+        stage = next((name for raised, name in stages.raised if raised is e), None)
+        # the recorded exceptions' tracebacks hold this frame and the case's
+        # arrays: drop them now rather than at the next garbage collection
+        stages.raised.clear()
         result = CaseResult(case_id=case.case_id, status="failed", error=str(e),
-                            failed_stage=stages.running, error_type=type(e).__name__)
+                            failed_stage=stage, error_type=type(e).__name__)
         try:
             case_dir.mkdir(parents=True, exist_ok=True)
             _write_result_json(case_dir, result)
@@ -403,18 +416,28 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
     with _timed(stages, "stitch"):
         full_labels = stitch(fine_labels, to_standard, through=to_original)
 
-    with _timed(stages, "write"):
-        mask_path = case_dir / "mask.nii.gz"
-        write_volume(full_labels, mask_path, orientation=orientation)
-        write_placement(to_original, case_dir / "standard_placement.json")
-        write_placement(to_standard, case_dir / "window_placement.json")
+    mask_path = case_dir / "mask.nii.gz"
 
-    metrics: tuple[MetricRow, ...] = ()
-    if case.gt is not None:
+    def write() -> None:
+        with _timed(stages, "write"):
+            write_volume(full_labels, mask_path, orientation=orientation)
+            write_placement(to_original, case_dir / "standard_placement.json")
+            write_placement(to_standard, case_dir / "window_placement.json")
+
+    def evaluate() -> tuple[MetricRow, ...]:
         with _timed(stages, "evaluate"):
             gt = read_labelmap(case.gt, classes=cfg.class_map)
-            metrics = tuple(evaluate_case(full_labels, gt, classes=cfg.class_map,
-                                          case_id=case.case_id))
+            return tuple(evaluate_case(full_labels, gt, classes=cfg.class_map,
+                                       case_id=case.case_id))
+
+    if case.gt is None:
+        write()
+        metrics: tuple[MetricRow, ...] = ()
+    else:
+        # Both stages only read full_labels, and zlib's deflate releases the
+        # GIL, so within the case's thread budget the write runs on a helper
+        # beside the evaluation.
+        _, metrics = _in_parallel([write, evaluate])
 
     result = CaseResult(case_id=case.case_id, status="ok", mask_path=str(mask_path),
                         flags=tuple(flags), roi_box=roi_box, timings_ms=stages.timings_ms,
@@ -478,7 +501,9 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # each worker thread's cases share the CPUs with the other workers
+        with ThreadPoolExecutor(max_workers=workers, initializer=_case_threads.set,
+                                initargs=(_thread_budget(workers),)) as pool:
             futures = [pool.submit(run_case, cfg, c) for c in cfg.cases]
             try:
                 results = [f.result() for f in futures]

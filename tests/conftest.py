@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
 from biatrium import LabelMap, Volume
+from biatrium import core
 
 
 @pytest.fixture
@@ -22,6 +28,41 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextmanager
+def thread_budget(n: int):
+    """Run the body as a case that may use ``n`` threads, as a worker of
+    ``run_pipeline`` would, whatever this machine's CPU count."""
+    token = core._case_threads.set(n)
+    try:
+        yield
+    finally:
+        core._case_threads.reset(token)
+
+
+def interrupt_the_blend(monkeypatch) -> None:
+    """Make every MCLAHE blend end in a KeyboardInterrupt on the thread that
+    called it, while its helpers are still at work: each helper waits 0.2 s
+    before each task, and the calling thread's run ends with the interrupt."""
+    mclahe_module = sys.modules["biatrium.mclahe"]  # biatrium.mclahe is the function
+    real = mclahe_module._in_parallel
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    def slowly(caller, task):
+        if threading.current_thread() is not caller:
+            time.sleep(0.2)
+        return task()
+
+    def interrupted(tasks):
+        if tasks[0].func.__name__ != "blend":
+            return real(tasks)
+        caller = threading.current_thread()
+        return real([partial(slowly, caller, t) for t in tasks] + [interrupt])
+
+    monkeypatch.setattr(mclahe_module, "_in_parallel", interrupted)
 
 
 def random_volume(rng, shape, spacing=(1.0, 1.0, 1.0)) -> Volume:

@@ -2,7 +2,12 @@ import dataclasses
 import math
 import pathlib
 import re
+import signal
+import sys
+import threading
+import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +15,9 @@ import pytest
 from biatrium import (BBox, LabelMap, NiftiFormatError, Placement, Volume, read_labelmap,
                       write_nifti)
 from biatrium import core
-from biatrium.core import ConfigError, _check_number, check_label_codes
+from biatrium.core import ConfigError, _check_number, _in_parallel, check_label_codes
 
-from conftest import traced_peak
+from conftest import thread_budget, traced_peak
 
 
 def test_volume_accepts_and_freezes_data():
@@ -148,3 +153,104 @@ def test_only_core_module_imports_numbers():
     offenders = [p.name for p in sorted(package.glob("*.py"))
                  if p.name != "core.py" and pattern.search(p.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+# -- threads inside one case ------------------------------------------------
+
+def _where(i):
+    return i, threading.current_thread()
+
+
+@pytest.mark.parametrize("threads, n_tasks", [(1, 5), (2, 5), (3, 7), (4, 2), (3, 1)])
+def test_in_parallel_runs_contiguous_runs_and_keeps_order(threads, n_tasks):
+    """Results come back in task order.  Each thread runs one contiguous run
+    of tasks; the calling thread runs the last run, helpers the others, and
+    no more threads run than the budget or the tasks allow."""
+    caller = threading.current_thread()
+    with thread_budget(threads):
+        done = _in_parallel([partial(_where, i) for i in range(n_tasks)])
+    assert [i for i, _ in done] == list(range(n_tasks))
+    ran_on = [t for _, t in done]
+    runs = [ran_on[0]] + [b for a, b in zip(ran_on, ran_on[1:]) if b is not a]
+    assert len(runs) == len(set(runs)) == min(threads, n_tasks)
+    assert ran_on[-1] is caller
+    assert caller not in runs[:-1]
+
+
+def test_in_parallel_raises_the_first_failure_in_task_order():
+    """The failure of the earliest task wins, even when a later task, on
+    the calling thread, fails sooner; a run stops at its failing task."""
+    ran = []
+
+    def fail_late(exc):
+        time.sleep(0.1)
+        ran.append(exc)
+        raise exc
+
+    def fail_now(exc):
+        ran.append(exc)
+        raise exc
+
+    first, second = OSError("first"), ValueError("second")
+    for threads in (1, 2):
+        ran.clear()
+        with thread_budget(threads), pytest.raises(OSError) as info:
+            _in_parallel([partial(fail_late, first), partial(ran.append, "not run"),
+                          partial(ran.append, "caller"), partial(fail_now, second)])
+        assert info.value is first
+        # one thread: the first failure ends everything; two threads: the
+        # helper's run stops at its failure, and the caller's run fails too
+        assert ran == ([first] if threads == 1 else ["caller", second, first])
+
+
+@pytest.mark.parametrize("caller_s", [0.0, 1.0], ids=["joining", "running"])
+def test_in_parallel_joins_helpers_through_an_interrupt(caller_s):
+    """An interrupt that reaches the calling thread while it waits for a
+    helper, or while it runs its own tasks, is raised only after every
+    helper has finished."""
+    finished = []
+
+    def interrupt_then_work():
+        time.sleep(0.05)
+        # a real SIGINT, which also breaks the caller's wait in join()
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.2)
+        finished.append(True)
+
+    baseline = threading.active_count()
+    with thread_budget(2), pytest.raises(KeyboardInterrupt):
+        _in_parallel([interrupt_then_work, partial(time.sleep, caller_s)])
+    assert finished == [True]
+    assert threading.active_count() == baseline
+
+
+def test_in_parallel_stress_under_thread_contention():
+    """More threads than cores, a tiny switch interval and many short tasks
+    that write into one shared array: every task runs once, in its slot."""
+    out = np.zeros(2000, dtype=np.int64)
+
+    def put(i):
+        out[i] += i + 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            out[:] = 0
+            with thread_budget(core._MAX_CASE_THREADS):
+                assert _in_parallel([partial(put, i) for i in range(out.size)]) == list(
+                    range(out.size))
+            assert np.array_equal(out, np.arange(1, out.size + 1))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_budget_shares_the_cpus_out(monkeypatch):
+    """Each case gets the CPUs divided by the workers, at least 1 and at
+    most the cap; with no budget set, a case gets the whole machine's."""
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    assert [core._thread_budget(w) for w in (1, 2, 3, 4, 6, 7)] == [4, 3, 2, 1, 1, 1]
+    assert core._threads() == 4
+    with thread_budget(2):
+        assert core._threads() == 2

@@ -18,6 +18,7 @@ from biatrium import (
     standardize,
     stitch,
 )
+from biatrium.core import ConfigError
 from biatrium.geometry import _overlap
 
 from conftest import traced_peak
@@ -346,6 +347,28 @@ def test_stitch_type_preservation():
     win, place = crop_window(v, (3, 3, 3), (4, 4, 4))
     assert isinstance(stitch(win, place), Volume)
     assert isinstance(stitch(win.data, place), np.ndarray)
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.int16, 1e5), (np.uint8, 300), (np.uint8, -1), (np.uint8, 2.5), (np.bool_, 2),
+])
+def test_stitch_refuses_a_fill_an_integer_array_cannot_hold(dtype, bad):
+    """A cast would wrap or truncate the fill (int16 1e5 to -31072, uint8
+    300, -1 and 2.5 to 44, 255 and 2), so a bare integer or bool array
+    refuses any fill that it cannot hold exactly, naming fill_value and
+    the dtype."""
+    child = np.ones((2, 2, 2), dtype=dtype)
+    place = Placement(parent_shape=(4, 4, 4), offset=(1, 1, 1), window_shape=(2, 2, 2))
+    with pytest.raises(ConfigError, match=f"fill_value for a {np.dtype(dtype)} array"):
+        stitch(child, place, fill_value=bad)
+
+
+def test_stitch_fills_an_integer_array_with_any_value_it_holds():
+    place = Placement(parent_shape=(4, 4, 4), offset=(1, 1, 1), window_shape=(2, 2, 2))
+    for dtype, fill in [(np.int16, -32768), (np.int16, 32767.0), (np.uint8, 255),
+                        (np.uint8, np.float32(7)), (np.bool_, 1), (np.float16, 0.1)]:
+        out = stitch(np.ones((2, 2, 2), dtype=dtype), place, fill_value=fill)
+        assert out.dtype == dtype and out[0, 0, 0] == dtype(fill), (dtype, fill)
 
 
 def test_stitch_shape_mismatch():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from biatrium import MclaheParams, Volume, mclahe
 from biatrium.mclahe import _row_tables
 
-from conftest import traced_peak
+from conftest import interrupt_the_blend, thread_budget, traced_peak
 from oracles import (clip_redistribute, global_hist_eq, mapping_from_hist, naive_mclahe,
                      whole_volume_mclahe)
 
@@ -157,19 +159,26 @@ def test_matches_naive_reference(rng):
     ((23, 40, 30), (5, 8, 7), 64, 0.02),       # slab capped at kx; padded x-edge row
 ])
 def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
-    """Volumes spanning many x-slabs equal the unstreamed blend bit for bit."""
+    """Volumes spanning many x-slabs equal the unstreamed blend bit for bit,
+    at thread budgets 1, 2 and 3 (the (7, 9, 5) volume has fewer slabs
+    than 3 threads)."""
     data = rng.random(shape, dtype=np.float32)
     params = MclaheParams(kernel_size=kernel, n_bins=n_bins, clip_limit=clip)
-    out = mclahe(Volume(data=data, spacing=(1, 1, 1)), params)
     ref = whole_volume_mclahe(data, params.resolve_kernel(shape), n_bins, clip)
-    assert np.array_equal(out.data, ref)
+    for threads in (1, 2, 3):
+        with thread_budget(threads):
+            out = mclahe(Volume(data=data, spacing=(1, 1, 1)), params)
+        assert np.array_equal(out.data, ref), threads
 
 
 def test_streamed_working_set_is_bounded(rng):
-    """Traced allocations stay within 3x the float32 input: output, bins and
-    slab-sized temporaries, with no full-volume float64 array."""
+    """Traced allocations stay within 3x the float32 input, at thread
+    budgets 1 and 2: output, bins and slab-sized temporaries, with no
+    full-volume float64 array."""
     v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
-    assert traced_peak(mclahe, v) / v.data.nbytes <= 3.0
+    for threads in (1, 2):
+        with thread_budget(threads):
+            assert traced_peak(mclahe, v) / v.data.nbytes <= 3.0, threads
 
 
 def _traced_peak(data: np.ndarray, kernel) -> int:
@@ -178,15 +187,30 @@ def _traced_peak(data: np.ndarray, kernel) -> int:
 
 
 def test_tile_tables_follow_one_tile_row(rng):
-    """Tables are held for at most three tile rows, not the whole tile grid:
-    with one-voxel tiles, growing x adds only the output and the bins to
-    the peak, and small tiles on a larger grid stay within 4x the input."""
-    small = _traced_peak(rng.random((48, 48, 24), dtype=np.float32), (1, 1, 1))
-    large = _traced_peak(rng.random((192, 48, 24), dtype=np.float32), (1, 1, 1))
-    assert (large - small) / ((192 - 48) * 48 * 24) <= 8.0
+    """Tables are held for at most three tile rows, not the whole tile grid,
+    and are built once for all threads: with one-voxel tiles, growing x
+    adds only the output and the bins to the peak, and small tiles on a
+    larger grid stay within 4x the input, at thread budgets 1 and 2."""
+    for threads in (1, 2):
+        with thread_budget(threads):
+            small = _traced_peak(rng.random((48, 48, 24), dtype=np.float32), (1, 1, 1))
+            large = _traced_peak(rng.random((192, 48, 24), dtype=np.float32), (1, 1, 1))
+            assert (large - small) / ((192 - 48) * 48 * 24) <= 8.0, threads
 
-    data = rng.random((192, 192, 48), dtype=np.float32)
-    assert _traced_peak(data, (4, 4, 2)) / data.nbytes <= 4.0
+            data = rng.random((192, 192, 48), dtype=np.float32)
+            assert _traced_peak(data, (4, 4, 2)) / data.nbytes <= 4.0, threads
+
+
+def test_interrupt_in_the_blend_joins_every_helper(rng, monkeypatch):
+    """An interrupt in the calling thread while helpers blend their slabs
+    reaches the caller only after every helper has finished: no helper
+    thread outlives the call."""
+    interrupt_the_blend(monkeypatch)
+    baseline = threading.active_count()
+    v = Volume(data=rng.random((64, 40, 30), dtype=np.float32), spacing=(1, 1, 1))
+    with thread_budget(3), pytest.raises(KeyboardInterrupt):
+        mclahe(v, MclaheParams(kernel_size=(64, 8, 8)))
+    assert threading.active_count() == baseline
 
 
 def test_output_range_and_shape(rng):

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -8,7 +9,9 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from biatrium import (
     write_volume,
 )
 from backends import COMPONENT_SPLIT_FINE
-from conftest import traced_peak
+from conftest import interrupt_the_blend, thread_budget, traced_peak
 from biatrium import pipeline
 from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
@@ -782,6 +785,126 @@ def test_run_case_failed_backend_reports_error(env):
     doc = json.loads((env["root"] / "out_badfine" / "ph" / "result.json").read_text())
     assert doc["failed_stage"] == result.failed_stage == "fine_backend"
     assert doc["error_type"] == result.error_type == "BackendError"
+
+
+@pytest.mark.parametrize("failing, threads", [("fine_backend", 1), ("evaluate", 1),
+                                              ("evaluate", 2)])
+def test_failed_case_drops_its_arrays_at_once(tmp_path, monkeypatch, failing, threads):
+    """A failed case keeps no reference to the exception it reports, whose
+    traceback would hold the case's arrays until a garbage collection:
+    with the collector off, the fine input of a case whose fine backend
+    failed, and the mask of a case whose evaluation failed beside the
+    write, are gone once run_case returns."""
+    write_volume(_small_volume(), tmp_path / "image.nii")
+    (tmp_path / "gt.nii").write_bytes(b"not a nifti file")
+    cfg = config_from_dict({
+        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii"),
+                   "gt": str(tmp_path / "gt.nii")}],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [6, 6, 4], "coarse_factors": [2, 2, 1], "fine_window": [6, 6, 4],
+        "mclahe": None,
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+        # without code 1, the threshold fine backend's labels fail it
+        "class_map": {"background": 0, "cavity": 1 if failing == "evaluate" else 2},
+    })
+    arrays = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            arrays.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+            return out
+        return call
+
+    monkeypatch.setattr(pipeline, "crop_window", recorded(pipeline.crop_window))
+    monkeypatch.setattr(pipeline, "stitch", recorded(pipeline.stitch))
+    gc.disable()
+    try:
+        with thread_budget(threads):
+            result = run_case(cfg, cfg.cases[0])
+        assert result.failed_stage == failing
+        assert arrays and all(ref() is None for ref in arrays)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overlapped_stages_name_the_stage_that_raised(env, tmp_path, threads):
+    """The write and the evaluation may overlap, and a failure names the
+    stage that raised it.  A bad ground truth alone fails the evaluation
+    and the mask is still written; with the mask path unwritable as well,
+    both stages fail and the first in chain order, the write, is named."""
+    bad_gt = tmp_path / "bad_gt.nii.gz"
+    bad_gt.write_bytes(b"not a nifti file")
+    doc = env["make"](f"out_stages{threads}")
+    doc["cases"] = [{"case_id": "ph", "image": str(env["image"]), "gt": str(bad_gt)}]
+    cfg = config_from_dict(doc)
+    case_dir = env["root"] / f"out_stages{threads}" / "ph"
+
+    with thread_budget(threads):
+        result = run_case(cfg, cfg.cases[0])
+    assert (result.failed_stage, result.error_type) == ("evaluate", "NiftiFormatError")
+    assert np.array_equal(read_labelmap(case_dir / "mask.nii.gz").data, env["gt"].data)
+
+    (case_dir / "mask.nii.gz").unlink()
+    (case_dir / "mask.nii.gz").mkdir()  # the finished write cannot replace a directory
+    with thread_budget(threads):
+        result = run_case(cfg, cfg.cases[0])
+    assert (result.failed_stage, result.error_type) == ("write", "IsADirectoryError")
+    doc = json.loads((case_dir / "result.json").read_text())
+    assert (doc["failed_stage"], doc["error_type"]) == ("write", "IsADirectoryError")
+
+
+def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env):
+    """With MCLAHE and ground truth, a case at budget 2 (threaded blend,
+    write beside the evaluation) writes the bytes it writes at budget 1."""
+    for threads in (1, 2):
+        cfg = config_from_dict(env["make"](f"out_budget{threads}", mclahe={}))
+        with thread_budget(threads):
+            result = run_pipeline(cfg)
+        assert result.ok and result.cases[0].metrics, result.cases[0].error
+    for name in ("ph/mask.nii.gz", "ph/standard_placement.json",
+                 "ph/window_placement.json", "summary.csv"):
+        one = (env["root"] / "out_budget1" / name).read_bytes()
+        assert one == (env["root"] / "out_budget2" / name).read_bytes(), name
+
+
+def _slow(fn):
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return fn(*args, **kwargs)
+    return slow
+
+
+@pytest.mark.parametrize("stage", ["enhance", "write"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_in_a_threaded_stage_joins_every_helper(env, monkeypatch, stage, workers):
+    """A KeyboardInterrupt in a case's thread while its helpers blend MCLAHE
+    slabs or write the mask leaves run_pipeline only after every helper has
+    finished: the thread count is back at its baseline, and the case has no
+    result.json.  Four CPUs give each case 4 threads at one worker and 2 at
+    two, so both run helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+    def interrupted_evaluation(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    if stage == "enhance":
+        interrupt_the_blend(monkeypatch)
+    else:
+        # the write runs on a helper, the evaluation on the case's thread
+        monkeypatch.setattr(pipeline, "write_volume", _slow(pipeline.write_volume))
+        monkeypatch.setattr(pipeline, "evaluate_case", interrupted_evaluation)
+    out = f"out_interrupt_{stage}{workers}"
+    cfg = config_from_dict(env["make"](
+        out, mclahe={"kernel_size": [64, 64, 24]} if stage == "enhance" else None))
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(cfg, workers=workers)
+    assert threading.active_count() == baseline
+    assert not (env["root"] / out / "ph" / "result.json").exists()
+    assert not (env["root"] / out / "summary.csv").exists()
 
 
 def test_case_working_set_is_bounded(tmp_path):

@@ -89,3 +89,44 @@ def test_boundary_scan_finds_a_rescan_and_a_second_bypass(tmp_path):
     (tmp_path / "pipeline.py").write_text(
         "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n")
     assert boundary_breaches(tmp_path) == ["geometry:2 Volume", "geometry:4 object.__new__"]
+
+
+# Where threads may start: the one helper that shares a case's work over its
+# thread budget, and the pool that runs cases side by side.
+_THREAD_STARTERS = {"ThreadPoolExecutor", "Thread"}
+_THREAD_OWNERS = {("core", "_in_parallel"), ("pipeline", "run_pipeline")}
+
+
+def thread_starts(root=SRC) -> list[str]:
+    """``module:line name`` of every use in ``root/*.py`` of a name in
+    ``_THREAD_STARTERS``, bare or as an attribute (``threading.Thread``),
+    outside the module-level functions of ``_THREAD_OWNERS``.  Imports are
+    not uses."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            owner = (p.stem, getattr(stmt, "name", None))
+            for n in ast.walk(stmt):
+                name = n.id if isinstance(n, ast.Name) else (
+                    n.attr if isinstance(n, ast.Attribute) else None)
+                if name in _THREAD_STARTERS and owner not in _THREAD_OWNERS:
+                    found.append(f"{p.stem}:{n.lineno} {name}")
+    return found
+
+
+def test_threads_start_in_one_place():
+    assert thread_starts() == []
+
+
+def test_thread_scan_finds_a_second_starter(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import threading\n"
+        "def _in_parallel(f):\n    threading.Thread(target=f).start()\n")
+    (tmp_path / "pipeline.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def run_pipeline():\n    return ThreadPoolExecutor(2)\n"
+        "def run_case():\n    return ThreadPoolExecutor(1)\n")
+    (tmp_path / "nifti.py").write_text(
+        "from threading import Thread\n"
+        "class W:\n    def go(self, f):\n        Thread(target=f).start()\n")
+    assert thread_starts(tmp_path) == ["nifti:4 Thread", "pipeline:5 ThreadPoolExecutor"]
