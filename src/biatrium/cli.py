@@ -24,7 +24,7 @@ from .geometry import (
     stitch,
 )
 from .loss import AsymLossParams, grad_check, volume_loss
-from .mclahe import MclaheParams, mclahe
+from .mclahe import MclaheParams, _mclahe_consume
 from .metrics import evaluate_case, format_float, write_report_csv
 from .nifti import (
     read_labelmap,
@@ -60,10 +60,10 @@ def _class_map(text: str) -> dict:
 
 
 def _cmd_enhance(args) -> int:
-    vol = read_volume(args.input)
     params = MclaheParams(kernel_size=args.kernel_size, n_bins=args.n_bins,
                           clip_limit=args.clip_limit)
-    write_volume(mclahe(vol, params), args.output)
+    # the volume just read is this command's own, so it is enhanced in place
+    write_volume(_mclahe_consume(read_volume(args.input), params), args.output)
     return 0
 
 

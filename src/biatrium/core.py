@@ -7,6 +7,7 @@ Public constructors check their input; ``_derived`` builds results from checked 
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -196,6 +197,27 @@ def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
         raise failure
     finally:
         failure = None
+
+
+# glibc's malloc_trim, None where the C library has none.  glibc takes a
+# block below its mmap threshold from the heap and raises that threshold
+# to the size of each mmapped block it frees (up to 32 MB on 64-bit), so
+# after one case the next case's grids come from the heap, which keeps
+# them when they are freed.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Give the free memory of every malloc arena back to the OS, so the
+    process holds no more than it still uses; the one place that touches
+    the allocator.  Does nothing where the C library has no malloc_trim."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _codes_present(data: np.ndarray) -> list[int]:

@@ -13,9 +13,12 @@ voxels, no thicker than one tile, shared out over the case's threads in
 contiguous runs.  A tile row's tables are built once, when the first slab
 that reads them arrives, shared by every thread and dropped after the last,
 so at most three rows are held at once and table memory follows one tile
-row, not the tile grid.  Besides the input, the working set is the float32
-output, one small unsigned bin index per voxel, row-sized tables and
-slab-sized temporaries per thread.  Every voxel goes through the same
+row, not the tile grid.  Blending reads only the bins and the tables, so
+the output may be written over the input: ``mclahe`` allocates a new
+float32 output, and ``_mclahe_consume``, for a caller that owns the
+input's array, writes over it.  Besides the input and the output, the
+working set is one small unsigned bin index per voxel, row-sized tables
+and slab-sized temporaries per thread.  Every voxel goes through the same
 array arithmetic in the same order on any thread, so the result is
 deterministic and bit-identical at every thread budget.
 """
@@ -114,6 +117,23 @@ def _axis_interp(n: int, kernel: int, ntiles: int):
 
 def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     """Equalize a volume; output values lie in [0, 1] on the same grid."""
+    return _equalize(v, params, np.empty(v.shape, dtype=np.float32))
+
+
+def _mclahe_consume(v: Volume, params: MclaheParams | None = None) -> Volume:
+    """``mclahe(v, params)`` written over ``v``'s own array, which the
+    caller hands over: ``v`` must not be read again, so call it as
+    ``v = _mclahe_consume(v, ...)`` on a volume whose array nothing else
+    holds, such as one fresh from ``read_volume``."""
+    out = v.data
+    out.flags.writeable = True
+    return _equalize(v, params, out)
+
+
+def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume:
+    """The equalized ``v``, written into the float32 array ``out`` of its
+    shape, which may be ``v.data`` itself: ``v.data`` is last read before
+    the first write to ``out``."""
     params = params or MclaheParams()
     data = v.data
     kernel = params.resolve_kernel(data.shape)
@@ -140,10 +160,11 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     if hi > lo:
         _in_parallel([partial(bin_slab, s) for s in slabs])
 
-    # pass 2: blend the 8 nearest tile tables for every voxel (weights depend
-    # only on the coordinate), one slab at a time, in the corner order and
-    # weight product order of the per-voxel formula.  The slabs go in groups
-    # that start on the same tile row: a group's rows (at most three) are
+    # pass 2: blend the 8 nearest tile tables for every voxel into out
+    # (weights depend only on the coordinate; data is not read again, so out
+    # may be data), one slab at a time, in the corner order and weight
+    # product order of the per-voxel formula.  The slabs go in groups that
+    # start on the same tile row: a group's rows (at most three) are
     # built once, before its slabs are shared out over the case's threads,
     # and a row is dropped after the last group that reads it.  The rows are
     # stacked so each corner is a single take() of flattened (row, tile, bin)
@@ -159,7 +180,6 @@ def mclahe(v: Volume, params: MclaheParams | None = None) -> Volume:
     wxs = (1.0 - wx[:, None, None], wx[:, None, None])
     wys = (1.0 - wy[None, :, None], wy[None, :, None])
     wzs = (1.0 - wz[None, None, :], wz[None, None, :])
-    out = np.empty(data.shape, dtype=np.float32)
 
     def blend(s: slice, flat: np.ndarray, first: int) -> None:
         acc = np.zeros((s.stop - s.start, sy, sz))

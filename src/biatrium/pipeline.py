@@ -51,6 +51,7 @@ from .core import (
     _check_number,
     _in_parallel,
     _read_json,
+    _release_free_heap,
     _thread_budget,
     _write_json,
     check_class_map,
@@ -68,7 +69,10 @@ from .geometry import (
     standardize,
     stitch,
 )
-from .mclahe import MclaheParams, mclahe
+# run_case owns the volume it enhances, so here mclahe writes over its
+# input; the name stays, as bench/spans.py wraps pipeline.mclahe
+from .mclahe import MclaheParams
+from .mclahe import _mclahe_consume as mclahe
 from .metrics import MetricRow, evaluate_case, format_float
 from .nifti import read_labelmap, read_volume, write_placement, write_volume
 
@@ -384,6 +388,8 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
 
     if cfg.mclahe_params is not None:
         with _timed(stages, "enhance"):
+            # written over the array read_volume gave the case, so the case
+            # holds one full grid; the input is gone with this assignment
             vol = mclahe(vol, cfg.mclahe_params)
 
     # The standard grid is a placement on the input, never an array: the
@@ -517,12 +523,19 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
                 while wait(running, timeout=0.1).not_done:
                     _kill_live_groups()
                 raise
+        # Cases overlap in the pool, so a trim after one of them cannot get
+        # back to its live set: the heap goes back once, after the last.
+        _release_free_heap()
     else:
         # The cases run on this thread, whose backend wait kills its own
-        # group on an interrupt.  A one-thread pool would serve too, but the
-        # pool thread's malloc arena raised paper_builtin peak_rss_mb from
-        # 272.7-272.9 to 281.9-282.2 MB (273.0 with MALLOC_ARENA_MAX=1).
-        results = [run_case(cfg, c) for c in cfg.cases]
+        # group on an interrupt, and each case's freed heap goes back to
+        # the OS before the next starts.  A one-thread pool would serve too,
+        # but the pool thread's malloc arena raised paper_builtin
+        # peak_rss_mb from 175.2-176.7 to 200.0-200.1 MB.
+        results = []
+        for c in cfg.cases:
+            results.append(run_case(cfg, c))
+            _release_free_heap()
     summary = out_dir / "summary.csv"
     write_summary_csv(results, summary, cfg.class_map)
     return PipelineResult(cases=tuple(results), summary_csv=str(summary))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biatrium import MclaheParams, Volume, mclahe
-from biatrium.mclahe import _row_tables
+from biatrium.mclahe import _mclahe_consume, _row_tables
 
 from conftest import interrupt_the_blend, thread_budget, traced_peak
 from oracles import (clip_redistribute, global_hist_eq, mapping_from_hist, naive_mclahe,
@@ -179,6 +179,53 @@ def test_streamed_working_set_is_bounded(rng):
     for threads in (1, 2):
         with thread_budget(threads):
             assert traced_peak(mclahe, v) / v.data.nbytes <= 3.0, threads
+
+
+@pytest.mark.parametrize("shape, kernel", [
+    ((192, 192, 48), None),   # default params, many slabs
+    ((23, 40, 30), (5, 8, 7)),  # padded edge tiles
+])
+def test_mclahe_leaves_its_argument_untouched(rng, shape, kernel):
+    """The public call writes a new array, at thread budgets 1 and 2: its
+    argument keeps every byte and stays read-only."""
+    data = rng.random(shape, dtype=np.float32)
+    v = Volume(data=data.copy(), spacing=(1, 1, 1))
+    for threads in (1, 2):
+        with thread_budget(threads):
+            out = mclahe(v, MclaheParams(kernel_size=kernel))
+        assert not np.shares_memory(out.data, v.data)
+        assert v.data.tobytes() == data.tobytes() and not v.data.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["random", "padded", "constant"])
+def test_consuming_path_equals_public_path(rng, kind):
+    """Written over its input, MCLAHE gives the public call's output bit for
+    bit at thread budgets 1 and 2, in the input's own array, read-only
+    again; a constant volume (hi == lo, no binning pass) included."""
+    shape, kernel = ((23, 40, 30), (5, 8, 7)) if kind == "padded" else ((192, 192, 48), None)
+    data = (np.full(shape, 0.37, dtype=np.float32) if kind == "constant"
+            else rng.random(shape, dtype=np.float32))
+    params = MclaheParams(kernel_size=kernel)
+    for threads in (1, 2):
+        with thread_budget(threads):
+            want = mclahe(Volume(data=data, spacing=(1, 1, 1)), params)
+            v = Volume(data=data.copy(), spacing=(1, 1, 1))
+            own = v.data
+            got = _mclahe_consume(v, params)
+        assert got.data is own and not got.data.flags.writeable
+        assert got.data.tobytes() == want.data.tobytes(), threads
+        assert (got.spacing, got.orientation) == (want.spacing, want.orientation)
+
+
+def test_consuming_path_holds_no_second_grid(rng):
+    """Written over its input, MCLAHE allocates no full float32 grid, at
+    thread budgets 1 and 2: the bins (a quarter of the input), row tables
+    and slab-sized temporaries trace under 1x the input (the public call,
+    with its output, traces about 1.7x)."""
+    for threads in (1, 2):
+        v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
+        with thread_budget(threads):
+            assert traced_peak(_mclahe_consume, v) / v.data.nbytes < 1.0, threads
 
 
 def _traced_peak(data: np.ndarray, kernel) -> int:

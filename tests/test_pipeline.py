@@ -39,7 +39,7 @@ from biatrium import (
 )
 from backends import COMPONENT_SPLIT_FINE
 from conftest import interrupt_the_blend, thread_budget, traced_peak
-from biatrium import pipeline
+from biatrium import core, pipeline
 from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
 from biatrium.pipeline import TMPDIR_ENV
@@ -910,8 +910,8 @@ def test_interrupt_in_a_threaded_stage_joins_every_helper(env, monkeypatch, stag
 def test_case_working_set_is_bounded(tmp_path):
     """No stage widens a full grid and each grid is dropped after its last
     reader: a 192x192x48 gzip case with ground truth, default MCLAHE and
-    threshold backends traces at most 3x its float32 input (MCLAHE's input
-    and output are both alive at the peak)."""
+    threshold backends traces at most 1.75x its float32 input at thread
+    budgets 1 and 2, because MCLAHE writes over the input it reads."""
     vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
     write_volume(vol, tmp_path / "image.nii.gz")
     write_volume(gt, tmp_path / "gt.nii.gz")
@@ -931,7 +931,9 @@ def test_case_working_set_is_bounded(tmp_path):
         assert result.ok and result.metrics, result.error
 
     case()  # the first run also pays one-off costs such as lazy imports
-    assert traced_peak(case) <= 3.0 * vol.data.nbytes
+    for threads in (1, 2):
+        with thread_budget(threads):
+            assert traced_peak(case) <= 1.75 * vol.data.nbytes, threads
 
 
 def test_case_working_set_without_mclahe_is_bounded(tmp_path):
@@ -958,6 +960,65 @@ def test_case_working_set_without_mclahe_is_bounded(tmp_path):
 
     case()  # the first run also pays one-off costs such as lazy imports
     assert traced_peak(case) <= 1.75 * vol.data.nbytes
+
+
+# Run in a fresh interpreter by the test below: the cases of a config
+# through run_pipeline on this thread, printing the resident KiB as each
+# case starts and ru_maxrss (KiB) as each returns.
+_MEMORY_PER_CASE = """
+import json, os, resource, sys
+from biatrium import pipeline
+
+def resident_kib():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
+
+starts, peaks = [], []
+run_case = pipeline.run_case
+
+def measured(cfg, case):
+    starts.append(resident_kib())
+    result = run_case(cfg, case)
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return result
+
+pipeline.run_case = measured
+result = pipeline.run_pipeline(pipeline.load_config(sys.argv[1]))
+assert result.ok, [c.error for c in result.cases]
+print(json.dumps([starts, peaks]))
+"""
+
+
+@pytest.mark.skipif(core._malloc_trim is None or not os.path.exists("/proc/self/statm"),
+                    reason="needs glibc's malloc_trim and /proc/self/statm")
+def test_sequential_cases_give_their_heap_back(tmp_path):
+    """Three 384x384x48 cases with MCLAHE and ground truth, one after
+    another: the memory each case frees leaves the process before the next
+    starts (the resident size drops by at least the float32 input from the
+    peak so far), and no later case peaks more than 0.75x the input above
+    the first, scipy.spatial (imported by the first evaluation) included.
+    Measured on Linux x86-64 with an input of 28.3 MB: the drop was about
+    41 MB, or 12 MB without the heap trim, and the growth 12 MB, or 49 MB
+    with MCLAHE's output beside its input and no trim."""
+    vol, gt = generate(PhantomSpec(shape=(384, 384, 48), noise_amplitude=0.05, seed=1))
+    write_volume(vol, tmp_path / "image.nii")
+    write_volume(gt, tmp_path / "gt.nii.gz")
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "cases": [{"case_id": f"c{i}", "image": "image.nii", "gt": "gt.nii.gz"}
+                  for i in range(3)],
+        "output_dir": "out",
+        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PER_CASE, str(tmp_path / "cfg.json")],
+                         env=env, check=True, capture_output=True, text=True, timeout=300)
+    starts, peaks = json.loads(out.stdout)
+    for peak, start in zip(peaks, starts[1:]):
+        assert (peak - start) * 1024 >= vol.data.nbytes, (starts, peaks)
+    assert (peaks[-1] - peaks[0]) * 1024 <= 0.75 * vol.data.nbytes, peaks
 
 
 def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):

@@ -130,3 +130,48 @@ def test_thread_scan_finds_a_second_starter(tmp_path):
         "from threading import Thread\n"
         "class W:\n    def go(self, f):\n        Thread(target=f).start()\n")
     assert thread_starts(tmp_path) == ["nifti:4 Thread", "pipeline:5 ThreadPoolExecutor"]
+
+
+# The one module that touches the C allocator, through ctypes.
+_CTYPES_OWNER = "core"
+
+
+def ctypes_uses(root=SRC) -> list[str]:
+    """``module:line`` of each line of ``root/*.py`` outside
+    ``_CTYPES_OWNER`` that imports ``ctypes`` or a submodule of it, reads
+    the bare name, or holds the string ``"ctypes"`` (as ``importlib``
+    takes it), in line order per module."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        if p.stem == _CTYPES_OWNER:
+            continue
+        lines = set()
+        for n in ast.walk(ast.parse(p.read_text(), str(p))):
+            names = ([a.name for a in n.names] if isinstance(n, ast.Import) else
+                     [n.module or ""] if isinstance(n, ast.ImportFrom) else
+                     [n.id] if isinstance(n, ast.Name) else
+                     [n.value] if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                     else [])
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                lines.add(n.lineno)
+        found += [f"{p.stem}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_ctypes_stays_in_core():
+    assert ctypes_uses() == []
+
+
+def test_ctypes_scan_finds_a_second_allocator_caller(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import ctypes\n"
+        "def _trim():\n    ctypes.CDLL(None).malloc_trim(0)\n")
+    (tmp_path / "nifti.py").write_text("import os, ctypes.util\n")
+    (tmp_path / "pipeline.py").write_text(
+        "import importlib\n"
+        "def run():\n    return importlib.import_module('ctypes')\n"
+        "from ctypes import CDLL\n")
+    (tmp_path / "geometry.py").write_text(
+        "ctypes_ok = 'not ctypes'\n"
+        "def f(core):\n    return core.ctypes\n")
+    assert ctypes_uses(tmp_path) == ["nifti:1", "pipeline:3", "pipeline:4"]
