@@ -101,7 +101,7 @@ def volume_loss(probs: Sequence[Volume | np.ndarray], gt: LabelMap,
         arr = pr.data if isinstance(pr, Volume) else np.asarray(pr)
         if arr.shape != gt.shape:
             raise ValueError(f"probability shape {arr.shape} does not match gt {gt.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         arrs.append(arr)
     unknown = [c for c in _codes_present(gt.data) if c not in codes]

@@ -9,9 +9,10 @@ size; positions outside the center lattice clamp to the edge tile); the
 padding only feeds the edge tiles' histograms.
 
 Binning and blending stream over x-slabs of about ``core._SLAB_VOXELS``
-voxels, no thicker than one tile, shared out over the case's threads in
-contiguous runs.  A tile row's tables are built once, when the first slab
-that reads them arrives, shared by every thread and dropped after the last,
+voxels, no thicker than one tile.  Binning runs on the calling thread;
+the blend slabs are shared out over the case's threads in contiguous
+runs.  A tile row's tables are built once, when the first slab that
+reads them arrives, shared by every thread and dropped after the last,
 so at most three rows are held at once and table memory follows one tile
 row, not the tile grid.  Blending reads only the bins and the tables, so
 the output may be written over the input: ``mclahe`` allocates a new
@@ -144,21 +145,19 @@ def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume
     # with the thread budget and the working set does not grow with it
     slabs = _slabs(data.shape, kernel[0], _SLAB_VOXELS // _threads())
 
-    # pass 1: normalize and bin slab by slab, the slabs shared out over the
-    # case's threads; only the bins are kept
+    # pass 1: normalize and bin slab by slab on this thread (shared out over
+    # threads it took no less wall time); only the bins are kept
     lo = float(data.min())
     hi = float(data.max())
     bins = np.zeros(data.shape, dtype=np.min_scalar_type(n_bins - 1))
-
-    def bin_slab(s: slice) -> None:
-        norm = data[s].astype(np.float64)
-        norm -= lo
-        norm /= hi - lo
-        norm *= n_bins
-        bins[s] = np.minimum(norm.astype(np.int32), n_bins - 1)
-
     if hi > lo:
-        _in_parallel([partial(bin_slab, s) for s in slabs])
+        for s in slabs:
+            norm = data[s].astype(np.float64)
+            norm -= lo
+            norm /= hi - lo
+            norm *= n_bins
+            bins[s] = np.minimum(norm.astype(np.int32), n_bins - 1)
+        del norm  # the last slab's temporary is not held through pass 2
 
     # pass 2: blend the 8 nearest tile tables for every voxel into out
     # (weights depend only on the coordinate; data is not read again, so out

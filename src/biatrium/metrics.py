@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap, _atomic_open, _slabs
+from .core import DEFAULT_CLASS_MAP, EmptyMaskError, LabelMap, _atomic_open
 from .geometry import bbox_from_mask
 
 __all__ = [
@@ -66,12 +66,14 @@ class MetricRow:
 def confusion_counts(pred: LabelMap, gt: LabelMap, class_code: int) -> ConfusionCounts:
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    p = pred.data == class_code
-    g = gt.data == class_code
-    tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p)) - tp
-    fn = int(np.count_nonzero(g)) - tp
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+    return _counts(pred.data == class_code, gt.data == class_code)
+
+
+def _counts(pm: np.ndarray, gm: np.ndarray) -> ConfusionCounts:
+    """Counts of the boolean class masks ``pm`` (prediction) and ``gm``."""
+    tp = int(np.count_nonzero(pm & gm))
+    return ConfusionCounts(tp=tp, fp=int(np.count_nonzero(pm)) - tp,
+                           fn=int(np.count_nonzero(gm)) - tp)
 
 
 def dice(c: ConfusionCounts) -> float:
@@ -173,20 +175,13 @@ def evaluate_case(pred: LabelMap, gt: LabelMap, classes: dict[str, int] | None =
         lo = hi = (0, 0, 0)  # an empty crop: every class row is "empty"
     crop = tuple(slice(l, h) for l, h in zip(lo, hi))
     p, g = pred.data[crop], gt.data[crop]
-    # table[i, j]: voxels with pred code i and gt code j, counted one x-slab
-    # at a time so bincount widens only a slab of pair codes to intp
-    table = np.zeros(65536, dtype=np.intp)
-    for s in _slabs(p.shape):
-        table += np.bincount((p[s].astype(np.uint16) * 256 + g[s]).ravel(), minlength=65536)
-    table = table.reshape(256, 256)
 
     rows = []
     for name, code in (DEFAULT_CLASS_MAP if classes is None else classes).items():
         if code == 0:
             continue
-        tp = int(table[code, code])
-        c = ConfusionCounts(tp=tp, fp=int(table[code].sum()) - tp,
-                            fn=int(table[:, code].sum()) - tp)
+        pm, gm = p == code, g == code
+        c = _counts(pm, gm)
         pred_empty = (c.tp + c.fp) == 0
         gt_empty = (c.tp + c.fn) == 0
         if pred_empty and gt_empty:
@@ -195,7 +190,6 @@ def evaluate_case(pred: LabelMap, gt: LabelMap, classes: dict[str, int] | None =
             flag = "pred_empty" if pred_empty else "gt_empty"
             rows.append(MetricRow(case_id, name, 0.0, float("inf"), flag))
         else:
-            pm, gm = p == code, g == code
             if point_mode == "surface":
                 pm, gm = _surface_mask(pm), _surface_mask(gm)
             h = _pooled_distance(_centers_mm(pm, pred.spacing, lo),

@@ -140,7 +140,7 @@ class BackendSpec:
         elif self.kind == "copy-file":
             if not self.source_path or not isinstance(self.source_path, str):
                 raise ValueError("copy-file backend needs source_path")
-        # the wait polls with a C int of milliseconds
+        # at most a C int of milliseconds, which any wait or poll can take
         _check_number(self.timeout_s, "timeout_s", gt=0, le=2147483)
 
 
@@ -265,18 +265,22 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
         write_volume(image, in_path)
         argv = [tok.replace("{input}", in_path).replace("{output}", out_path)
                 for tok in shlex.split(spec.command_template)]
-        try:
-            # A session of its own makes the backend and every process it
-            # starts one process group, which a timeout kills as a whole.
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    start_new_session=True)
-        except OSError as e:
-            raise BackendError(f"backend command could not start: {e}") from e
+        err_path = os.path.join(tmp, "stderr.txt")
+        # stdout is dropped and stderr goes to a file, so however much a
+        # backend writes, only the tail read below is held in memory
+        with open(err_path, "wb") as err:
+            try:
+                # A session of its own makes the backend and every process it
+                # starts one process group, which a timeout kills as a whole.
+                proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err,
+                                        start_new_session=True)
+            except OSError as e:
+                raise BackendError(f"backend command could not start: {e}") from e
         with _live_lock:
             _live_groups.add(proc.pid)
         with proc:
             try:
-                _, stderr = proc.communicate(timeout=spec.timeout_s)
+                proc.wait(timeout=spec.timeout_s)
             except BaseException as e:
                 # kill the whole group, then reap the backend
                 _killpg(proc.pid)
@@ -295,7 +299,9 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             # without a result
             raise KeyboardInterrupt("backend killed by an interrupt")
         if proc.returncode != 0:
-            tail = stderr.decode(errors="replace")[-2000:]
+            with open(err_path, "rb") as err:
+                err.seek(max(0, os.fstat(err.fileno()).st_size - 2000))
+                tail = err.read().decode(errors="replace")
             raise BackendError(
                 f"backend command exited with {proc.returncode}; stderr: {tail!r}")
         if not os.path.exists(out_path):
@@ -335,38 +341,33 @@ def _roi_center(mask: LabelMap, factors, margin: int,
     return grown, center
 
 
-@dataclass
-class _Stages:
-    """Wall ms of each finished stage of a case, and every exception a stage
-    raised, with the stage's name.  Stages may overlap, so a failure is
-    named by the exception that ended the case, not by what ran last."""
-    timings_ms: dict[str, float] = field(default_factory=dict)
-    raised: list[tuple[BaseException, str]] = field(default_factory=list)
+#: Attribute naming, on an exception, the stage it left.  Stages may
+#: overlap, so a failure is named by the exception that ended the case,
+#: not by what ran last.
+_STAGE_ATTR = "_biatrium_stage"
 
 
 @contextmanager
-def _timed(stages: _Stages, stage: str):
+def _timed(timings_ms: dict[str, float], stage: str):
+    """Record the stage's wall ms in ``timings_ms`` if it finishes, or its
+    name on the exception it raises."""
     t0 = time.perf_counter()
     try:
         yield
     except BaseException as e:
-        stages.raised.append((e, stage))
+        setattr(e, _STAGE_ATTR, stage)
         raise
-    stages.timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
+    timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
 
 
 def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
     """Process one case; exceptions are converted into a failed result that
     names the stage and the exception type."""
     case_dir = Path(cfg.output_dir) / case.case_id
-    stages = _Stages()
     try:
-        return _run_case_inner(cfg, case, case_dir, stages)
+        return _run_case_inner(cfg, case, case_dir)
     except Exception as e:  # noqa: BLE001 - case isolation boundary
-        stage = next((name for raised, name in stages.raised if raised is e), None)
-        # the recorded exceptions' tracebacks hold this frame and the case's
-        # arrays: drop them now rather than at the next garbage collection
-        stages.raised.clear()
+        stage = getattr(e, _STAGE_ATTR, None)
         result = CaseResult(case_id=case.case_id, status="failed", error=str(e),
                             failed_stage=stage, error_type=type(e).__name__)
         try:
@@ -377,33 +378,33 @@ def run_case(cfg: PipelineConfig, case: CaseSpec) -> CaseResult:
         return result
 
 
-def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
-                    stages: _Stages) -> CaseResult:
+def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> CaseResult:
     flags: list[str] = []
+    timings_ms: dict[str, float] = {}
     case_dir.mkdir(parents=True, exist_ok=True)
 
-    with _timed(stages, "read"):
+    with _timed(timings_ms, "read"):
         vol = read_volume(case.image)
     orientation = vol.orientation  # the mask lies on this grid
 
     if cfg.mclahe_params is not None:
-        with _timed(stages, "enhance"):
+        with _timed(timings_ms, "enhance"):
             # written over the array read_volume gave the case, so the case
             # holds one full grid; the input is gone with this assignment
             vol = mclahe(vol, cfg.mclahe_params)
 
     # The standard grid is a placement on the input, never an array: the
     # coarse and fine inputs are read, and the labels written, through it.
-    with _timed(stages, "standardize"):
+    with _timed(timings_ms, "standardize"):
         to_original = standardize(vol.shape, cfg.standard_shape)
 
-    with _timed(stages, "downsample"):
+    with _timed(timings_ms, "downsample"):
         coarse_in = downsample_mean(vol, cfg.coarse_factors, through=to_original)
 
-    with _timed(stages, "coarse_backend"):
+    with _timed(timings_ms, "coarse_backend"):
         coarse_mask = invoke_backend(cfg.coarse_backend, coarse_in, classes=BINARY_CLASS_MAP)
 
-    with _timed(stages, "roi"):
+    with _timed(timings_ms, "roi"):
         try:
             roi_box, center = _roi_center(coarse_mask, cfg.coarse_factors,
                                           cfg.bbox_margin_vox, cfg.standard_shape)
@@ -412,26 +413,26 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
             roi_box = None
             center = tuple(s // 2 for s in cfg.standard_shape)
 
-    with _timed(stages, "crop"):
+    with _timed(timings_ms, "crop"):
         fine_in, to_standard = crop_window(vol, center, cfg.fine_window, through=to_original)
     del vol  # the input is dropped as soon as its last reader is done
 
-    with _timed(stages, "fine_backend"):
+    with _timed(timings_ms, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, classes=cfg.class_map)
 
-    with _timed(stages, "stitch"):
+    with _timed(timings_ms, "stitch"):
         full_labels = stitch(fine_labels, to_standard, through=to_original)
 
     mask_path = case_dir / "mask.nii.gz"
 
     def write() -> None:
-        with _timed(stages, "write"):
+        with _timed(timings_ms, "write"):
             write_volume(full_labels, mask_path, orientation=orientation)
             write_placement(to_original, case_dir / "standard_placement.json")
             write_placement(to_standard, case_dir / "window_placement.json")
 
     def evaluate() -> tuple[MetricRow, ...]:
-        with _timed(stages, "evaluate"):
+        with _timed(timings_ms, "evaluate"):
             gt = read_labelmap(case.gt, classes=cfg.class_map)
             return tuple(evaluate_case(full_labels, gt, classes=cfg.class_map,
                                        case_id=case.case_id))
@@ -446,7 +447,7 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path,
         _, metrics = _in_parallel([write, evaluate])
 
     result = CaseResult(case_id=case.case_id, status="ok", mask_path=str(mask_path),
-                        flags=tuple(flags), roi_box=roi_box, timings_ms=stages.timings_ms,
+                        flags=tuple(flags), roi_box=roi_box, timings_ms=timings_ms,
                         metrics=metrics)
     _write_result_json(case_dir, result)
     return result

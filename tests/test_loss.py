@@ -256,6 +256,8 @@ def test_volume_loss_validation(rng):
     bad[0][0, 0, 0] = 1.5
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         volume_loss(bad, gt)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        volume_loss([np.full(gt.shape, np.nan)], gt, class_codes=[0])
     with pytest.raises(ValueError, match="codes"):
         volume_loss(probs[:2], gt)  # gt contains code 2 with only codes 0,1
     with pytest.raises(ValueError, match=r"codes \[0\] not covered"):

@@ -296,7 +296,7 @@ def _equality_case(rng, kind):
     elif kind == "background":
         p = np.zeros(shape, dtype=np.uint8)
         g = p.copy()
-    else:  # code 255 exercises the last row and column of the count table
+    else:  # code 255 exercises the largest code a uint8 map holds
         classes = {"background": 0, "low": 7, "high": 255}
         codes = (7, 255)
         p = random_blobby_labels(rng, shape, codes=codes, spacing=spacing).data
@@ -310,8 +310,8 @@ _EQUALITY_KINDS = ("identical", "few_voxels", "one_sided", "every_face", "backgr
 
 @pytest.mark.parametrize("kind", _EQUALITY_KINDS)
 def test_evaluate_case_equals_full_grid_oracle(kind):
-    """The cropped, count-table, shared-point-skipping evaluation gives the
-    full-grid rows float for float (40 pairs per kind, both point modes)."""
+    """The cropped, shared-point-skipping evaluation gives the full-grid
+    rows float for float (40 pairs per kind, both point modes)."""
     rng = np.random.default_rng(_EQUALITY_KINDS.index(kind))
     for _ in range(40):
         pred, gt, classes = _equality_case(rng, kind)
@@ -322,8 +322,8 @@ def test_evaluate_case_equals_full_grid_oracle(kind):
 
 
 def test_evaluate_case_equals_full_grid_oracle_across_slabs():
-    """Grids of many x-slabs count their confusion table slab by slab and
-    still give the full-grid rows."""
+    """Grids many x-slabs thick, with several blobs per class, still give
+    the full-grid rows."""
     rng = np.random.default_rng(17)
     for _ in range(4):
         shape = (int(rng.integers(150, 220)), int(rng.integers(30, 60)), int(rng.integers(10, 20)))

@@ -304,8 +304,8 @@ def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
 
 
 def test_config_timeout_upper_bound_loads():
-    """The wait polls with a C int of milliseconds: 2147483 s is the
-    longest timeout it can take, and it loads."""
+    """A timeout is at most a C int of milliseconds: 2147483 s is the
+    longest, and it loads."""
     backend = {"kind": "threshold", "threshold": 0.4, "timeout_s": 2147483}
     cfg = config_from_dict({**_BASE_DOC, "coarse_backend": backend})
     assert cfg.coarse_backend.timeout_s == 2147483
@@ -379,6 +379,52 @@ def test_external_backend_nonzero_exit():
                          " {input} {output}")
     with pytest.raises(BackendError, match="boom"):
         invoke_backend(spec, _small_volume())
+
+
+# Run in a fresh interpreter by the test below: a backend that writes
+# 100 MiB to stdout and to stderr and exits 3, after a quiet one that pays
+# the one-off costs; prints the ru_maxrss growth (KiB) and the error.
+_LOUD_BACKEND = """
+import json, resource, shlex, sys
+import numpy as np
+from biatrium import BackendError, BackendSpec, Volume, invoke_backend
+
+LOUD = ("import sys; chunk = b'x' * (1 << 20)\\n"
+        "for _ in range(100):\\n"
+        "    sys.stdout.buffer.write(chunk); sys.stderr.buffer.write(chunk)\\n"
+        "sys.stderr.buffer.write(b'the end'); sys.exit(3)")
+image = Volume(data=np.full((6, 6, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1))
+
+def fail(code):
+    spec = BackendSpec(kind="external-command",
+                       command_template=f"{sys.executable} -c {shlex.quote(code)} {{input}} {{output}}")
+    try:
+        invoke_backend(spec, image)
+    except BackendError as e:
+        return str(e)
+
+fail("import sys; sys.exit(3)")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+error = fail(LOUD)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([after - before, error]))
+"""
+
+
+def test_external_backend_output_is_not_held_in_memory(tmp_path):
+    """A backend's output never enters memory whole: stdout is dropped and
+    only the last 2000 bytes of stderr are read.  Measured on Linux x86-64,
+    a backend writing 300 MB to stdout raised the peak resident size by
+    about 600 MB when both streams were piped into memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    env = {**os.environ, TMPDIR_ENV: str(tmp_path), "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", _LOUD_BACKEND], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    growth_kib, error = json.loads(out.stdout)
+    assert error.startswith("backend command exited with 3; stderr: ")
+    assert error.endswith(repr("x" * 1993 + "the end"))
+    assert growth_kib * 1024 < 16 * 2**20, growth_kib
 
 
 def test_external_backend_no_output():
@@ -785,6 +831,18 @@ def test_run_case_failed_backend_reports_error(env):
     doc = json.loads((env["root"] / "out_badfine" / "ph" / "result.json").read_text())
     assert doc["failed_stage"] == result.failed_stage == "fine_backend"
     assert doc["error_type"] == result.error_type == "BackendError"
+
+
+def test_failure_outside_every_stage_names_no_stage(env, tmp_path):
+    """A case that fails before its first stage, here because its output
+    directory's path is taken by a file, reports no stage."""
+    doc = env["make"]("unused")
+    doc["output_dir"] = str(tmp_path)
+    cfg = config_from_dict(doc)
+    (tmp_path / "ph").write_text("not a directory")
+    result = run_case(cfg, cfg.cases[0])
+    assert result.status == "failed"
+    assert (result.failed_stage, result.error_type) == (None, "FileExistsError")
 
 
 @pytest.mark.parametrize("failing, threads", [("fine_backend", 1), ("evaluate", 1),

@@ -53,6 +53,42 @@ def test_unused_name_scan_finds_a_leftover(tmp_path):
     assert unused_module_names(tmp_path) == ["a.leftover"]
 
 
+def unused_imports(root=SRC) -> list[str]:
+    """``module.name`` of every name an import binds in ``root/*.py`` that
+    its module never reads; ``__init__.py``, which imports to re-export,
+    and ``from __future__`` imports aside."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text(), str(p))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import) or (
+                    isinstance(n, ast.ImportFrom) and n.module != "__future__"):
+                found += [f"{p.stem}.{name}"
+                          for name in (a.asname or a.name.split(".")[0] for a in n.names)
+                          if name not in read]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_import_scan_finds_a_leftover(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import kept\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .core import _slabs, kept as k\n"
+        "def f(x: np.ndarray):\n    return k(os.path.join(x))\n")
+    (tmp_path / "b.py").write_text("import json, sys\nsys.exit()\n")
+    assert unused_imports(tmp_path) == ["a._slabs", "b.json"]
+
+
 # Modules that may call each name: the public Volume constructor is the
 # boundary for files (nifti) and generated phantoms; everything derived
 # from checked values goes through core._derived, the one bypass.
