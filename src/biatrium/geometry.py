@@ -125,15 +125,15 @@ def bbox_from_mask(mask: np.ndarray | LabelMap,
     otherwise only voxels whose class code is in the set count.
     """
     arr = mask.data if isinstance(mask, LabelMap) else np.asarray(mask)
-    if positive_classes is None:
-        fg = arr != 0
-    else:
-        fg = np.isin(arr, sorted(positive_classes))
-    # per-axis `any` projections: far cheaper than listing voxels by np.nonzero
-    hits = [np.flatnonzero(fg.any(axis=tuple(a for a in range(fg.ndim) if a != ax)))
-            for ax in range(fg.ndim)]
-    if hits[0].size == 0:
+    fg = arr if positive_classes is None else np.isin(arr, sorted(positive_classes))
+    # `any` projections, far cheaper than listing voxels by np.nonzero: `any`
+    # of the array itself needs no boolean copy of it, and the y and z
+    # projections read only the x-range that holds foreground
+    xs = np.flatnonzero(fg.any(axis=(1, 2)))
+    if xs.size == 0:
         raise EmptyMaskError("mask has no foreground voxels")
+    yz = fg[xs[0]:xs[-1] + 1].any(axis=0)
+    hits = [xs, np.flatnonzero(yz.any(axis=1)), np.flatnonzero(yz.any(axis=0))]
     return BBox(lo=tuple(int(h[0]) for h in hits), hi=tuple(int(h[-1]) + 1 for h in hits))
 
 

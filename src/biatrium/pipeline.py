@@ -19,7 +19,9 @@ whatever the worker count and the threads each case uses.
 from __future__ import annotations
 
 import csv
+import math
 import os
+import select
 import shlex
 import signal
 import subprocess
@@ -280,7 +282,7 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             _live_groups.add(proc.pid)
         with proc:
             try:
-                proc.wait(timeout=spec.timeout_s)
+                _wait_for(proc, spec.timeout_s)
             except BaseException as e:
                 # kill the whole group, then reap the backend
                 _killpg(proc.pid)
@@ -310,6 +312,27 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
             return read_labelmap(out_path, classes=classes)
         except (OSError, ValueError, NiftiFormatError) as e:
             raise BackendError(f"backend output unusable: {e}") from e
+
+
+def _wait_for(proc: subprocess.Popen, timeout_s: float) -> None:
+    """``proc.wait(timeout=timeout_s)`` that wakes as the process exits.
+
+    ``Popen.wait`` polls with sleeps growing to 50 ms; on Linux the wait is
+    on a pidfd instead, which becomes readable at the exit.  Where there is
+    no pidfd, ``Popen.wait`` polls."""
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        proc.wait(timeout=timeout_s)
+        return
+    try:
+        exited = select.poll()
+        exited.register(fd, select.POLLIN)
+        if not exited.poll(math.ceil(timeout_s * 1000)):
+            raise subprocess.TimeoutExpired(proc.args, timeout_s)
+    finally:
+        os.close(fd)
+    proc.wait()
 
 
 def _killpg(pgid: int) -> None:

@@ -203,15 +203,44 @@ def test_in_parallel_raises_the_first_failure_in_task_order():
         assert ran == ([first] if threads == 1 else ["caller", second, first])
 
 
-@pytest.mark.parametrize("caller_s", [0.0, 1.0], ids=["joining", "running"])
-def test_in_parallel_joins_helpers_through_an_interrupt(caller_s):
+def _main_thread_inside(*codes) -> bool:
+    """Whether the main thread's Python stack, innermost frame first, starts
+    with frames running ``codes``, in that order."""
+    frame = sys._current_frames().get(threading.main_thread().ident)
+    for code in codes:
+        if frame is None or frame.f_code is not code:
+            return False
+        frame = frame.f_back
+    return True
+
+
+def _caller_sleeps(seconds):
+    time.sleep(seconds)
+
+
+# Where the calling thread is when the interrupt reaches it: waiting for the
+# helper in _in_parallel's join, or running its own task.
+_CALLER_AT = {
+    "joining": (0.0, (threading.Condition.wait.__code__, threading.Event.wait.__code__,
+                      core._in_parallel.__code__)),
+    "running": (1.0, (_caller_sleeps.__code__,)),
+}
+
+
+@pytest.mark.parametrize("where", list(_CALLER_AT))
+def test_in_parallel_joins_helpers_through_an_interrupt(where):
     """An interrupt that reaches the calling thread while it waits for a
     helper, or while it runs its own tasks, is raised only after every
-    helper has finished."""
+    helper has finished.  The helper sends it only once the calling thread
+    is seen there, so the test checks the path its id names."""
+    caller_s, codes = _CALLER_AT[where]
     finished = []
 
     def interrupt_then_work():
-        time.sleep(0.05)
+        deadline = time.monotonic() + 10
+        while not _main_thread_inside(*codes):
+            assert time.monotonic() < deadline, f"the calling thread never reached {where}"
+            time.sleep(0.001)
         # a real SIGINT, which also breaks the caller's wait in join()
         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         time.sleep(0.2)
@@ -219,7 +248,7 @@ def test_in_parallel_joins_helpers_through_an_interrupt(caller_s):
 
     baseline = threading.active_count()
     with thread_budget(2), pytest.raises(KeyboardInterrupt):
-        _in_parallel([interrupt_then_work, partial(time.sleep, caller_s)])
+        _in_parallel([interrupt_then_work, partial(_caller_sleeps, caller_s)])
     assert finished == [True]
     assert threading.active_count() == baseline
 

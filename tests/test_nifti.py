@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from biatrium import (
+    Ellipsoid,
     LabelMap,
     NiftiFormatError,
     PhantomSpec,
@@ -124,15 +125,26 @@ def _speckled(labels, rng, fraction=0.02):
     return out
 
 
-@pytest.mark.parametrize("kind", ["phantom_gt", "zeros", "z_extent_1"])
-def test_blocky_map_keeps_gzipfile_level9_bytes(tmp_path, rng, kind):
-    """A blocky map's file is byte for byte what gzip.GzipFile wrote at
-    level 9, so mask hashes do not move.  The default phantom's ground
-    truth is the bench mask nearest the threshold (0.014 transitions per
-    voxel); a z-extent-1 array has no z-transitions at all."""
+def _paper_gt():
+    """The ground truth of the paper-scale phantom: the default phantom's
+    two chambers scaled 1.8x in-plane on a 576x576x48 grid."""
+    return generate(PhantomSpec(
+        shape=(576, 576, 48), spacing=SPACING,
+        la=Ellipsoid(center_mm=(147.6, 180.0, 60.0), radii_mm=(32.4, 36.0, 16.0)),
+        ra=Ellipsoid(center_mm=(212.4, 180.0, 60.0), radii_mm=(28.8, 32.4, 15.0))))[1].data
+
+
+@pytest.mark.parametrize("kind", ["phantom_gt", "paper_gt", "zeros", "z_extent_1"])
+def test_blocky_map_keeps_gzipfile_level9_bytes(tmp_path, kind):
+    """A map whose foreground deflates much smaller with the default
+    strategy keeps the file gzip.GzipFile wrote at level 9, byte for byte,
+    so ground-truth and bench input hashes do not move: the default and the
+    paper-scale phantom ground truths, an all-zero grid, and a
+    one-plane map, whose trial sample is that plane."""
     arr = {"phantom_gt": lambda: generate(PhantomSpec())[1].data,
+           "paper_gt": _paper_gt,
            "zeros": lambda: np.zeros((576, 576, 48), np.uint8),
-           "z_extent_1": lambda: rng.integers(0, 4, (70, 9, 1), dtype=np.uint8)}[kind]()
+           "z_extent_1": lambda: generate(PhantomSpec())[1].data[:, :, 24:25]}[kind]()
     write_nifti(tmp_path / "x.nii", arr, SPACING)
     write_nifti(tmp_path / "x.nii.gz", arr, SPACING)
     header = (tmp_path / "x.nii").read_bytes()[:352]
@@ -140,33 +152,95 @@ def test_blocky_map_keeps_gzipfile_level9_bytes(tmp_path, rng, kind):
     assert blob == gzipfile_bytes(header + x_fastest_payload(arr))
 
 
-def test_deflate_settings_follow_the_content(tmp_path, rng, monkeypatch):
-    """Level 9 with the default strategy for blocky maps, Z_RLE for a
-    speckled map and a noisy image; the gzip XFL byte says which."""
-    recorded = []
+class _RecordingDeflater:
+    """A zlib compress object that counts the bytes fed to it."""
+
+    def __init__(self, z, fed, strategy):
+        self._z, self._fed, self._strategy = z, fed, strategy
+
+    def compress(self, data):
+        self._fed[self._strategy] += memoryview(data).nbytes
+        return self._z.compress(data)
+
+    def flush(self):
+        return self._z.flush()
+
+
+@pytest.fixture
+def deflaters(monkeypatch):
+    """Every (level, strategy) nifti asks zlib.compressobj for, in order,
+    and the bytes fed to the objects of each strategy."""
+    made, fed = [], collections.Counter()
     real_compressobj = zlib.compressobj
 
     def recording(level, method, wbits, memlevel, strategy):
-        recorded.append((level, strategy))
-        return real_compressobj(level, method, wbits, memlevel, strategy)
+        made.append((level, strategy))
+        return _RecordingDeflater(real_compressobj(level, method, wbits, memlevel, strategy),
+                                  fed, strategy)
 
     monkeypatch.setattr(nifti.zlib, "compressobj", recording)
+    return made, fed
+
+
+def test_deflate_settings_follow_the_content(tmp_path, rng, deflaters):
+    """A uint8 map tries both strategies on a sample of its foreground, and
+    keeps level 9's default strategy only for clean structures: threshold
+    masks, speckle and random codes take Z_RLE, as does any other dtype,
+    with no trial.  An all-zero map needs no trial.  The gzip XFL byte says
+    which, and a second write gives the same bytes."""
+    made, _ = deflaters
     vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
+    default, rle = zlib.Z_DEFAULT_STRATEGY, zlib.Z_RLE
     cases = {
-        "phantom_gt": (gt.data, zlib.Z_DEFAULT_STRATEGY, 2),
-        "zeros": (np.zeros((40, 30, 20), np.uint8), zlib.Z_DEFAULT_STRATEGY, 2),
-        "speckled_gt": (_speckled(gt.data, rng), zlib.Z_RLE, 0),
-        "noisy_image": (vol.data, zlib.Z_RLE, 0),
+        "phantom_gt": (gt.data, default),
+        "zeros": (np.zeros((40, 30, 20), np.uint8), default),
+        "threshold_mask": ((vol.data >= np.float32(0.5)).astype(np.uint8), rle),
+        "speckled_gt_1.2%": (_speckled(gt.data, rng, 0.012), rle),
+        "speckled_gt_2%": (_speckled(gt.data, rng, 0.02), rle),
+        "z_extent_1": (rng.integers(0, 4, (70, 9, 1), dtype=np.uint8), rle),
+        "noisy_image": (vol.data, rle),
     }
-    for name, (arr, strategy, xfl) in cases.items():
-        recorded.clear()
-        path = tmp_path / f"{name}.nii.gz"
+    for name, (arr, strategy) in cases.items():
+        made.clear()
+        path, again = tmp_path / f"{name}.nii.gz", tmp_path / f"{name}.again.nii.gz"
         write_nifti(path, arr, SPACING)
-        assert recorded == [(9, strategy)], name
-        assert path.read_bytes()[8] == xfl, name
-    recorded.clear()
+        trial = arr.dtype == np.uint8 and arr.any()
+        assert sorted(made[:-1]) == ([(9, default), (9, rle)] if trial else []), name
+        assert made[-1] == (9, strategy), name
+        assert path.read_bytes()[8] == (2 if strategy == default else 0), name
+        write_nifti(again, arr, SPACING)
+        assert again.read_bytes() == path.read_bytes(), name
+    made.clear()
     write_nifti(tmp_path / "plain.nii", vol.data, SPACING)
-    assert recorded == []
+    assert made == []
+
+
+def test_threshold_mask_is_smaller_under_rle(tmp_path):
+    """A threshold mask of a noisy image, as the bench's pipelines write,
+    has ragged edges that Z_RLE deflates smaller than level 9's default
+    strategy does."""
+    vol, _ = generate(PhantomSpec(noise_amplitude=0.05, seed=5))
+    arr = (vol.data >= np.float32(0.5)).astype(np.uint8)
+    write_nifti(tmp_path / "x.nii", arr, SPACING)
+    write_nifti(tmp_path / "x.nii.gz", arr, SPACING)
+    header = (tmp_path / "x.nii").read_bytes()[:352]
+    blob = (tmp_path / "x.nii.gz").read_bytes()
+    assert blob[8] == 0
+    assert len(blob) < len(gzipfile_bytes(header + x_fastest_payload(arr)))
+    assert gzip.decompress(blob) == header + x_fastest_payload(arr)
+
+
+def test_strategy_trial_deflates_a_small_sample(tmp_path, rng, deflaters):
+    """The trial's default-strategy deflate, slow on speckle, reads a small
+    sample: on a 2%-speckled paper-scale map the default-strategy objects
+    are fed at most 1/16 of the payload (a count, not a timing)."""
+    _, fed = deflaters
+    arr = np.zeros((576, 576, 48), np.uint8)
+    for z in range(arr.shape[2]):
+        arr[:, :, z] = rng.random(arr.shape[:2]) < 0.02
+    write_nifti(tmp_path / "x.nii.gz", arr, SPACING)
+    assert 0 < fed[zlib.Z_DEFAULT_STRATEGY] <= arr.nbytes / 16
+    assert fed[zlib.Z_RLE] > arr.nbytes
 
 
 def test_rle_path_roundtrips_on_every_layout(tmp_path, rng):
@@ -186,9 +260,9 @@ def test_rle_path_roundtrips_on_every_layout(tmp_path, rng):
 
 
 def test_deflate_count_holds_no_full_grid(tmp_path):
-    """The transition count runs slab by slab: a blocky paper-scale map,
-    which is counted to the end, writes holding a fraction of the array
-    (a whole-grid comparison alone would be 1.0x)."""
+    """The strategy trial holds no copy of the grid: a blocky paper-scale
+    map, whose foreground box is found and sampled, writes holding a
+    fraction of the array (a boolean copy of it alone would be 1.0x)."""
     arr = np.zeros((576, 576, 48), np.uint8)
     arr[100:300, 200:400, 10:30] = 1
     peak = traced_peak(write_nifti, tmp_path / "x.nii.gz", arr, SPACING)

@@ -443,6 +443,37 @@ def test_external_backend_timeout():
         invoke_backend(spec, _small_volume())
 
 
+def _overshoots(wait, sleep_s=0.22, runs=3) -> list[float]:
+    """Seconds between the exit of a process that sleeps ``sleep_s`` and the
+    return of ``wait(proc)``, for each of ``runs`` processes."""
+    out = []
+    for _ in range(runs):
+        t0 = time.monotonic()
+        with subprocess.Popen(["sleep", str(sleep_s)]) as proc:
+            wait(proc)
+        out.append(time.monotonic() - t0 - sleep_s)
+        assert proc.returncode == 0
+    return out
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs a pidfd")
+def test_backend_wait_wakes_when_the_backend_exits():
+    """A backend is reaped as it exits, not at a later poll: Popen.wait's
+    own polling sleeps up to 50 ms between checks, which at a 0.22 s exit
+    wakes about 40 ms late.  The timeout is the longest a config allows."""
+    assert min(_overshoots(lambda proc: pipeline._wait_for(proc, 2147483))) < 0.02
+
+
+def test_backend_wait_polls_where_there_is_no_pidfd(monkeypatch):
+    """Without a pidfd the wait falls back to Popen.wait, timeout included."""
+    monkeypatch.delattr(os, "pidfd_open", raising=False)
+    assert all(o >= 0 for o in _overshoots(lambda proc: pipeline._wait_for(proc, 5), 0.05, 1))
+    with subprocess.Popen(["sleep", "30"]) as proc:
+        with pytest.raises(subprocess.TimeoutExpired):
+            pipeline._wait_for(proc, 0.2)
+        proc.kill()
+
+
 def _running(pid: int) -> bool:
     """True while ``pid`` exists and is not a zombie."""
     try:
