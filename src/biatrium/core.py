@@ -4,6 +4,7 @@ Volumes and label maps are axis-aligned 3D grids indexed (x, y, z) with a
 physical spacing in mm per axis.  Placements record how a child grid (a
 padded or cropped window) maps back into its parent grid.
 Public constructors check their input; ``_derived`` builds results from checked values.
+``_in_parallel`` is the one way the package runs work side by side.
 """
 from __future__ import annotations
 
@@ -14,10 +15,12 @@ import math
 import numbers
 import operator
 import os
+import signal
 import threading
 import typing
+from collections import deque
 from contextlib import contextmanager, suppress
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -118,9 +121,9 @@ def _slabs(shape, most: int | None = None, voxels: int = _SLAB_VOXELS) -> list[s
 #: Most threads one case uses.  Each thread holds its own slab-sized
 #: temporaries, so a pass shared out over threads cuts smaller slabs.
 _MAX_CASE_THREADS = 4
-#: Threads each case may use.  run_pipeline's case pool sets it in each
-#: worker thread; where it is unset (one worker, or a library call), a case
-#: has the whole machine.
+#: Threads each case may use.  run_pipeline sets it for its cases, and
+#: _in_parallel's helpers inherit it; where it is unset (a library call),
+#: a case has the whole machine.
 _case_threads: ContextVar[int] = ContextVar("_case_threads")
 
 
@@ -136,63 +139,95 @@ def _threads() -> int:
     return _case_threads.get(0) or _thread_budget()
 
 
-def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
-    """Call every zero-argument callable of ``tasks``; return the results in
-    task order.  The one place a case starts threads.
+# Process groups of the running external backends, whichever thread
+# started them: an interrupt reaches the whole process, so while one waits
+# in _in_parallel, every group here is killed and dropped, and a thread
+# that finds its group dropped raises in turn.
+_live_groups: set[int] = set()
+_live_lock = threading.Lock()
 
-    The tasks are cut into contiguous runs, one per thread of the case's
-    budget.  Helper threads take the first runs and the calling thread the
-    last; each calls its run in order and stops at the first task that
-    raises.  Every helper is joined before this returns or raises, also
-    when an interrupt arrives meanwhile; then that interrupt, or else the
-    first failure in task order, is raised.  With a budget of 1, the tasks
-    just run here in order.
-    """
-    n = min(len(tasks), _threads())
+
+def _killpg(pgid: int) -> None:
+    with suppress(ProcessLookupError):
+        os.killpg(pgid, signal.SIGKILL)
+
+
+def _kill_live_groups() -> None:
+    """SIGKILL every registered backend process group and drop it from the
+    registry, which tells the thread that started it that it was killed."""
+    with _live_lock:
+        for pgid in _live_groups:
+            _killpg(pgid)
+        _live_groups.clear()
+
+
+def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = None) -> list:
+    """Call every zero-argument callable of ``tasks``; return the results in
+    task order.  The one place the package starts threads.
+
+    ``threads`` threads (None: the case's budget), the calling thread among
+    them, each take the next task not yet taken; none starts after a task
+    raises or an interrupt arrives.  Helpers run in a copy of the caller's
+    context, so the case's budget follows them.  Every helper is joined,
+    through repeated interrupts too; while an interrupt waits, every
+    registered backend group is killed, and again each 0.1 s.  Then the
+    interrupt, or else the earliest failed task's failure, is raised."""
+    n = min(len(tasks), threads or _threads())
     if n <= 1:
         return [task() for task in tasks]
-    runs = [tasks[i * len(tasks) // n:(i + 1) * len(tasks) // n] for i in range(n)]
-    results: list = [[] for _ in runs]
-    errors: list = [None] * n
+    todo = deque(range(len(tasks)))  # popleft and clear are atomic
+    results: list = [None] * len(tasks)
+    errors: dict[int, BaseException] = {}
     finished = [threading.Event() for _ in range(n - 1)]
 
-    def work(i: int) -> None:
+    def work(catch: type[BaseException], done: threading.Event | None = None) -> None:
         try:
-            results[i] = [task() for task in runs[i]]
-        except BaseException as e:  # raised again by the calling thread
-            errors[i] = e
+            with suppress(IndexError):  # from popleft, once every task is taken
+                while True:
+                    i = todo.popleft()
+                    try:
+                        results[i] = tasks[i]()
+                    except catch as e:  # raised again by the calling thread
+                        errors[i] = e
+                        todo.clear()
         finally:
-            finished[i].set()
+            if done is not None:
+                done.set()
 
     helpers = []
-    interrupt = None
+    stop = None  # an interrupt, or a helper that could not start
     try:
-        for i in range(n - 1):
+        for done in finished:
             # listed before it starts, so an interrupt cannot miss its join
-            helpers.append(threading.Thread(target=work, args=(i,)))
+            helpers.append(threading.Thread(target=copy_context().run,
+                                            args=(work, BaseException, done)))
             helpers[-1].start()
-        try:
-            results[-1] = [task() for task in runs[-1]]
-        except Exception as e:  # not an interrupt: that leaves after the joins
-            errors[-1] = e
-    finally:
-        for helper, done in zip(helpers, finished):
-            while helper.is_alive():
-                try:
-                    # join() alone does not do: an interrupt that breaks it
-                    # marks the thread stopped while it still runs
+        work(Exception)  # not an interrupt: that leaves after the joins
+    except BaseException as e:
+        stop = e
+        todo.clear()
+    for thread, done in zip(helpers, finished):
+        while thread.is_alive():
+            try:
+                if stop is None or isinstance(stop, Exception):
                     done.wait()
-                    helper.join()
-                except BaseException as e:  # keep joining; raised after the last
-                    interrupt = e
-    failure = interrupt or next((e for e in errors if e is not None), None)
+                else:  # an interrupt: no helper may wait on a backend
+                    _kill_live_groups()
+                    if not done.wait(0.1):
+                        continue
+                # join() alone does not do: an interrupt that breaks it
+                # marks the thread stopped while it still runs
+                thread.join()
+            except BaseException as e:  # keep joining; raised after the last
+                stop = e
+    failure = stop or next((errors[i] for i in sorted(errors)), None)
     if failure is None:
-        return [r for run in results for r in run]
+        return results
     # the failure's traceback will hold this frame, so the frame lets go of
     # the failure: a cycle would keep the caller's arrays alive until the
     # next garbage collection
     errors.clear()
-    interrupt = None
+    stop = None
     try:
         raise failure
     finally:

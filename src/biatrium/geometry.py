@@ -228,31 +228,31 @@ def stitch(child, place: Placement, fill_value: float = 0.0,
     """Paste window contents back onto a parent-shaped array.
 
     Voxels of the window that fall outside the parent (the padded fringe)
-    are dropped; parent voxels not covered by the window get ``fill_value``
-    (background for a LabelMap).  With ``through``, a placement on some
+    are dropped; parent voxels not covered by the window get ``fill_value``.
+    With ``through``, a placement on some
     grid whose window is ``place``'s parent, the contents go through both
     placements straight onto that grid, as two stitches with the same fill
     would put them.  The parent is read as a window on the child through
     the inverted chain, under _window's copy rule.  The return type mirrors
     the input: LabelMap in, LabelMap out; Volume in, Volume out; bare array
-    otherwise, which is always a new array of the input's dtype (an integer
-    or bool array refuses a ``fill_value`` it cannot hold exactly).
+    otherwise, which is always a new array of the input's dtype.  An integer
+    or bool array, a LabelMap's included, refuses a ``fill_value`` it
+    cannot hold exactly.
     """
     _check_number(fill_value, "fill_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
     chain = ((through,) if through is not None else ()) + (place,)
     _overlap(*chain)  # names a mismatched link in the caller's order
     inverse = tuple(_derived(Placement, parent_shape=p.window_shape, window_shape=p.parent_shape,
                              offset=tuple(-o for o in p.offset)) for p in reversed(chain))
-    if isinstance(child, (LabelMap, Volume)):
-        data = _window(child.data, inverse, 0 if isinstance(child, LabelMap) else fill_value)
-        return _derived(type(child), data=data, spacing=child.spacing)
-    child = np.asarray(child)
-    if child.dtype.kind in "biu":
+    data = child.data if isinstance(child, (LabelMap, Volume)) else np.asarray(child)
+    if data.dtype.kind in "biu":
         # a cast would wrap or truncate a value the array cannot hold
-        lo, hi = (0, 1) if child.dtype.kind == "b" else (
-            np.iinfo(child.dtype).min, np.iinfo(child.dtype).max)
+        lo, hi = (0, 1) if data.dtype.kind == "b" else (
+            np.iinfo(data.dtype).min, np.iinfo(data.dtype).max)
         if not (float(fill_value).is_integer() and lo <= fill_value <= hi):
-            raise ConfigError(f"fill_value for a {child.dtype} array must be a whole number "
+            raise ConfigError(f"fill_value for a {data.dtype} array must be a whole number "
                               f"in [{lo}, {hi}], got {fill_value!r}")
-    out = _window(child, inverse, fill_value)
-    return out.copy() if out is child else out
+    out = _window(data, inverse, fill_value)
+    if isinstance(child, (LabelMap, Volume)):
+        return _derived(type(child), data=out, spacing=child.spacing)
+    return out.copy() if out is data else out

@@ -10,9 +10,9 @@ padding only feeds the edge tiles' histograms.
 
 Binning and blending stream over x-slabs of about ``core._SLAB_VOXELS``
 voxels, no thicker than one tile.  Binning runs on the calling thread;
-the blend slabs are shared out over the case's threads in contiguous
-runs.  A tile row's tables are built once, when the first slab that
-reads them arrives, shared by every thread and dropped after the last,
+each of the case's threads takes the next blend slab not yet taken.  A
+tile row's tables are built once, when the first slab that reads them
+arrives, shared by every thread and dropped after the last,
 so at most three rows are held at once and table memory follows one tile
 row, not the tile grid.  Blending reads only the bins and the tables, so
 the output may be written over the input: ``mclahe`` allocates a new

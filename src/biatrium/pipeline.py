@@ -23,14 +23,13 @@ import math
 import os
 import select
 import shlex
-import signal
 import subprocess
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -52,6 +51,9 @@ from .core import (
     _case_threads,
     _check_number,
     _in_parallel,
+    _killpg,
+    _live_groups,
+    _live_lock,
     _read_json,
     _release_free_heap,
     _thread_budget,
@@ -98,14 +100,6 @@ BACKEND_KINDS = tuple(_KIND_FIELD)
 
 #: Environment variable overriding where backend scratch files are created.
 TMPDIR_ENV = "BIATRIUM_TMPDIR"
-
-# Process groups of the external backends running now, whichever thread
-# started them.  An interrupt reaches the whole process, so the registry is
-# one per process: run_pipeline kills and drops every group in it before it
-# re-raises, and a thread that finds its group dropped raises in turn.
-_live_groups: set[int] = set()
-_live_lock = threading.Lock()
-
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -335,22 +329,6 @@ def _wait_for(proc: subprocess.Popen, timeout_s: float) -> None:
     proc.wait()
 
 
-def _killpg(pgid: int) -> None:
-    try:
-        os.killpg(pgid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-
-
-def _kill_live_groups() -> None:
-    """SIGKILL every registered backend process group and drop it from the
-    registry, which tells the thread that started it that it was killed."""
-    with _live_lock:
-        for pgid in _live_groups:
-            _killpg(pgid)
-        _live_groups.clear()
-
-
 def _roi_center(mask: LabelMap, factors, margin: int,
                 standard_shape) -> tuple[BBox, tuple[int, int, int]]:
     """Scale the coarse-grid box up by the downsample factors, grow it by
@@ -523,43 +501,27 @@ def write_summary_csv(results: Sequence[CaseResult], path,
 
 
 def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
-    """Run every case (optionally in parallel) and write summary.csv.
-
-    Case order in the summary matches the config regardless of scheduling.
-    """
+    """Run every case, ``workers`` at once through ``core._in_parallel``,
+    each with the CPUs shared out over the workers as its thread budget,
+    and write summary.csv, in config order whatever the scheduling."""
     _check_number(workers, "workers", integer=True, ge=1)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        # each worker thread's cases share the CPUs with the other workers
-        with ThreadPoolExecutor(max_workers=workers, initializer=_case_threads.set,
-                                initargs=(_thread_budget(workers),)) as pool:
-            futures = [pool.submit(run_case, cfg, c) for c in cfg.cases]
-            try:
-                results = [f.result() for f in futures]
-            except BaseException:
-                # An interrupt reaches this thread only: no queued case
-                # starts, and running cases lose their backends, including
-                # any started meanwhile, until none is left running.
-                pool.shutdown(wait=False, cancel_futures=True)
-                running = [f for f in futures if not f.cancelled()]
-                _kill_live_groups()
-                while wait(running, timeout=0.1).not_done:
-                    _kill_live_groups()
-                raise
-        # Cases overlap in the pool, so a trim after one of them cannot get
-        # back to its live set: the heap goes back once, after the last.
-        _release_free_heap()
-    else:
-        # The cases run on this thread, whose backend wait kills its own
-        # group on an interrupt, and each case's freed heap goes back to
-        # the OS before the next starts.  A one-thread pool would serve too,
-        # but the pool thread's malloc arena raised paper_builtin
-        # peak_rss_mb from 175.2-176.7 to 200.0-200.1 MB.
-        results = []
-        for c in cfg.cases:
-            results.append(run_case(cfg, c))
+
+    def case(c: CaseSpec) -> CaseResult:
+        result = run_case(cfg, c)
+        if workers == 1:  # its freed heap goes back before the next case starts
             _release_free_heap()
+        return result
+
+    # the cases and their helpers see the budget; the caller's context does not
+    batch = copy_context()
+    batch.run(_case_threads.set, _thread_budget(workers))
+    results = batch.run(_in_parallel, [partial(case, c) for c in cfg.cases], workers)
+    if workers > 1:
+        # Cases overlap, so a trim after one of them cannot get back to its
+        # live set: the heap goes back once, after the last.
+        _release_free_heap()
     summary = out_dir / "summary.csv"
     write_summary_csv(results, summary, cfg.class_map)
     return PipelineResult(cases=tuple(results), summary_csv=str(summary))

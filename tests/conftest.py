@@ -42,9 +42,12 @@ def thread_budget(n: int):
 
 
 def interrupt_the_blend(monkeypatch) -> None:
-    """Make every MCLAHE blend end in a KeyboardInterrupt on the thread that
-    called it, while its helpers are still at work: each helper waits 0.2 s
-    before each task, and the calling thread's run ends with the interrupt."""
+    """Make every MCLAHE blend end in a KeyboardInterrupt while its helpers
+    are still at work: one task more, after the blend's own, raises it, and
+    a helper waits 0.2 s before each blend task it takes.  Whichever thread
+    takes the last task, the blend raises the interrupt only once every
+    helper has finished: on the calling thread it is an interrupt, on a
+    helper a failure that stops the rest."""
     mclahe_module = sys.modules["biatrium.mclahe"]  # biatrium.mclahe is the function
     real = mclahe_module._in_parallel
 

@@ -115,8 +115,7 @@ def array_stitch(child, place: Placement, fill_value: float = 0.0):
         if _array_is_identity(place) and child.shape == place.window_shape:
             data = child.data
         else:
-            fill = 0 if isinstance(child, LabelMap) else fill_value
-            data = array_stitch(child.data, place, fill)
+            data = array_stitch(child.data, place, fill_value)
         return type(child)(data=data, spacing=child.spacing)
     child = np.asarray(child)
     if child.shape != place.window_shape:

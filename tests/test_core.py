@@ -157,50 +157,71 @@ def test_only_core_module_imports_numbers():
 
 # -- threads inside one case ------------------------------------------------
 
-def _where(i):
-    return i, threading.current_thread()
-
-
 @pytest.mark.parametrize("threads, n_tasks", [(1, 5), (2, 5), (3, 7), (4, 2), (3, 1)])
 def test_in_parallel_runs_contiguous_runs_and_keeps_order(threads, n_tasks):
-    """Results come back in task order.  Each thread runs one contiguous run
-    of tasks; the calling thread runs the last run, helpers the others, and
-    no more threads run than the budget or the tasks allow."""
+    """Results come back in task order, each task runs exactly once, and no
+    more threads run than the budget or the tasks allow; with a budget of
+    1, every task runs on the calling thread."""
     caller = threading.current_thread()
+    calls = []
+
+    def where(i):
+        calls.append(i)
+        return i, threading.current_thread()
+
     with thread_budget(threads):
-        done = _in_parallel([partial(_where, i) for i in range(n_tasks)])
+        done = _in_parallel([partial(where, i) for i in range(n_tasks)])
     assert [i for i, _ in done] == list(range(n_tasks))
-    ran_on = [t for _, t in done]
-    runs = [ran_on[0]] + [b for a, b in zip(ran_on, ran_on[1:]) if b is not a]
-    assert len(runs) == len(set(runs)) == min(threads, n_tasks)
-    assert ran_on[-1] is caller
-    assert caller not in runs[:-1]
+    assert sorted(calls) == list(range(n_tasks))
+    assert len({t for _, t in done}) <= min(threads, n_tasks)
+    if threads == 1:
+        assert all(t is caller for _, t in done)
 
 
 def test_in_parallel_raises_the_first_failure_in_task_order():
-    """The failure of the earliest task wins, even when a later task, on
-    the calling thread, fails sooner; a run stops at its failing task."""
+    """The failure of the earliest task wins, even when a later task fails
+    sooner, and no task starts after a task has failed."""
     ran = []
+    second_failed = threading.Event()
 
-    def fail_late(exc):
-        time.sleep(0.1)
-        ran.append(exc)
-        raise exc
+    def fail_late(wait):
+        # with two threads, the other one takes the next task and fails first
+        if wait:
+            assert second_failed.wait(10)
+        ran.append("first")
+        raise first
 
-    def fail_now(exc):
-        ran.append(exc)
-        raise exc
+    def fail_now():
+        ran.append("second")
+        second_failed.set()
+        raise second
 
     first, second = OSError("first"), ValueError("second")
     for threads in (1, 2):
         ran.clear()
+        second_failed.clear()
         with thread_budget(threads), pytest.raises(OSError) as info:
-            _in_parallel([partial(fail_late, first), partial(ran.append, "not run"),
-                          partial(ran.append, "caller"), partial(fail_now, second)])
+            _in_parallel([partial(fail_late, threads > 1), fail_now,
+                          partial(ran.append, "not run")])
         assert info.value is first
-        # one thread: the first failure ends everything; two threads: the
-        # helper's run stops at its failure, and the caller's run fails too
-        assert ran == ([first] if threads == 1 else ["caller", second, first])
+        assert ran == (["first"] if threads == 1 else ["second", "first"])
+
+
+def test_in_parallel_helpers_run_in_the_callers_context(monkeypatch):
+    """Helpers run in a copy of the calling thread's context, so each task
+    sees the case's thread budget, not the whole machine's; a barrier puts
+    each of the three tasks on its own thread."""
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    barrier = threading.Barrier(3)
+
+    def task():
+        barrier.wait(10)
+        return threading.current_thread(), core._threads()
+
+    with thread_budget(3):
+        done = _in_parallel([task] * 3)
+    assert len({t for t, _ in done}) == 3
+    assert [n for _, n in done] == [3, 3, 3]
 
 
 def _main_thread_inside(*codes) -> bool:
@@ -231,12 +252,20 @@ _CALLER_AT = {
 def test_in_parallel_joins_helpers_through_an_interrupt(where):
     """An interrupt that reaches the calling thread while it waits for a
     helper, or while it runs its own tasks, is raised only after every
-    helper has finished.  The helper sends it only once the calling thread
-    is seen there, so the test checks the path its id names."""
+    helper has finished.  Both tasks are alike, so it does not matter
+    which thread takes which: on the helper, a task sends the interrupt
+    once the calling thread is seen where the test's id names; on the
+    calling thread, it waits until the helper has taken the other task."""
     caller_s, codes = _CALLER_AT[where]
+    helper_took = threading.Event()
     finished = []
 
-    def interrupt_then_work():
+    def task():
+        if threading.current_thread() is threading.main_thread():
+            assert helper_took.wait(10), "the helper never took a task"
+            _caller_sleeps(caller_s)
+            return
+        helper_took.set()
         deadline = time.monotonic() + 10
         while not _main_thread_inside(*codes):
             assert time.monotonic() < deadline, f"the calling thread never reached {where}"
@@ -248,7 +277,7 @@ def test_in_parallel_joins_helpers_through_an_interrupt(where):
 
     baseline = threading.active_count()
     with thread_budget(2), pytest.raises(KeyboardInterrupt):
-        _in_parallel([interrupt_then_work, partial(_caller_sleeps, caller_s)])
+        _in_parallel([task, task])
     assert finished == [True]
     assert threading.active_count() == baseline
 

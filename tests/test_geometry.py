@@ -371,6 +371,17 @@ def test_stitch_fills_an_integer_array_with_any_value_it_holds():
         assert out.dtype == dtype and out[0, 0, 0] == dtype(fill), (dtype, fill)
 
 
+def test_stitch_fills_a_labelmap_by_the_integer_rule():
+    """A LabelMap is stitched with the fill it is given, under the rule of
+    every integer array: a code it holds fills, one it cannot raises."""
+    place = Placement(parent_shape=(4, 4, 4), offset=(1, 1, 1), window_shape=(2, 2, 2))
+    labels = LabelMap(data=np.ones((2, 2, 2), dtype=np.uint8), spacing=(1, 1, 1))
+    out = stitch(labels, place, fill_value=2)
+    assert isinstance(out, LabelMap) and out.data[0, 0, 0] == 2 and out.data[1, 1, 1] == 1
+    with pytest.raises(ConfigError, match="fill_value"):
+        stitch(labels, place, fill_value=300)
+
+
 def test_stitch_shape_mismatch():
     v = _index_volume((6, 6, 6))
     _, place = crop_window(v, (3, 3, 3), (4, 4, 4))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -517,6 +518,30 @@ def _group_running(pgid: int) -> bool:
     return False
 
 
+def _start_run(cfg: dict, run_dir, workers: int) -> subprocess.Popen:
+    """``biatrium run --workers`` on ``cfg``, written to ``run_dir/cfg.json``,
+    in a child that turns SIGINT into KeyboardInterrupt."""
+    (run_dir / "cfg.json").write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    # a shell that ignores SIGINT passes that on: restore the default,
+    # under which Python raises KeyboardInterrupt
+    return subprocess.Popen(
+        [sys.executable, "-m", "biatrium.cli", "run", "--config", str(run_dir / "cfg.json"),
+         "--workers", str(workers)], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+
+
+def _kill_groups(pgids) -> None:
+    for p in pgids:
+        try:
+            os.killpg(int(p), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
 def test_interrupt_stops_running_backends_with_workers(tmp_path):
     """SIGINT to `run --workers 1` or `--workers 2` while as many cases wait
@@ -526,9 +551,6 @@ def test_interrupt_stops_running_backends_with_workers(tmp_path):
     start."""
     vol = Volume(data=np.full((8, 8, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1))
     write_volume(vol, tmp_path / "image.nii")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("biatrium").__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     for workers in (1, 2):
         run_dir = tmp_path / f"workers{workers}"
         run_dir.mkdir()
@@ -546,14 +568,7 @@ def test_interrupt_stops_running_backends_with_workers(tmp_path):
             "fine_backend": {"kind": "external-command",
                              "command_template": f"sh -c {shlex.quote(script)}"},
         }
-        (run_dir / "cfg.json").write_text(json.dumps(cfg))
-        # a shell that ignores SIGINT passes that on: restore the default,
-        # under which Python raises KeyboardInterrupt
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "biatrium.cli", "run", "--config", str(run_dir / "cfg.json"),
-             "--workers", str(workers)], env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        proc = _start_run(cfg, run_dir, workers)
         pgids = []
         try:
             deadline = time.monotonic() + 10.0
@@ -580,11 +595,63 @@ def test_interrupt_stops_running_backends_with_workers(tmp_path):
         finally:
             proc.kill()
             proc.wait()
-            for p in pgids:
-                try:
-                    os.killpg(int(p), signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            _kill_groups(pgids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("order", [("small", "large"), ("large", "small")])
+def test_second_interrupt_still_stops_every_backend(tmp_path, order):
+    """Two SIGINTs 0.1 s apart to `run --workers 2`, while one case waits on
+    a 12 s coarse backend and the other still enhances a 576x576x48 input
+    before its own: the second interrupt does not end the killing, so the
+    run exits within 3 s of it, no backend process is left behind and
+    neither case writes a result.json.  Both case orders run, so the
+    enhancing case runs on a helper in at least one, whichever thread
+    takes the first case."""
+    write_volume(Volume(data=np.full((8, 8, 4), 0.5, dtype=np.float32), spacing=(1, 1, 1)),
+                 tmp_path / "small.nii")
+    ramp = np.zeros((576, 576, 48), dtype=np.float32)
+    ramp[:] = np.linspace(0, 1, 48, dtype=np.float32)
+    write_nifti(tmp_path / "large.nii", ramp, (0.625, 0.625, 2.5))
+    started = tmp_path / "started.txt"
+    script = f"echo $$ >> {shlex.quote(str(started))}; sleep 12; : {{input}} {{output}}"
+    cfg = {
+        "cases": [{"case_id": name, "image": str(tmp_path / f"{name}.nii")}
+                  for name in order],
+        "output_dir": str(tmp_path / "out"),
+        "standard_shape": [8, 8, 4],
+        "coarse_factors": [2, 2, 1],
+        "fine_window": [8, 8, 4],
+        "coarse_backend": {"kind": "external-command",
+                           "command_template": f"sh -c {shlex.quote(script)}"},
+        "fine_backend": {"kind": "threshold", "threshold": 0.3},
+    }
+    proc = _start_run(cfg, tmp_path, 2)
+    pgids = []
+    try:
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not pgids:
+            time.sleep(0.05)
+            pgids = started.read_text().split() if started.exists() else []
+        assert pgids, "the small case's backend should be running"
+        proc.send_signal(signal.SIGINT)
+        time.sleep(0.1)
+        proc.send_signal(signal.SIGINT)
+        t0 = time.monotonic()
+        proc.wait(timeout=20)
+        assert time.monotonic() - t0 < 3.0
+        assert proc.returncode != 0
+        pgids = started.read_text().split()
+        deadline = time.monotonic() + 1.0
+        while any(_group_running(int(p)) for p in pgids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_group_running(int(p)) for p in pgids)
+        for name in ("small", "large"):
+            assert not (tmp_path / "out" / name / "result.json").exists(), name
+    finally:
+        proc.kill()
+        proc.wait()
+        _kill_groups(started.read_text().split() if started.exists() else pgids)
 
 
 def test_backend_registry_empties_under_thread_contention(tmp_path):
@@ -945,18 +1012,37 @@ def test_overlapped_stages_name_the_stage_that_raised(env, tmp_path, threads):
     assert (doc["failed_stage"], doc["error_type"]) == ("write", "IsADirectoryError")
 
 
-def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env):
-    """With MCLAHE and ground truth, a case at budget 2 (threaded blend,
-    write beside the evaluation) writes the bytes it writes at budget 1."""
-    for threads in (1, 2):
-        cfg = config_from_dict(env["make"](f"out_budget{threads}", mclahe={}))
-        with thread_budget(threads):
-            result = run_pipeline(cfg)
-        assert result.ok and result.cases[0].metrics, result.cases[0].error
-    for name in ("ph/mask.nii.gz", "ph/standard_placement.json",
-                 "ph/window_placement.json", "summary.csv"):
-        one = (env["root"] / "out_budget1" / name).read_bytes()
-        assert one == (env["root"] / "out_budget2" / name).read_bytes(), name
+def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path, monkeypatch):
+    """With MCLAHE and ground truth, a three-case batch writes the same
+    bytes at every worker count (1, 2 and 3) and at budgets 1 and 2
+    (threaded blend, write beside the evaluation).  run_pipeline shares
+    the CPUs out over its workers, so each budget comes from the CPU count
+    the test gives it."""
+    cases = []
+    for i in range(3):
+        vol, gt = generate(dataclasses.replace(env["spec"], noise_amplitude=0.05, seed=i))
+        write_volume(vol, tmp_path / f"image{i}.nii.gz")
+        write_volume(gt, tmp_path / f"gt{i}.nii.gz")
+        cases.append({"case_id": f"c{i}", "image": str(tmp_path / f"image{i}.nii.gz"),
+                      "gt": str(tmp_path / f"gt{i}.nii.gz")})
+    outputs = {}
+    for workers in (1, 2, 3):
+        for budget in (1, 2):
+            out = tmp_path / f"out_w{workers}_b{budget}"
+            cpus = set(range(workers * budget))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            cfg = config_from_dict(env["make"](
+                str(out), mclahe={}, cases=cases,
+                fine_backend={"kind": "threshold", "threshold": 0.5}))
+            result = run_pipeline(cfg, workers=workers)
+            assert all(c.ok and c.metrics for c in result.cases), [c.error for c in result.cases]
+            outputs[workers, budget] = {
+                p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.name in ("mask.nii.gz", "standard_placement.json",
+                              "window_placement.json", "summary.csv")}
+    assert len(outputs[1, 1]) == 3 * 3 + 1
+    for setting, files in outputs.items():
+        assert files == outputs[1, 1], setting
 
 
 def _slow(fn):
@@ -982,7 +1068,8 @@ def test_interrupt_in_a_threaded_stage_joins_every_helper(env, monkeypatch, stag
     if stage == "enhance":
         interrupt_the_blend(monkeypatch)
     else:
-        # the write runs on a helper, the evaluation on the case's thread
+        # the slowed write is still running on one thread when the evaluation,
+        # on the other, raises
         monkeypatch.setattr(pipeline, "write_volume", _slow(pipeline.write_volume))
         monkeypatch.setattr(pipeline, "evaluate_case", interrupted_evaluation)
     out = f"out_interrupt_{stage}{workers}"

@@ -127,10 +127,10 @@ def test_boundary_scan_finds_a_rescan_and_a_second_bypass(tmp_path):
     assert boundary_breaches(tmp_path) == ["geometry:2 Volume", "geometry:4 object.__new__"]
 
 
-# Where threads may start: the one helper that shares a case's work over its
-# thread budget, and the pool that runs cases side by side.
+# Where threads may start: the one helper that runs work side by side, a
+# case's over its thread budget and the cases of a batch alike.
 _THREAD_STARTERS = {"ThreadPoolExecutor", "Thread"}
-_THREAD_OWNERS = {("core", "_in_parallel"), ("pipeline", "run_pipeline")}
+_THREAD_OWNERS = {("core", "_in_parallel")}
 
 
 def thread_starts(root=SRC) -> list[str]:
@@ -165,7 +165,8 @@ def test_thread_scan_finds_a_second_starter(tmp_path):
     (tmp_path / "nifti.py").write_text(
         "from threading import Thread\n"
         "class W:\n    def go(self, f):\n        Thread(target=f).start()\n")
-    assert thread_starts(tmp_path) == ["nifti:4 Thread", "pipeline:5 ThreadPoolExecutor"]
+    assert thread_starts(tmp_path) == ["nifti:4 Thread", "pipeline:3 ThreadPoolExecutor",
+                                       "pipeline:5 ThreadPoolExecutor"]
 
 
 # The one module that touches the C allocator, through ctypes.
