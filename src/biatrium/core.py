@@ -4,7 +4,8 @@ Volumes and label maps are axis-aligned 3D grids indexed (x, y, z) with a
 physical spacing in mm per axis.  Placements record how a child grid (a
 padded or cropped window) maps back into its parent grid.
 Public constructors check their input; ``_derived`` builds results from checked values.
-``_in_parallel`` is the one way the package runs work side by side.
+``_in_parallel`` is the one way the package runs work side by side, and
+``_run_group`` the one way it starts, waits for, kills and reaps a backend.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import math
 import numbers
 import operator
 import os
+import select
 import signal
+import subprocess
 import threading
 import typing
 from collections import deque
@@ -141,8 +144,8 @@ def _threads() -> int:
 
 # Process groups of the running external backends, whichever thread
 # started them: an interrupt reaches the whole process, so while one waits
-# in _in_parallel, every group here is killed and dropped, and a thread
-# that finds its group dropped raises in turn.
+# in _in_parallel, every group here is killed and dropped, and _run_group,
+# finding its group dropped, raises in turn.
 _live_groups: set[int] = set()
 _live_lock = threading.Lock()
 
@@ -161,6 +164,60 @@ def _kill_live_groups() -> None:
         _live_groups.clear()
 
 
+def _run_group(argv: Sequence[str], stderr_path, timeout_s: float) -> None:
+    """Run the backend ``argv`` as the leader of a session of its own, so
+    that it and every process it starts form one registered process group;
+    stdout is dropped and stderr written to ``stderr_path``.  The wait is on
+    a pidfd, which wakes as the backend exits (``Popen.wait``, the fallback,
+    polls with sleeps up to 50 ms).  On a timeout or any exception the group
+    is killed and the backend reaped.  Raises KeyboardInterrupt if an
+    interrupt dropped the group, and BackendError if the backend cannot
+    start, times out or exits nonzero (with its last 2000 stderr bytes)."""
+    with open(stderr_path, "wb") as err:
+        try:
+            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err,
+                                    start_new_session=True)
+        except OSError as e:
+            raise BackendError(f"backend command could not start: {e}") from e
+    with _live_lock:
+        _live_groups.add(proc.pid)
+    with proc:  # leaving it reaps a backend that exited
+        try:
+            try:
+                fd = os.pidfd_open(proc.pid)
+            except (AttributeError, OSError):
+                proc.wait(timeout=timeout_s)
+            else:
+                try:
+                    exited = select.poll()
+                    exited.register(fd, select.POLLIN)  # readable at the exit
+                    if not exited.poll(math.ceil(timeout_s * 1000)):
+                        raise subprocess.TimeoutExpired(argv, timeout_s)
+                finally:
+                    os.close(fd)
+        except BaseException as e:
+            # kill the whole group, then reap the backend
+            _killpg(proc.pid)
+            proc.wait()
+            if isinstance(e, subprocess.TimeoutExpired):
+                raise BackendError(f"backend command timed out after {timeout_s:g} s") from e
+            raise
+        finally:
+            with _live_lock:
+                # gone from the registry: an interrupt killed the group
+                interrupted = proc.pid not in _live_groups
+                _live_groups.discard(proc.pid)
+    if interrupted:
+        # like an interrupt in the waiting thread itself: the case ends
+        # without a result
+        raise KeyboardInterrupt("backend killed by an interrupt")
+    if proc.returncode != 0:
+        with open(stderr_path, "rb") as err:
+            err.seek(max(0, os.fstat(err.fileno()).st_size - 2000))
+            tail = err.read().decode(errors="replace")
+        raise BackendError(f"backend command exited with {proc.returncode}; stderr: {tail!r}")
+
+
 def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = None) -> list:
     """Call every zero-argument callable of ``tasks``; return the results in
     task order.  The one place the package starts threads.
@@ -172,9 +229,7 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
     through repeated interrupts too; while an interrupt waits, every
     registered backend group is killed, and again each 0.1 s.  Then the
     interrupt, or else the earliest failed task's failure, is raised."""
-    n = min(len(tasks), threads or _threads())
-    if n <= 1:
-        return [task() for task in tasks]
+    n = max(1, min(len(tasks), threads or _threads()))
     todo = deque(range(len(tasks)))  # popleft and clear are atomic
     results: list = [None] * len(tasks)
     errors: dict[int, BaseException] = {}
@@ -234,13 +289,13 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
         failure = None
 
 
-# glibc's malloc_trim, None where the C library has none.  glibc takes a
-# block below its mmap threshold from the heap and raises that threshold
-# to the size of each mmapped block it frees (up to 32 MB on 64-bit), so
-# after one case the next case's grids come from the heap, which keeps
-# them when they are freed.
+# glibc's malloc_trim and mallopt, None where the C library has none.  By
+# default glibc raises its mmap threshold to each mmapped block it frees,
+# moving grids into the heap of the thread that made them.  A helper's heap
+# keeps its touched top through malloc_trim, and how far it grew hung on
+# where small blocks freed across threads sat: 86 or 92-95 MB on batch_small.
 try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim, _mallopt = ctypes.CDLL(None).malloc_trim, ctypes.CDLL(None).mallopt
     _malloc_trim.argtypes = [ctypes.c_size_t]
     _malloc_trim.restype = ctypes.c_int
 except (AttributeError, OSError, TypeError):
@@ -249,9 +304,11 @@ except (AttributeError, OSError, TypeError):
 
 def _release_free_heap() -> None:
     """Give the free memory of every malloc arena back to the OS, so the
-    process holds no more than it still uses; the one place that touches
-    the allocator.  Does nothing where the C library has no malloc_trim."""
+    process holds no more than it still uses, and map each block of 8 MB
+    or more on its own from now on; the one place that touches the
+    allocator.  Does nothing where the C library has no malloc_trim."""
     if _malloc_trim is not None:
+        _mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD, fixed from here on
         _malloc_trim(0)
 
 

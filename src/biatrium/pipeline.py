@@ -9,7 +9,8 @@ through both placements straight back to the original grid, and the
 mask write beside the evaluation against the ground truth.  Trained
 networks are deliberately outside the process boundary: a backend is
 either a builtin rule (threshold, copy-file) or an external command
-operating on NIfTI files.
+operating on NIfTI files; ``core._run_group`` owns an external backend's
+process group, and this module its scratch files, argv and output checks.
 
 Cases are isolated: one failure cannot affect another case's output, and
 the batch driver reports partial success.  All artifacts except the
@@ -19,11 +20,8 @@ whatever the worker count and the threads each case uses.
 from __future__ import annotations
 
 import csv
-import math
 import os
-import select
 import shlex
-import subprocess
 import tempfile
 import time
 from contextlib import contextmanager
@@ -51,11 +49,9 @@ from .core import (
     _case_threads,
     _check_number,
     _in_parallel,
-    _killpg,
-    _live_groups,
-    _live_lock,
     _read_json,
     _release_free_heap,
+    _run_group,
     _thread_budget,
     _write_json,
     check_class_map,
@@ -131,6 +127,10 @@ class BackendSpec:
                 raise ValueError(
                     "external-command backend needs a command_template containing "
                     "{input} and {output}")
+            try:
+                shlex.split(t)
+            except ValueError as e:  # here, not after a case has run its first stages
+                raise ValueError(f"command_template cannot be split shell-style: {e}") from e
         elif self.kind == "threshold":
             _check_number(self.threshold, "threshold", ge=0, le=1)
         elif self.kind == "copy-file":
@@ -156,8 +156,8 @@ class CaseSpec:
     def __post_init__(self):
         if not isinstance(self.image, str) or not self.image:
             raise ValueError(f"image must be a non-empty string, got {self.image!r}")
-        if self.gt is not None and not isinstance(self.gt, str):
-            raise ValueError(f"gt must be a string or null, got {self.gt!r}")
+        if self.gt is not None and (not isinstance(self.gt, str) or not self.gt):
+            raise ValueError(f"gt must be a non-empty string or null, got {self.gt!r}")
         if self.case_id in ("", None):
             name = Path(self.image).name
             stem = name[:-len(".nii.gz")] if name.endswith(".nii.gz") else Path(name).stem
@@ -261,72 +261,13 @@ def _run_external(spec: BackendSpec, image: Volume, classes: Mapping[str, int] |
         write_volume(image, in_path)
         argv = [tok.replace("{input}", in_path).replace("{output}", out_path)
                 for tok in shlex.split(spec.command_template)]
-        err_path = os.path.join(tmp, "stderr.txt")
-        # stdout is dropped and stderr goes to a file, so however much a
-        # backend writes, only the tail read below is held in memory
-        with open(err_path, "wb") as err:
-            try:
-                # A session of its own makes the backend and every process it
-                # starts one process group, which a timeout kills as a whole.
-                proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err,
-                                        start_new_session=True)
-            except OSError as e:
-                raise BackendError(f"backend command could not start: {e}") from e
-        with _live_lock:
-            _live_groups.add(proc.pid)
-        with proc:
-            try:
-                _wait_for(proc, spec.timeout_s)
-            except BaseException as e:
-                # kill the whole group, then reap the backend
-                _killpg(proc.pid)
-                proc.wait()
-                if isinstance(e, subprocess.TimeoutExpired):
-                    raise BackendError(
-                        f"backend command timed out after {spec.timeout_s:g} s") from e
-                raise
-            finally:
-                with _live_lock:
-                    # gone from the registry: an interrupt killed the group
-                    interrupted = proc.pid not in _live_groups
-                    _live_groups.discard(proc.pid)
-        if interrupted:
-            # like an interrupt in the waiting thread itself: the case ends
-            # without a result
-            raise KeyboardInterrupt("backend killed by an interrupt")
-        if proc.returncode != 0:
-            with open(err_path, "rb") as err:
-                err.seek(max(0, os.fstat(err.fileno()).st_size - 2000))
-                tail = err.read().decode(errors="replace")
-            raise BackendError(
-                f"backend command exited with {proc.returncode}; stderr: {tail!r}")
+        _run_group(argv, os.path.join(tmp, "stderr.txt"), spec.timeout_s)
         if not os.path.exists(out_path):
             raise BackendError("backend command exited 0 but wrote no output file")
         try:
             return read_labelmap(out_path, classes=classes)
         except (OSError, ValueError, NiftiFormatError) as e:
             raise BackendError(f"backend output unusable: {e}") from e
-
-
-def _wait_for(proc: subprocess.Popen, timeout_s: float) -> None:
-    """``proc.wait(timeout=timeout_s)`` that wakes as the process exits.
-
-    ``Popen.wait`` polls with sleeps growing to 50 ms; on Linux the wait is
-    on a pidfd instead, which becomes readable at the exit.  Where there is
-    no pidfd, ``Popen.wait`` polls."""
-    try:
-        fd = os.pidfd_open(proc.pid)
-    except (AttributeError, OSError):
-        proc.wait(timeout=timeout_s)
-        return
-    try:
-        exited = select.poll()
-        exited.register(fd, select.POLLIN)
-        if not exited.poll(math.ceil(timeout_s * 1000)):
-            raise subprocess.TimeoutExpired(proc.args, timeout_s)
-    finally:
-        os.close(fd)
-    proc.wait()
 
 
 def _roi_center(mask: LabelMap, factors, margin: int,
@@ -507,6 +448,7 @@ def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
     _check_number(workers, "workers", integer=True, ge=1)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _release_free_heap()  # the threshold is fixed before a case allocates
 
     def case(c: CaseSpec) -> CaseResult:
         result = run_case(cfg, c)

@@ -291,6 +291,11 @@ _BASE_DOC = {
     ({"coarse_factors": [True, True, 1]}, "coarse_factors"),
     ({"bbox_margin_vox": True}, "bbox_margin_vox"),
     ({"mclahe": {"clip_limit": "0.01"}}, "mclahe: clip_limit"),
+    # refused at load: a case would otherwise fail only after most of its chain
+    ({"cases": [{"image": "a.nii.gz", "gt": ""}]}, "cases[0]: gt"),
+    ({"fine_backend": {"kind": "external-command",
+                       "command_template": 'python3 "seg.py {input} {output}'}},
+     "fine_backend: command_template"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
@@ -444,35 +449,35 @@ def test_external_backend_timeout():
         invoke_backend(spec, _small_volume())
 
 
-def _overshoots(wait, sleep_s=0.22, runs=3) -> list[float]:
-    """Seconds between the exit of a process that sleeps ``sleep_s`` and the
-    return of ``wait(proc)``, for each of ``runs`` processes."""
+def _overshoots(tmp_path, timeout_s, sleep_s=0.22, runs=3) -> list[float]:
+    """Seconds between the exit of a backend that sleeps ``sleep_s`` and the
+    return of ``core._run_group`` for it, for each of ``runs`` backends."""
     out = []
     for _ in range(runs):
         t0 = time.monotonic()
-        with subprocess.Popen(["sleep", str(sleep_s)]) as proc:
-            wait(proc)
+        # returns only if the backend exited 0
+        core._run_group(["sleep", str(sleep_s)], tmp_path / "stderr.txt", timeout_s)
         out.append(time.monotonic() - t0 - sleep_s)
-        assert proc.returncode == 0
     return out
 
 
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs a pidfd")
-def test_backend_wait_wakes_when_the_backend_exits():
+def test_backend_wait_wakes_when_the_backend_exits(tmp_path):
     """A backend is reaped as it exits, not at a later poll: Popen.wait's
     own polling sleeps up to 50 ms between checks, which at a 0.22 s exit
     wakes about 40 ms late.  The timeout is the longest a config allows."""
-    assert min(_overshoots(lambda proc: pipeline._wait_for(proc, 2147483))) < 0.02
+    assert min(_overshoots(tmp_path, 2147483)) < 0.02
 
 
-def test_backend_wait_polls_where_there_is_no_pidfd(monkeypatch):
+def test_backend_wait_polls_where_there_is_no_pidfd(tmp_path, monkeypatch):
     """Without a pidfd the wait falls back to Popen.wait, timeout included."""
     monkeypatch.delattr(os, "pidfd_open", raising=False)
-    assert all(o >= 0 for o in _overshoots(lambda proc: pipeline._wait_for(proc, 5), 0.05, 1))
-    with subprocess.Popen(["sleep", "30"]) as proc:
-        with pytest.raises(subprocess.TimeoutExpired):
-            pipeline._wait_for(proc, 0.2)
-        proc.kill()
+    assert all(o >= 0 for o in _overshoots(tmp_path, 5, 0.05, 1))
+    t0 = time.monotonic()
+    with pytest.raises(BackendError, match=re.escape("timed out after 0.2 s")):
+        core._run_group(["sleep", "30"], tmp_path / "stderr.txt", 0.2)
+    assert time.monotonic() - t0 < 5
+    assert core._live_groups == set()
 
 
 def _running(pid: int) -> bool:
@@ -680,7 +685,7 @@ def test_backend_registry_empties_under_thread_contention(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert all(c.ok for c in result.cases), [c.error for c in result.cases]
-    assert pipeline._live_groups == set()
+    assert core._live_groups == set()
 
 
 def test_external_backend_cannot_start():
@@ -1195,6 +1200,33 @@ def test_sequential_cases_give_their_heap_back(tmp_path):
     for peak, start in zip(peaks, starts[1:]):
         assert (peak - start) * 1024 >= vol.data.nbytes, (starts, peaks)
     assert (peaks[-1] - peaks[0]) * 1024 <= 0.75 * vol.data.nbytes, peaks
+
+
+@pytest.mark.skipif(core._malloc_trim is None, reason="needs glibc's malloc_trim and mallopt")
+def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
+    """At every worker count run_pipeline fixes glibc's mmap threshold at
+    8 MB before a case starts.  With glibc's sliding threshold a helper
+    thread's heap took in the fine windows and kept its touched top, and
+    the peak RSS of a batch_small run was about 86 MB or 92-95 MB by
+    chance."""
+    calls, seen = [], []
+    monkeypatch.setattr(core, "_mallopt", lambda *args: calls.append(args))
+    run_case = pipeline.run_case
+
+    def recorded(cfg, case):
+        seen.append(list(calls))
+        return run_case(cfg, case)
+
+    monkeypatch.setattr(pipeline, "run_case", recorded)
+    for workers in (1, 2):
+        calls.clear()
+        seen.clear()
+        doc = env["make"](f"out_mmap{workers}",
+                          fine_backend={"kind": "threshold", "threshold": 0.3})
+        doc["cases"] *= 2
+        doc["cases"][1] = {**doc["cases"][1], "case_id": "ph2"}
+        assert run_pipeline(config_from_dict(doc), workers=workers).ok
+        assert len(seen) == 2 and all(s[:1] == [(-3, 8 << 20)] for s in seen), seen
 
 
 def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):

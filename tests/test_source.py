@@ -1,6 +1,7 @@
 """Checks on the package source itself, run in place of a linter."""
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "biatrium"
 
@@ -212,3 +213,80 @@ def test_ctypes_scan_finds_a_second_allocator_caller(tmp_path):
         "ctypes_ok = 'not ctypes'\n"
         "def f(core):\n    return core.ctypes\n")
     assert ctypes_uses(tmp_path) == ["nifti:1", "pipeline:3", "pipeline:4"]
+
+
+# Where processes may start: the one function that owns a backend's
+# process group, from its start to its reap.
+_PROCESS_OWNER = ("core", "_run_group")
+_OS_STARTER = re.compile(r"os\.((fork|exec|spawn|posix_spawn)\w*|system|popen)")
+
+
+def process_starts(root=SRC) -> list[str]:
+    """``module:line name`` of every process starter in ``root/*.py``
+    outside its owner: an import of ``subprocess`` or of a name from it
+    outside the module of ``_PROCESS_OWNER``, a use of ``Popen`` outside
+    that function, and anywhere an ``os`` function that forks, execs or
+    spawns (``fork*``, ``exec*``, ``spawn*``, ``posix_spawn*``, ``system``,
+    ``popen``), reached through ``os``, an alias of it or an import from
+    it.  Per module in walk order."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        os_names = {"os"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.Import)
+                             for a in n.names if a.name == "os" and a.asname}
+        for stmt in tree.body:
+            owner = (p.stem, getattr(stmt, "name", None))
+            for n in ast.walk(stmt):
+                imports = isinstance(n, (ast.Import, ast.ImportFrom))
+                if isinstance(n, ast.Import):
+                    names = [a.name for a in n.names]
+                elif isinstance(n, ast.ImportFrom):
+                    names = [f"{n.module}.{a.name}" for a in n.names]
+                elif isinstance(n, ast.Attribute):
+                    through_os = isinstance(n.value, ast.Name) and n.value.id in os_names
+                    names = [f"os.{n.attr}" if through_os else n.attr]
+                else:
+                    names = [n.id] if isinstance(n, ast.Name) else []
+                found += [f"{p.stem}:{n.lineno} {name}" for name in names if (
+                    _OS_STARTER.fullmatch(name)
+                    or (imports and "subprocess" in name.split(".")
+                        and p.stem != _PROCESS_OWNER[0])
+                    or (name == "Popen" and owner != _PROCESS_OWNER))]
+    return found
+
+
+def test_processes_start_in_one_place():
+    assert process_starts() == []
+
+
+def test_process_scan_finds_a_second_starter(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import os, subprocess\n"
+        "def _run_group(argv):\n    return subprocess.Popen(argv, start_new_session=True)\n"
+        "def _other(argv):\n    return subprocess.Popen(argv)\n"
+        "def _fine():\n    return os.getpid(), os.environ, os.systems\n")
+    (tmp_path / "pipeline.py").write_text(
+        "import subprocess\n"
+        "import subprocess as sp\n"
+        "from subprocess import run\n"
+        "def go(argv):\n    return sp.run(argv), run(argv)\n")
+    (tmp_path / "nifti.py").write_text(
+        "import os\n"
+        "from os import fork, getcwd, posix_spawnp\n"
+        "def go(a):\n"
+        "    os.fork(); os.forkpty(); os.execv(a[0], a); os.execlp(a[0], *a)\n"
+        "    os.spawnl(os.P_WAIT, a[0], *a); os.posix_spawn(a[0], a, {})\n"
+        "    return os.system(a[0]), os.popen(a[0]), getcwd(), fork, posix_spawnp\n")
+    (tmp_path / "geometry.py").write_text(
+        "import os as o\n"
+        "from asyncio import subprocess\n"
+        "def go(a):\n    return o.spawnv(o.P_WAIT, a[0], a), subprocess.PIPE\n")
+    assert process_starts(tmp_path) == [
+        "core:5 Popen",
+        "geometry:2 asyncio.subprocess", "geometry:4 os.spawnv",
+        "nifti:2 os.fork", "nifti:2 os.posix_spawnp",
+        "nifti:4 os.fork", "nifti:4 os.forkpty", "nifti:4 os.execv", "nifti:4 os.execlp",
+        "nifti:5 os.spawnl", "nifti:5 os.posix_spawn",
+        "nifti:6 os.system", "nifti:6 os.popen",
+        "pipeline:1 subprocess", "pipeline:2 subprocess", "pipeline:3 subprocess.run",
+    ]
