@@ -309,6 +309,11 @@ def _release_free_heap() -> None:
     allocator.  Does nothing where the C library has no malloc_trim."""
     if _malloc_trim is not None:
         _mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD, fixed from here on
+        # M_TRIM_THRESHOLD: fixing the mmap threshold also freezes this one
+        # at 128 KiB, so each free at the top of the main heap gave it back
+        # and the next allocation faulted it in again (MCLAHE: 200k faults
+        # per paper case); what a case frees now waits for the trim above
+        _mallopt(-1, 8 << 20)
         _malloc_trim(0)
 
 

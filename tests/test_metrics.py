@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import biatrium
+from biatrium import metrics
 from biatrium import (
     ConfusionCounts,
     LabelMap,
@@ -296,6 +298,34 @@ def _equality_case(rng, kind):
     elif kind == "background":
         p = np.zeros(shape, dtype=np.uint8)
         g = p.copy()
+    elif kind == "speckled":  # far one-sided voxels, more than the probe budget settles
+        shape = tuple(int(n) for n in rng.integers(8, 15, size=3))
+        g = random_blobby_labels(rng, shape, spacing=spacing).data
+        p = g.copy()
+        n = p.size // 10
+        p[tuple(rng.integers(0, s, size=n) for s in shape)] = rng.integers(1, 4, size=n)
+    elif kind in ("non_dyadic", "shifted"):
+        # the ground truth moved along one axis; "shifted" on a cubic grid,
+        # where many offsets tie in length
+        if kind == "non_dyadic":
+            spacing = tuple(float(s) for s in rng.permutation([0.7, 1 / 3, 2.5]))
+            step = 1
+        else:
+            spacing = (spacing[0],) * 3
+            step = int(rng.integers(1, 4))
+        g = random_blobby_labels(rng, shape, spacing=spacing).data
+        p = np.zeros_like(g)
+        ax = int(rng.integers(0, 3))
+        src, dst = [slice(None)] * 3, [slice(None)] * 3
+        src[ax], dst[ax] = slice(0, -step), slice(step, None)
+        p[tuple(dst)] = g[tuple(src)]
+    elif kind == "one_voxel":  # each class one voxel per map, the two at most one voxel apart
+        p = np.zeros(shape, dtype=np.uint8)
+        g = p.copy()
+        for code in (1, 2, 3):
+            at = rng.integers(0, shape)
+            g[tuple(at)] = code
+            p[tuple(np.clip(at + rng.integers(-1, 2, size=3), 0, np.array(shape) - 1))] = code
     else:  # code 255 exercises the largest code a uint8 map holds
         classes = {"background": 0, "low": 7, "high": 255}
         codes = (7, 255)
@@ -305,20 +335,101 @@ def _equality_case(rng, kind):
 
 
 _EQUALITY_KINDS = ("identical", "few_voxels", "one_sided", "every_face", "background",
-                   "code_255")
+                   "code_255", "speckled", "non_dyadic", "shifted", "one_voxel")
+
+
+# The paths a kind's pairs take, over both point modes: "no_query" (no class
+# has a voxel in one map only, or the shared voxels alone settle the rank),
+# "search" (the shell search settles the rank) and "kd_tree" (the search
+# leaves queries to the KD-tree).
+_ALL_PATHS = {"no_query", "search", "kd_tree"}
+_PATHS = {"identical": {"no_query"}, "background": {"no_query"},
+          "speckled": {"search", "kd_tree"}, "non_dyadic": {"search", "kd_tree"}}
 
 
 @pytest.mark.parametrize("kind", _EQUALITY_KINDS)
-def test_evaluate_case_equals_full_grid_oracle(kind):
-    """The cropped, shared-point-skipping evaluation gives the full-grid
-    rows float for float (40 pairs per kind, both point modes)."""
+def test_evaluate_case_equals_full_grid_oracle(kind, monkeypatch):
+    """The cropped, shell-searched evaluation gives the full-grid rows float
+    for float (40 pairs per kind, both point modes), on each path."""
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    for name in ("_two_bit_map", "_kd_tree"):
+        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
     rng = np.random.default_rng(_EQUALITY_KINDS.index(kind))
+    paths = set()
     for _ in range(40):
         pred, gt, classes = _equality_case(rng, kind)
         for mode in ("surface", "region"):
+            calls.clear()
             got = evaluate_case(pred, gt, classes, case_id="c", point_mode=mode)
+            paths.add("kd_tree" if calls["_kd_tree"] else
+                      "search" if calls["_two_bit_map"] else "no_query")
             assert got == full_grid_evaluate_case(pred, gt, classes, case_id="c",
                                                   point_mode=mode)
+    assert paths == _PATHS.get(kind, _ALL_PATHS)
+
+
+def test_hit_distance_is_the_kdtree_float():
+    """A hit's distance, taken from its voxel index and offset, is the float
+    cKDTree reports for the same two voxel centers, on non-dyadic spacings
+    and indices up to the largest a NIfTI grid holds."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(3)
+    lo, shape = (5, 7, 11), (2 ** 15 - 11,) * 3
+    for spacing in ((0.7, 1 / 3, 2.5), (0.625, 0.625, 2.5), (1 / 3, 1 / 7, 0.1)):
+        targets = rng.integers(0, shape[0], size=(4000, 3))
+        queries = np.concatenate([rng.integers(0, shape[0], size=(4000, 3)),
+                                  targets + rng.integers(-3, 4, size=targets.shape)])
+        queries = queries[(queries >= 0).all(axis=1) & (queries < shape[0]).all(axis=1)]
+        dist, nearest = cKDTree(metrics._centers_mm(targets, spacing, lo)).query(
+            metrics._centers_mm(queries, spacing, lo), k=1)
+        at = np.ravel_multi_index(queries.T, shape)
+        got = metrics._hit_distance(at, targets[nearest] - queries, shape, spacing, lo)
+        assert np.array_equal(got, dist)
+
+
+def test_near_tied_hits_take_the_least_float():
+    """Two targets one voxel either side of a query tie in offset length,
+    but far from the grid's origin their center distances differ in the
+    last bits; the row keeps the lesser float, as the KD-tree does, on
+    whichever side it lies."""
+    classes = {"background": 0, "c": 1}
+    for i in (30000, 30001):
+        left, right = abs(i * 0.7 - (i - 1) * 0.7), abs(i * 0.7 - (i + 1) * 0.7)
+        assert left != right
+        gt = np.zeros((i + 2, 1, 1), dtype=np.uint8)
+        gt[[i - 1, i + 1]] = 1
+        pred = gt.copy()
+        pred[i] = 1  # with 4 zeros, its distance is the pool's 5th of 5
+        p, g = _labels(pred, (0.7, 1.0, 1.0)), _labels(gt, (0.7, 1.0, 1.0))
+        rows = evaluate_case(p, g, classes)
+        assert rows == full_grid_evaluate_case(p, g, classes)
+        assert rows[0].hd95_mm == min(left, right)
+
+
+def test_a_hit_waits_for_longer_offsets_within_the_margin():
+    """A hit at offset length 0.7 is not final while an offset a relative
+    1.4e-13 longer is unprobed: far from the grid's origin the first hit's
+    center distance is 0.7000000000007276, and the longer offset's target,
+    at 0.7000000000001, is the nearer."""
+    i, sy = 30000, 0.7000000000001
+    assert abs(i * 0.7 - (i - 1) * 0.7) > sy
+    gt = np.zeros((i + 1, 2, 1), dtype=np.uint8)
+    gt[i - 1, 0] = gt[i, 1] = 1
+    pred = gt.copy()
+    pred[i, 0] = 1  # with 4 zeros, its distance is the pool's 5th of 5
+    p, g = _labels(pred, (0.7, sy, 1.0)), _labels(gt, (0.7, sy, 1.0))
+    classes = {"background": 0, "c": 1}
+    rows = evaluate_case(p, g, classes)
+    assert rows == full_grid_evaluate_case(p, g, classes)
+    assert rows[0].hd95_mm == sy
 
 
 def test_evaluate_case_equals_full_grid_oracle_across_slabs():
@@ -343,6 +454,24 @@ def test_import_does_not_load_kdtree():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_evaluate_case_of_a_near_prediction_does_not_load_kdtree():
+    # the shell search settles a phantom against itself moved one voxel
+    # in-plane, so a realistic evaluation pays no scipy.spatial import
+    src = os.path.dirname(os.path.dirname(biatrium.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy as np\n"
+            "from biatrium import LabelMap, PhantomSpec, evaluate_case, generate\n"
+            "_, gt = generate(PhantomSpec())\n"
+            "moved = LabelMap(data=np.roll(gt.data, 1, axis=0), spacing=gt.spacing)\n"
+            "rows = evaluate_case(moved, gt)\n"
+            "print([r.hd95_mm for r in rows], 'scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    distances, loaded = out.stdout.strip().rsplit(" ", 1)
+    assert distances == "[0.625, 0.625, 0.625]" and loaded == "False"
 
 
 # -- report CSV -------------------------------------------------------------

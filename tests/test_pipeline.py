@@ -1177,10 +1177,13 @@ def test_sequential_cases_give_their_heap_back(tmp_path):
     another: the memory each case frees leaves the process before the next
     starts (the resident size drops by at least the float32 input from the
     peak so far), and no later case peaks more than 0.75x the input above
-    the first, scipy.spatial (imported by the first evaluation) included.
+    the first.  The evaluation's shell search settles this threshold-0.3
+    prediction (HD95 2.80 mm) by itself, so no case imports scipy.spatial.
     Measured on Linux x86-64 with an input of 28.3 MB: the drop was about
-    41 MB, or 12 MB without the heap trim, and the growth 12 MB, or 49 MB
-    with MCLAHE's output beside its input and no trim."""
+    50 MB and the growth 0.  While the first evaluation still imported
+    scipy.spatial, which then stayed resident, the drop was about 41 MB,
+    or 12 MB without the heap trim, and the growth 12 MB, or 49 MB with
+    MCLAHE's output beside its input and no trim."""
     vol, gt = generate(PhantomSpec(shape=(384, 384, 48), noise_amplitude=0.05, seed=1))
     write_volume(vol, tmp_path / "image.nii")
     write_volume(gt, tmp_path / "gt.nii.gz")
@@ -1205,10 +1208,13 @@ def test_sequential_cases_give_their_heap_back(tmp_path):
 @pytest.mark.skipif(core._malloc_trim is None, reason="needs glibc's malloc_trim and mallopt")
 def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
     """At every worker count run_pipeline fixes glibc's mmap threshold at
-    8 MB before a case starts.  With glibc's sliding threshold a helper
-    thread's heap took in the fine windows and kept its touched top, and
-    the peak RSS of a batch_small run was about 86 MB or 92-95 MB by
-    chance."""
+    8 MB before a case starts, and its trim threshold with it.  With
+    glibc's sliding threshold a helper thread's heap took in the fine
+    windows and kept its touched top, and the peak RSS of a batch_small run
+    was about 86 MB or 92-95 MB by chance.  Fixing the mmap threshold
+    freezes the trim threshold at 128 KiB, and the main heap then gave back
+    and faulted in again every block freed at its top: MCLAHE took about
+    200,000 page faults per paper case instead of 2,000."""
     calls, seen = [], []
     monkeypatch.setattr(core, "_mallopt", lambda *args: calls.append(args))
     run_case = pipeline.run_case
@@ -1226,7 +1232,8 @@ def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
         doc["cases"] *= 2
         doc["cases"][1] = {**doc["cases"][1], "case_id": "ph2"}
         assert run_pipeline(config_from_dict(doc), workers=workers).ok
-        assert len(seen) == 2 and all(s[:1] == [(-3, 8 << 20)] for s in seen), seen
+        assert len(seen) == 2 and all(
+            s[:2] == [(-3, 8 << 20), (-1, 8 << 20)] for s in seen), seen
 
 
 def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):

@@ -290,3 +290,44 @@ def test_process_scan_finds_a_second_starter(tmp_path):
         "nifti:6 os.system", "nifti:6 os.popen",
         "pipeline:1 subprocess", "pipeline:2 subprocess", "pipeline:3 subprocess.run",
     ]
+
+
+# The one place that may import scipy: the KD-tree helper, imported lazily
+# because scipy.spatial adds tens of MB and hundreds of ms to a process.
+_SCIPY_OWNER = ("metrics", "_kd_tree")
+
+
+def scipy_imports(root=SRC) -> list[str]:
+    """``module:line name`` of every import of ``scipy`` or a submodule of
+    it in ``root/*.py``, as a statement or as a string (``importlib`` takes
+    it so), outside the module-level function ``_SCIPY_OWNER``."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            owner = (p.stem, getattr(stmt, "name", None))
+            for n in ast.walk(stmt):
+                names = ([a.name for a in n.names] if isinstance(n, ast.Import) else
+                         [n.module or ""] if isinstance(n, ast.ImportFrom) else
+                         [n.value] if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                         else [])
+                found += [f"{p.stem}:{n.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy" and owner != _SCIPY_OWNER]
+    return found
+
+
+def test_scipy_loads_in_one_place():
+    assert scipy_imports() == []
+
+
+def test_scipy_scan_finds_a_second_import(tmp_path):
+    (tmp_path / "metrics.py").write_text(
+        "def _kd_tree(a):\n"
+        "    from scipy.spatial import cKDTree\n    return cKDTree(a).query\n"
+        "def _label(m):\n    from scipy import ndimage\n    return ndimage.label(m)\n")
+    (tmp_path / "geometry.py").write_text(
+        "import importlib\n"
+        "import scipy.ndimage as ndi\n"
+        "def f():\n    return importlib.import_module('scipy.spatial')\n"
+        "scipy_ok = 'not scipy'\n")
+    assert scipy_imports(tmp_path) == ["geometry:2 scipy.ndimage", "geometry:4 scipy.spatial",
+                                       "metrics:5 scipy"]
