@@ -169,47 +169,47 @@ def _run_group(argv: Sequence[str], stderr_path, timeout_s: float) -> None:
     that it and every process it starts form one registered process group;
     stdout is dropped and stderr written to ``stderr_path``.  The wait is on
     a pidfd, which wakes as the backend exits (``Popen.wait``, the fallback,
-    polls with sleeps up to 50 ms).  On a timeout or any exception the group
-    is killed and the backend reaped.  Raises KeyboardInterrupt if an
+    polls with sleeps up to 50 ms).  However it ends, one ``finally`` kills
+    the group, so none of it outlives the call, reaps the backend, and only
+    then drops the group from the registry.  Raises KeyboardInterrupt if an
     interrupt dropped the group, and BackendError if the backend cannot
     start, times out or exits nonzero (with its last 2000 stderr bytes)."""
-    with open(stderr_path, "wb") as err:
-        try:
-            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err,
-                                    start_new_session=True)
-        except OSError as e:
-            raise BackendError(f"backend command could not start: {e}") from e
-    with _live_lock:
-        _live_groups.add(proc.pid)
-    with proc:  # leaving it reaps a backend that exited
-        try:
+    proc = None
+    try:
+        with open(stderr_path, "wb") as err:
             try:
-                fd = os.pidfd_open(proc.pid)
-            except (AttributeError, OSError):
-                proc.wait(timeout=timeout_s)
-            else:
-                try:
-                    exited = select.poll()
-                    exited.register(fd, select.POLLIN)  # readable at the exit
-                    if not exited.poll(math.ceil(timeout_s * 1000)):
-                        raise subprocess.TimeoutExpired(argv, timeout_s)
-                finally:
-                    os.close(fd)
-        except BaseException as e:
-            # kill the whole group, then reap the backend
+                proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err,
+                                        start_new_session=True)
+            except OSError as e:
+                raise BackendError(f"backend command could not start: {e}") from e
+        with _live_lock:
+            _live_groups.add(proc.pid)
+        try:
+            fd = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):
+            proc.wait(timeout=timeout_s)
+        else:
+            try:
+                exited = select.poll()
+                exited.register(fd, select.POLLIN)  # readable at the exit
+                if not exited.poll(math.ceil(timeout_s * 1000)):
+                    raise subprocess.TimeoutExpired(argv, timeout_s)
+            finally:
+                os.close(fd)
+    except subprocess.TimeoutExpired as e:
+        raise BackendError(f"backend command timed out after {timeout_s:g} s") from e
+    finally:
+        if proc is not None:
             _killpg(proc.pid)
-            proc.wait()
-            if isinstance(e, subprocess.TimeoutExpired):
-                raise BackendError(f"backend command timed out after {timeout_s:g} s") from e
-            raise
-        finally:
-            with _live_lock:
-                # gone from the registry: an interrupt killed the group
-                interrupted = proc.pid not in _live_groups
-                _live_groups.discard(proc.pid)
+            try:
+                proc.wait()
+            finally:
+                with _live_lock:
+                    # gone from the registry: an interrupt killed the group
+                    interrupted = proc.pid not in _live_groups
+                    _live_groups.discard(proc.pid)
     if interrupted:
-        # like an interrupt in the waiting thread itself: the case ends
-        # without a result
+        # as if the interrupt had reached this thread: the case has no result
         raise KeyboardInterrupt("backend killed by an interrupt")
     if proc.returncode != 0:
         with open(stderr_path, "rb") as err:

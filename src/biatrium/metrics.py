@@ -19,10 +19,11 @@ voxels at once.  The search stops as soon as the distance at the HD95
 rank is settled; when the zeros alone reach that rank, it probes nothing.
 Only the voxels it leaves unsettled after a fixed number of probes per
 voxel go to a KD-tree, so ``scipy.spatial`` is imported only then (or by
-the public ``hd95``/``hausdorff``), never by ``import biatrium``.  The rows
-equal those of the full-grid composition of ``confusion_counts``,
-``surface_points`` (or every class voxel's center) and ``hd95`` float for
-float.
+the public ``hd95``/``hausdorff``), never by ``import biatrium``.  One
+function, ``_search_rank95``, holds all of that per-voxel state and drops
+the search's arrays before the KD-tree is built.  The rows equal those of
+the full-grid composition of ``confusion_counts``, ``surface_points`` (or
+every class voxel's center) and ``hd95`` float for float.
 """
 from __future__ import annotations
 
@@ -242,50 +243,27 @@ def _offset_groups(spacing: np.ndarray, shape):
 def _search_rank95(ps: np.ndarray, gs: np.ndarray, spacing, lo) -> float:
     """``hd95`` of the centers of the voxels set in the nonempty boolean
     masks ``ps`` (prediction) and ``gs``, a window whose voxel 0 sits at
-    parent voxel ``lo``, to the float.
+    parent voxel ``lo``, to the float.  The one owner of the search state.
 
     A voxel in both masks lies at 0.0 from the other set.  Each voxel in one
-    mask only (a query) looks for the other mask by ``_shell_search``;
-    queries it leaves unsettled go to the KD-tree, ``_QUERY_CHUNK`` at a
-    time."""
-    one_sided = ps ^ gs
+    mask only (a query) looks for the other mask by a shell search: integer
+    offsets go shortest first, each probed for every active query at once
+    in a zero-padded two-bit map (bit 1: ground truth, bit 2: prediction).
+    A query is settled, and leaves the active ones, once every offset up to
+    its first hit's length (plus ``_SETTLE_MARGIN``) is probed; its distance
+    is the least over those hits, exact.  The search stops once the rank's
+    value among the settled distances lies at or below every active query's
+    lower bound, so no active query can fall below it.  After
+    ``_PROBES_PER_QUERY`` probes per query, on average, the active queries
+    go to the KD-tree, ``_QUERY_CHUNK`` at a time."""
+    queries = np.flatnonzero(ps ^ gs)  # flat positions in the crop
     n = np.count_nonzero(ps) + np.count_nonzero(gs)
-    zeros = n - np.count_nonzero(one_sided)
-    k = _rank(n)
-    if zeros >= k:
+    rank = _rank(n) - (n - len(queries))  # the rank among the queries' distances
+    if rank <= 0:
         return 0.0
     s = np.asarray(spacing, dtype=np.float64)
-    queries = np.flatnonzero(one_sided)  # flat positions in the crop
     want = 1 + gs.ravel()[queries].view(np.uint8)  # the other map's bit
-    best = np.full(len(queries), np.inf)
-    settled = np.zeros(len(queries), dtype=bool)
-    value = _shell_search(ps, gs, s, lo, queries, want, k - zeros, best, settled)
-    if value is not None:
-        return value
-    for bit, targets in ((1, gs), (2, ps)):
-        rest = np.flatnonzero(~settled & (want == bit))
-        if rest.size:
-            nearest = _kd_tree(
-                _centers_mm(_indices(np.flatnonzero(targets), ps.shape), s, lo))
-            for at in np.array_split(rest, -(-rest.size // _QUERY_CHUNK)):
-                best[at] = nearest(_centers_mm(_indices(queries[at], ps.shape), s, lo))
-    return float(np.partition(best, k - zeros - 1)[k - zeros - 1])
-
-
-def _shell_search(ps, gs, s, lo, queries, want, rank, best, settled) -> float | None:
-    """The ``rank``-th smallest nearest-neighbor distance of the crop's flat
-    positions ``queries``, each looking for the map whose bit is ``want``,
-    or None once the search spends ``_PROBES_PER_QUERY`` probes per query,
-    on average, without settling it.  Fills ``best`` and ``settled`` in place: each
-    settled query's distance is exact.
-
-    Integer offsets go shortest first, each probed for every unsettled
-    query at once in a zero-padded two-bit map (bit 1: ground truth, bit 2:
-    prediction).  A query is settled once every offset up to its first
-    hit's length (plus ``_SETTLE_MARGIN``) is probed; its distance is the
-    least over those hits.  The search stops once the rank's value among
-    the settled distances lies at or below every unsettled query's lower
-    bound, so no unsettled query can fall below it."""
+    best = np.full(len(queries), np.inf)  # least hit distance so far
     first = np.full(len(queries), np.inf)  # offset length of the first hit
     active = np.arange(len(queries))
     exact = (max(o + m for o, m in zip(lo, ps.shape)) <= _EXACT_BELOW
@@ -293,10 +271,10 @@ def _shell_search(ps, gs, s, lo, queries, want, rank, best, settled) -> float | 
     budget = _PROBES_PER_QUERY * len(queries) if exact else 0
     pad = None
     for length, offsets, reach in _offset_groups(s, ps.shape):
-        done = first[active] * (1.0 + _SETTLE_MARGIN) < length
-        settled[active[done]] = True
-        active = active[~done]
+        active = active[first[active] * (1.0 + _SETTLE_MARGIN) >= length]
         bound = min(length * (1.0 - _SETTLE_MARGIN), best[active].min(initial=np.inf))
+        settled = np.ones(len(queries), dtype=bool)
+        settled[active] = False
         if np.count_nonzero(settled & (best <= bound)) >= rank:
             return float(np.partition(best[settled], rank - 1)[rank - 1])
         budget -= len(active) * len(offsets)
@@ -313,7 +291,15 @@ def _shell_search(ps, gs, s, lo, queries, want, rank, best, settled) -> float | 
                 dist = _hit_distance(queries[h], d, ps.shape, s, lo)
                 best[h] = np.minimum(best[h], dist)
                 first[h] = np.minimum(first[h], length)
-    return None
+    code = padded = qf = qw = first = settled = None  # the fallback reads none of these
+    for bit, targets in ((1, gs), (2, ps)):
+        rest = active[want[active] == bit]
+        if rest.size:
+            nearest = _kd_tree(
+                _centers_mm(_indices(np.flatnonzero(targets), ps.shape), s, lo))
+            for at in np.array_split(rest, -(-rest.size // _QUERY_CHUNK)):
+                best[at] = nearest(_centers_mm(_indices(queries[at], ps.shape), s, lo))
+    return float(np.partition(best, rank - 1)[rank - 1])
 
 
 def _hit_distance(at, d, shape, spacing, lo) -> np.ndarray:

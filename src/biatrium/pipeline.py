@@ -237,7 +237,8 @@ class PipelineResult:
 def invoke_backend(spec: BackendSpec, image: Volume,
                    classes: Mapping[str, int] | None = None) -> LabelMap:
     """Run one backend and return its label map, validated against the
-    shape of ``image`` and the class codes in ``classes`` (None: default)."""
+    shape and, as float32 (the precision of a NIfTI header), the spacing of
+    ``image``, and the class codes in ``classes`` (None: default)."""
     if spec.kind == "threshold":
         labels = (image.data >= np.float32(spec.threshold)).astype(np.uint8)
         out = check_label_codes(LabelMap(data=labels, spacing=image.spacing), classes)
@@ -250,6 +251,8 @@ def invoke_backend(spec: BackendSpec, image: Volume,
         out = _run_external(spec, image, classes)
     if out.shape != image.shape:
         raise BackendError(f"backend produced shape {out.shape}, expected {image.shape}")
+    if np.any(np.float32(out.spacing) != np.float32(image.spacing)):
+        raise BackendError(f"backend produced spacing {out.spacing}, expected {image.spacing}")
     return out
 
 

@@ -176,6 +176,21 @@ def test_evaluate_rejects_bad_class_map(files, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enhance", "IMAGE", "OUT", "--kernel-size", "1,2"], "expected 3 integers, got '1,2'"),
+    (["evaluate", "--pred", "GT", "--gt", "GT", "--class-map", "{wall: 1}"],
+     "class map is not valid JSON"),
+])
+def test_unparsable_argument_exits_2(files, tmp_path, capsys, argv, message):
+    paths = {"IMAGE": files["image"], "GT": files["gt_path"], "OUT": str(tmp_path / "o.nii")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert message in out.err and out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_rejects_undeclared_label_code(files, tmp_path, capsys):
     bad = tmp_path / "code7.nii.gz"
     arr = np.zeros((4, 4, 4), dtype=np.uint8)

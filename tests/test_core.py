@@ -15,7 +15,8 @@ import pytest
 from biatrium import (BBox, LabelMap, NiftiFormatError, Placement, Volume, read_labelmap,
                       write_nifti)
 from biatrium import core
-from biatrium.core import ConfigError, _check_number, _in_parallel, check_label_codes
+from biatrium.core import (ConfigError, _check_number, _in_parallel, check_class_map,
+                           check_label_codes)
 
 from conftest import thread_budget, traced_peak
 
@@ -103,6 +104,18 @@ def test_labelmap_coerces_wider_integers():
         LabelMap(data=np.full((2, 2, 2), 300), spacing=(1, 1, 1))
     with pytest.raises(ValueError):
         LabelMap(data=np.full((2, 2, 2), 0.5), spacing=(1, 1, 1))
+    with pytest.raises(ValueError, match="label data must be 3D, got 2D"):
+        LabelMap(data=np.zeros((2, 2), dtype=np.uint8), spacing=(1, 1, 1))
+
+
+@pytest.mark.parametrize("obj, match", [
+    ([["background", 0]], "class_map must be an object"),
+    ({1: 1}, "class_map names must be strings, got 1"),
+])
+def test_check_class_map_rejects_what_is_not_a_class_map(obj, match):
+    """JSON cannot give a non-string name, but a library caller can."""
+    with pytest.raises(ConfigError, match=match):
+        check_class_map(obj)
 
 
 def test_bbox_bounds_and_helpers():

@@ -626,6 +626,9 @@ def test_orientation_block_preserved(tmp_path, rng):
     out = tmp_path / "y.nii"
     write_volume(v, out)
     assert out.read_bytes()[252:328] == orient
+    with pytest.raises(ValueError, match="orientation block has wrong size"):
+        write_nifti(tmp_path / "z.nii", arr, SPACING, orientation=orient[:-1])
+    assert not (tmp_path / "z.nii").exists()
 
 
 def test_volume_and_labelmap_level_io(tmp_path, rng):
@@ -745,6 +748,7 @@ def test_write_rejects_unsupported_dtype(tmp_path):
     ((2, 2, 2), (1e39, 1, 1), "spacing"),    # inf as float32
     ((0, 2, 2), (1, 1, 1), r"\(0, 2, 2\)"),
     ((32768, 1, 1), (1, 1, 1), r"\(32768, 1, 1\)"),  # past the int16 dim field
+    ((2, 2), (1, 1, 1), "expected 3D array, got 2D"),
 ])
 def test_write_refuses_what_the_reader_refuses(tmp_path, suffix, shape, spacing, match):
     """Header values read_nifti would reject raise ValueError, and neither
@@ -819,7 +823,20 @@ def test_huge_declared_dims_are_truncated_payload(tmp_path, gz):
         read_labelmap(path)
 
 
-@pytest.mark.parametrize("vox_offset", [np.nan, np.inf, 3e38, 1e6])
+@pytest.mark.parametrize("gz", [False, True])
+def test_bytes_after_the_payload_are_read_and_ignored(tmp_path, rng, gz):
+    """A file may hold bytes past its payload; the reader drains them (so a
+    gzip stream verifies its checksum) and returns the same array."""
+    arr = _random_array(rng, np.float32)
+    path = tmp_path / "x.nii"
+    write_nifti(path, arr, SPACING)
+    path = _store(tmp_path / "tail.nii", path.read_bytes() + b"tail" * 1000, gz)
+    back, spacing, _ = read_nifti(path)
+    assert np.array_equal(back, arr) and spacing == SPACING
+
+
+# 2000: a gzip file passes the size bound but ends inside the gap
+@pytest.mark.parametrize("vox_offset", [np.nan, np.inf, 3e38, 1e6, 2000.0])
 @pytest.mark.parametrize("gz", [False, True])
 def test_bad_or_far_vox_offset_rejected(tmp_path, vox_offset, gz):
     path = _store(tmp_path / "far.nii", _header_bytes(tmp_path, vox_offset=vox_offset), gz)

@@ -362,6 +362,46 @@ def test_copy_file_backend(tmp_path):
         invoke_backend(missing, _small_volume())
 
 
+def test_backend_spacing_is_compared_as_float32(tmp_path):
+    """A header holds float32, so 0.7 mm reads back as 0.699999988...: that
+    is the input's spacing; 0.75 mm is not."""
+    src = tmp_path / "mask.nii"
+    write_nifti(src, np.zeros((6, 6, 4), dtype=np.uint8), (0.7, 0.7, 2.5))
+    spec = BackendSpec(kind="copy-file", source_path=str(src))
+    image = Volume(data=np.zeros((6, 6, 4), dtype=np.float32), spacing=(0.7, 0.7, 2.5))
+    assert invoke_backend(spec, image).spacing != image.spacing
+    image = Volume(data=image.data, spacing=(0.7, 0.75, 2.5))
+    with pytest.raises(BackendError, match=re.escape(
+            "backend produced spacing (0.699999988079071, 0.699999988079071, 2.5), "
+            "expected (0.7, 0.75, 2.5)")):
+        invoke_backend(spec, image)
+
+
+_RESPACED_BACKEND = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from biatrium import read_volume\n"
+    "from biatrium.nifti import write_nifti\n"
+    "v = read_volume(sys.argv[1])\n"
+    "write_nifti(sys.argv[2], (v.data >= 0.3).astype(np.uint8), (1.0, 1.0, 1.0))\n")
+
+
+@pytest.mark.parametrize("stage, expected", [("coarse_backend", (4.0, 4.0, 4.0)),
+                                             ("fine_backend", (1.0, 1.0, 2.0))])
+def test_backend_output_at_another_spacing_fails_its_stage(env, tmp_path, stage, expected):
+    """A backend that writes the right shape at 1 mm spacing fails the stage
+    that ran it, naming both spacings, and the case writes no mask."""
+    script = tmp_path / "respaced.py"
+    script.write_text(_RESPACED_BACKEND)
+    doc = env["make"](f"out_spacing_{stage}", **{stage: {
+        "kind": "external-command", "command_template": f"python3 {script} {{input}} {{output}}"}})
+    cfg = config_from_dict(doc)
+    result = run_case(cfg, cfg.cases[0])
+    assert (result.failed_stage, result.error_type) == (stage, "BackendError")
+    assert f"backend produced spacing (1.0, 1.0, 1.0), expected {expected}" in result.error
+    assert not (env["root"] / f"out_spacing_{stage}" / "ph" / "mask.nii.gz").exists()
+
+
 def test_external_backend_round_trip(tmp_path):
     script = tmp_path / "thresh.py"
     script.write_text(
@@ -543,6 +583,67 @@ def _kill_groups(pgids) -> None:
     for p in pgids:
         try:
             os.killpg(int(p), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_interrupt_at_the_registration_leaves_no_backend(tmp_path, monkeypatch):
+    """An interrupt that arrives as the backend's group is registered, here
+    from the registry's lock once the backend has written its pid, still
+    kills and reaps the whole group and leaves the registry empty."""
+    pid_file = tmp_path / "backend.pid"
+    script = f"echo $$ > {shlex.quote(str(pid_file))}; sleep 30 & wait"
+
+    class InterruptOnce:
+        """A lock whose first acquire raises KeyboardInterrupt instead."""
+
+        def __init__(self):
+            self.lock, self.raised = threading.Lock(), False
+
+        def __enter__(self):
+            if not self.raised:
+                self.raised = True
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and not (
+                        pid_file.exists() and pid_file.read_text().strip()):
+                    time.sleep(0.01)
+                raise KeyboardInterrupt
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    monkeypatch.setattr(core, "_live_lock", InterruptOnce())
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            core._run_group(["sh", "-c", script], tmp_path / "stderr.txt", 60)
+        pgid = int(pid_file.read_text())
+        deadline = time.monotonic() + 2.0
+        while _group_running(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _group_running(pgid)
+        assert core._live_groups == set()
+    finally:
+        _kill_groups(pid_file.read_text().split() if pid_file.exists() else [])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_successful_backend_leaves_no_process_behind(tmp_path):
+    """A backend that exits 0 takes its group with it: a background child
+    it left running is killed once the backend has exited."""
+    pid_file = tmp_path / "child.pid"
+    script = f"sleep 30 & echo $! > {shlex.quote(str(pid_file))}; exit 0"
+    core._run_group(["sh", "-c", script], tmp_path / "stderr.txt", 60)
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
 
