@@ -124,17 +124,17 @@ def _slabs(shape, most: int | None = None, voxels: int = _SLAB_VOXELS) -> list[s
 #: Most threads one case uses.  Each thread holds its own slab-sized
 #: temporaries, so a pass shared out over threads cuts smaller slabs.
 _MAX_CASE_THREADS = 4
-#: Threads each case may use.  run_pipeline sets it for its cases, and
-#: _in_parallel's helpers inherit it; where it is unset (a library call),
+#: Threads each case may use.  _in_parallel sets it for the tasks of a
+#: batch, and its helpers inherit it; where it is unset (a library call),
 #: a case has the whole machine.
 _case_threads: ContextVar[int] = ContextVar("_case_threads")
 
 
-def _thread_budget(workers: int = 1) -> int:
-    """Threads per case while ``workers`` cases run at once: the CPUs this
+def _thread_budget(cases: int = 1) -> int:
+    """Threads per case while ``cases`` cases run at once: the CPUs this
     process may use shared out, at least 1 and at most ``_MAX_CASE_THREADS``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(_MAX_CASE_THREADS, (cpus or 1) // workers))
+    return max(1, min(_MAX_CASE_THREADS, (cpus or 1) // cases))
 
 
 def _threads() -> int:
@@ -224,8 +224,11 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
 
     ``threads`` threads (None: the case's budget), the calling thread among
     them, each take the next task not yet taken; none starts after a task
-    raises or an interrupt arrives.  Helpers run in a copy of the caller's
-    context, so the case's budget follows them.  Every helper is joined,
+    raises or an interrupt arrives.  Every thread runs its tasks in a copy
+    of the caller's context, so the case's budget follows them.  Given
+    ``threads``, the tasks are a batch of cases: the copy's budget is the
+    CPUs shared out over the threads that run, and the caller's own context
+    never sees it.  Every helper is joined,
     through repeated interrupts too; while an interrupt waits, every
     registered backend group is killed, and again each 0.1 s.  Then the
     interrupt, or else the earliest failed task's failure, is raised."""
@@ -234,6 +237,9 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
     results: list = [None] * len(tasks)
     errors: dict[int, BaseException] = {}
     finished = [threading.Event() for _ in range(n - 1)]
+    ctx = copy_context()
+    if threads:
+        ctx.run(_case_threads.set, _thread_budget(n))
 
     def work(catch: type[BaseException], done: threading.Event | None = None) -> None:
         try:
@@ -254,10 +260,10 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
     try:
         for done in finished:
             # listed before it starts, so an interrupt cannot miss its join
-            helpers.append(threading.Thread(target=copy_context().run,
+            helpers.append(threading.Thread(target=ctx.copy().run,
                                             args=(work, BaseException, done)))
             helpers[-1].start()
-        work(Exception)  # not an interrupt: that leaves after the joins
+        ctx.run(work, Exception)  # not an interrupt: that leaves after the joins
     except BaseException as e:
         stop = e
         todo.clear()
@@ -294,6 +300,8 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], threads: int | None = No
 # moving grids into the heap of the thread that made them.  A helper's heap
 # keeps its touched top through malloc_trim, and how far it grew hung on
 # where small blocks freed across threads sat: 86 or 92-95 MB on batch_small.
+# With the threshold fixed, every grid is unmapped as it is freed, so a
+# batch trims once, before its first case.
 try:
     _malloc_trim, _mallopt = ctypes.CDLL(None).malloc_trim, ctypes.CDLL(None).mallopt
     _malloc_trim.argtypes = [ctypes.c_size_t]
@@ -306,13 +314,15 @@ def _release_free_heap() -> None:
     """Give the free memory of every malloc arena back to the OS, so the
     process holds no more than it still uses, and map each block of 8 MB
     or more on its own from now on; the one place that touches the
-    allocator.  Does nothing where the C library has no malloc_trim."""
+    allocator, called once per batch, before its first case.  Does nothing
+    where the C library has no malloc_trim."""
     if _malloc_trim is not None:
         _mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD, fixed from here on
         # M_TRIM_THRESHOLD: fixing the mmap threshold also freezes this one
         # at 128 KiB, so each free at the top of the main heap gave it back
         # and the next allocation faulted it in again (MCLAHE: 200k faults
-        # per paper case); what a case frees now waits for the trim above
+        # per paper case); a free top of the heap below 8 MB now stays for
+        # the next allocation
         _mallopt(-1, 8 << 20)
         _malloc_trim(0)
 

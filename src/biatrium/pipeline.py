@@ -25,7 +25,6 @@ import shlex
 import tempfile
 import time
 from contextlib import contextmanager
-from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -46,13 +45,11 @@ from .core import (
     _as_json,
     _as_triple,
     _atomic_open,
-    _case_threads,
     _check_number,
     _in_parallel,
     _read_json,
     _release_free_heap,
     _run_group,
-    _thread_budget,
     _write_json,
     check_class_map,
     check_label_codes,
@@ -193,6 +190,8 @@ class PipelineConfig:
         for c in self.cases:
             if c.case_id in seen:
                 raise ConfigError(f"duplicate case_id {c.case_id!r}")
+            if c.case_id == "summary.csv":  # its directory would stand in the summary's way
+                raise ConfigError(f"case_id {c.case_id!r} is the batch summary's file name")
             seen.add(c.case_id)
         for name in ("standard_shape", "coarse_factors", "fine_window"):
             object.__setattr__(self, name, _as_triple(getattr(self, name), name))
@@ -446,27 +445,15 @@ def write_summary_csv(results: Sequence[CaseResult], path,
 
 def run_pipeline(cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
     """Run every case, ``workers`` at once through ``core._in_parallel``,
-    each with the CPUs shared out over the workers as its thread budget,
-    and write summary.csv, in config order whatever the scheduling."""
+    which shares the CPUs out over the cases that run at once, and write
+    summary.csv, in config order whatever the scheduling.  The heap is
+    trimmed and the allocator tuned once, before the first case; from then
+    on, a finished case's blocks of 8 MB or more leave as they are freed."""
     _check_number(workers, "workers", integer=True, ge=1)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _release_free_heap()  # the threshold is fixed before a case allocates
-
-    def case(c: CaseSpec) -> CaseResult:
-        result = run_case(cfg, c)
-        if workers == 1:  # its freed heap goes back before the next case starts
-            _release_free_heap()
-        return result
-
-    # the cases and their helpers see the budget; the caller's context does not
-    batch = copy_context()
-    batch.run(_case_threads.set, _thread_budget(workers))
-    results = batch.run(_in_parallel, [partial(case, c) for c in cfg.cases], workers)
-    if workers > 1:
-        # Cases overlap, so a trim after one of them cannot get back to its
-        # live set: the heap goes back once, after the last.
-        _release_free_heap()
+    _release_free_heap()
+    results = _in_parallel([partial(run_case, cfg, c) for c in cfg.cases], workers)
     summary = out_dir / "summary.csv"
     write_summary_csv(results, summary, cfg.class_map)
     return PipelineResult(cases=tuple(results), summary_csv=str(summary))

@@ -318,8 +318,9 @@ def test_in_parallel_stress_under_thread_contention():
 
 
 def test_thread_budget_shares_the_cpus_out(monkeypatch):
-    """Each case gets the CPUs divided by the workers, at least 1 and at
-    most the cap; with no budget set, a case gets the whole machine's."""
+    """Each case gets the CPUs divided by the cases that run at once, at
+    least 1 and at most the cap; with no budget set, a case gets the whole
+    machine's."""
     monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     assert [core._thread_budget(w) for w in (1, 2, 3, 4, 6, 7)] == [4, 3, 2, 1, 1, 1]
     assert core._threads() == 4

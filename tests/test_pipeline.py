@@ -143,6 +143,9 @@ def test_pipeline_config_validation():
         _min_cfg(cases=())
     with pytest.raises(ConfigError, match="duplicate"):
         _min_cfg(cases=(CaseSpec("a", "x.nii.gz"), CaseSpec("a", "y.nii.gz")))
+    # its directory would take the batch summary's path
+    with pytest.raises(ConfigError, match="'summary.csv'"):
+        _min_cfg(cases=(CaseSpec("summary.csv", "x.nii.gz"), CaseSpec("ok", "y.nii.gz")))
     with pytest.raises(ConfigError, match="divisible"):
         _min_cfg(standard_shape=(10, 8, 8), coarse_factors=(4, 4, 1))
     with pytest.raises(ConfigError, match="bbox_margin_vox"):
@@ -1151,6 +1154,29 @@ def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path
         assert files == outputs[1, 1], setting
 
 
+def test_batch_budget_shares_the_cpus_over_the_cases_that_run(env, monkeypatch):
+    """On 4 CPUs at two workers, one case runs alone and gets all 4 threads,
+    and each of three cases, two at a time, gets 2.  The budget lives in
+    the batch's copy of the context: the caller's own has none after."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    budgets = []
+    run_case = pipeline.run_case
+
+    def recorded(cfg, case):
+        budgets.append(core._threads())
+        return run_case(cfg, case)
+
+    monkeypatch.setattr(pipeline, "run_case", recorded)
+    for n_cases, expected in ((1, [4]), (3, [2, 2, 2])):
+        budgets.clear()
+        doc = env["make"](f"out_budget{n_cases}",
+                          fine_backend={"kind": "threshold", "threshold": 0.3})
+        doc["cases"] = [{**doc["cases"][0], "case_id": f"c{i}"} for i in range(n_cases)]
+        assert run_pipeline(config_from_dict(doc), workers=2).ok
+        assert budgets == expected, n_cases
+        assert core._case_threads.get(None) is None
+
+
 def _slow(fn):
     def slow(*args, **kwargs):
         time.sleep(0.2)
@@ -1164,8 +1190,8 @@ def test_interrupt_in_a_threaded_stage_joins_every_helper(env, monkeypatch, stag
     """A KeyboardInterrupt in a case's thread while its helpers blend MCLAHE
     slabs or write the mask leaves run_pipeline only after every helper has
     finished: the thread count is back at its baseline, and the case has no
-    result.json.  Four CPUs give each case 4 threads at one worker and 2 at
-    two, so both run helpers."""
+    result.json.  Four CPUs give the one case 4 threads at either worker
+    count, so both run helpers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
     def interrupted_evaluation(*args, **kwargs):
@@ -1280,11 +1306,16 @@ def test_sequential_cases_give_their_heap_back(tmp_path):
     peak so far), and no later case peaks more than 0.75x the input above
     the first.  The evaluation's shell search settles this threshold-0.3
     prediction (HD95 2.80 mm) by itself, so no case imports scipy.spatial.
-    Measured on Linux x86-64 with an input of 28.3 MB: the drop was about
-    50 MB and the growth 0.  While the first evaluation still imported
-    scipy.spatial, which then stayed resident, the drop was about 41 MB,
-    or 12 MB without the heap trim, and the growth 12 MB, or 49 MB with
-    MCLAHE's output beside its input and no trim."""
+    Measured on Linux x86-64 with an input of 28.3 MB, run_pipeline
+    trimming the heap once, before the first case: the drop was 38.6-45.4
+    MiB and the growth 8.3-8.6 MiB over 8 runs (41.8-43.2 and 1.2-1.4 MiB
+    with a trim after each case as well).  The growth hangs on where small
+    blocks sit in the heap: with 0 to 50 padding blocks allocated first, it
+    was 7.7-9.0 MiB in 5 of 24 layouts either way, and 1.2-1.8 MiB in the
+    rest.  While the first evaluation still imported scipy.spatial, which
+    then stayed resident, the drop was about 41 MB, or 12 MB without the
+    heap trim, and the growth 12 MB, or 49 MB with MCLAHE's output beside
+    its input and no trim."""
     vol, gt = generate(PhantomSpec(shape=(384, 384, 48), noise_amplitude=0.05, seed=1))
     write_volume(vol, tmp_path / "image.nii")
     write_volume(gt, tmp_path / "gt.nii.gz")
@@ -1316,18 +1347,24 @@ def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
     freezes the trim threshold at 128 KiB, and the main heap then gave back
     and faulted in again every block freed at its top: MCLAHE took about
     200,000 page faults per paper case instead of 2,000."""
-    calls, seen = [], []
+    calls, seen, trims = [], [], []
     monkeypatch.setattr(core, "_mallopt", lambda *args: calls.append(args))
-    run_case = pipeline.run_case
+    run_case, release_free_heap = pipeline.run_case, pipeline._release_free_heap
 
     def recorded(cfg, case):
         seen.append(list(calls))
         return run_case(cfg, case)
 
+    def trim():
+        trims.append(len(seen))  # the cases started so far
+        release_free_heap()
+
     monkeypatch.setattr(pipeline, "run_case", recorded)
+    monkeypatch.setattr(pipeline, "_release_free_heap", trim)
     for workers in (1, 2):
         calls.clear()
         seen.clear()
+        trims.clear()
         doc = env["make"](f"out_mmap{workers}",
                           fine_backend={"kind": "threshold", "threshold": 0.3})
         doc["cases"] *= 2
@@ -1335,6 +1372,8 @@ def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
         assert run_pipeline(config_from_dict(doc), workers=workers).ok
         assert len(seen) == 2 and all(
             s[:2] == [(-3, 8 << 20), (-1, 8 << 20)] for s in seen), seen
+        # the heap is tuned and trimmed once per call, before the first case
+        assert trims == [0], (workers, trims)
 
 
 def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):

@@ -170,6 +170,68 @@ def test_thread_scan_finds_a_second_starter(tmp_path):
                                        "pipeline:5 ThreadPoolExecutor"]
 
 
+# The one owner of each batch-wide decision: _in_parallel sets the thread
+# budget of the cases of a batch, and run_pipeline trims the heap, once,
+# before its first case.
+_BATCH_OWNERS = {"_case_threads.set": ("core", "_in_parallel"),
+                 "_release_free_heap": ("pipeline", "run_pipeline")}
+
+
+def batch_policy_uses(root=SRC) -> list[str]:
+    """``module:line name`` of every use in ``root/*.py`` of a name in
+    ``_BATCH_OWNERS`` outside the module-level function that owns it, and
+    of every use there after the first.  A use is a call or a reference
+    passed on (``ctx.run(_case_threads.set, n)``); ``_case_threads.set``
+    matches however the variable is reached (``core._case_threads.set``),
+    ``_release_free_heap`` bare or as an attribute.  Imports and the
+    definition are not uses.  Per module in walk order."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            owner = (p.stem, getattr(stmt, "name", None))
+            owned = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Attribute) and n.attr == "set":
+                    name = ast.unparse(n.value).rsplit(".", 1)[-1] + ".set"
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                else:
+                    name = n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) else None
+                if name not in _BATCH_OWNERS:
+                    continue
+                if owner == _BATCH_OWNERS[name] and name not in owned:
+                    owned.add(name)
+                else:
+                    found.append(f"{p.stem}:{n.lineno} {name}")
+    return found
+
+
+def test_batch_policy_has_one_owner():
+    assert batch_policy_uses() == []
+
+
+def test_batch_policy_scan_finds_a_second_setter_and_caller(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_case_threads = ContextVar('_case_threads')\n"
+        "def _in_parallel(tasks, threads):\n"
+        "    ctx.run(_case_threads.set, threads)\n"
+        "    return _case_threads.get(0)\n"
+        "def _release_free_heap():\n    pass\n"
+        "def _threads(n):\n    _case_threads.set(n)\n")
+    (tmp_path / "pipeline.py").write_text(
+        "from .core import _release_free_heap\n"
+        "def run_pipeline(cases):\n"
+        "    _release_free_heap()\n"
+        "    batch.run(core._case_threads.set, 2)\n"
+        "    return _in_parallel(cases), _release_free_heap()\n"
+        "def run_case(case):\n    core._release_free_heap()\n")
+    assert batch_policy_uses(tmp_path) == [
+        "core:8 _case_threads.set",
+        "pipeline:4 _case_threads.set", "pipeline:5 _release_free_heap",
+        "pipeline:7 _release_free_heap",
+    ]
+
+
 # The one module that touches the C allocator, through ctypes.
 _CTYPES_OWNER = "core"
 
