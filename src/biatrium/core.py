@@ -112,12 +112,11 @@ def check_label_codes(labels: LabelMap, classes: Mapping[str, int] | None = None
     return labels
 
 
-def _slabs(shape, most: int | None = None, voxels: int = _SLAB_VOXELS) -> list[slice]:
+def _slabs(shape, voxels: int = _SLAB_VOXELS) -> list[slice]:
     """Slices cutting axis 0 of a grid of ``shape`` into slabs of about
-    ``voxels`` voxels, at least one and at most ``most`` (None: any number
-    of) rows thick."""
+    ``voxels`` voxels, at least one row thick."""
     n = shape[0]
-    step = max(1, min(most or n, voxels // max(1, math.prod(shape[1:]))))
+    step = max(1, voxels // max(1, math.prod(shape[1:])))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -439,7 +438,8 @@ class Volume:
 
     data: np.ndarray
     spacing: tuple[float, float, float]
-    #: Opaque qform/sform header bytes carried through read/write untouched.
+    #: Opaque orientation header bytes (qfac, then the qform/sform fields)
+    #: carried through read/write untouched.
     orientation: bytes | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -9,11 +9,12 @@ size; positions outside the center lattice clamp to the edge tile); the
 padding only feeds the edge tiles' histograms.
 
 Binning and blending stream over x-slabs of about ``core._SLAB_VOXELS``
-voxels, no thicker than one tile.  Binning runs on the calling thread;
-each of the case's threads takes the next blend slab not yet taken.  A
-tile row's tables are built once, when the first slab that reads them
-arrives, shared by every thread and dropped after the last,
-so at most three rows are held at once and table memory follows one tile
+voxels.  Binning runs on the calling thread.  The blend goes run by run,
+where a run is the x-planes that read the same two tile rows, and each of
+the case's threads takes the next slab of the run not yet taken.  A tile
+row's tables are built once, before the first run that reads them, shared
+by every thread and dropped after the last, so at most three rows are
+held at once (two while a run blends) and table memory follows one tile
 row, not the tile grid.  Blending reads only the bins and the tables, so
 the output may be written over the input: ``mclahe`` allocates a new
 float32 output, and ``_mclahe_consume``, for a caller that owns the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -139,11 +139,7 @@ def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume
     data = v.data
     kernel = params.resolve_kernel(data.shape)
     n_bins = params.n_bins
-    _, sy, sz = data.shape
-    # a slab no thicker than a tile reads at most three tile rows; each of
-    # the case's threads holds one slab's temporaries, so the slabs shrink
-    # with the thread budget and the working set does not grow with it
-    slabs = _slabs(data.shape, kernel[0], _SLAB_VOXELS // _threads())
+    sx, sy, sz = data.shape
 
     # pass 1: normalize and bin slab by slab on this thread (shared out over
     # threads it took no less wall time); only the bins are kept
@@ -151,7 +147,7 @@ def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume
     hi = float(data.max())
     bins = np.zeros(data.shape, dtype=np.min_scalar_type(n_bins - 1))
     if hi > lo:
-        for s in slabs:
+        for s in _slabs(data.shape):
             norm = data[s].astype(np.float64)
             norm -= lo
             norm /= hi - lo
@@ -161,17 +157,17 @@ def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume
 
     # pass 2: blend the 8 nearest tile tables for every voxel into out
     # (weights depend only on the coordinate; data is not read again, so out
-    # may be data), one slab at a time, in the corner order and weight
-    # product order of the per-voxel formula.  The slabs go in groups that
-    # start on the same tile row: a group's rows (at most three) are
-    # built once, before its slabs are shared out over the case's threads,
-    # and a row is dropped after the last group that reads it.  The rows are
-    # stacked so each corner is a single take() of flattened (row, tile, bin)
-    # indices.  Those are in range by construction, so "clip" only skips
-    # numpy's slower checked path
+    # may be data), in the corner order and weight product order of the
+    # per-voxel formula.  The x-axis is cut wherever the two nearest tile
+    # rows (ix0, ix1) change; a run's voxels read only those rows' tables,
+    # built once before its slabs are shared out over the case's threads.
+    # Each thread holds one slab's temporaries, so the slabs shrink with the
+    # thread budget and the working set does not grow with it; a row is
+    # dropped once the next run's rows are built.  The take() indices are
+    # in range by construction, so "clip" only skips numpy's slower checked
+    # path
     ntiles = tuple(-(-s // k) for s, k in zip(data.shape, kernel))
-    _, nty, ntz = ntiles
-    row_size = nty * ntz * n_bins
+    _, _, ntz = ntiles
     (ix0, ix1, wx), (iy0, iy1, wy), (iz0, iz1, wz) = (
         _axis_interp(n, k, t) for n, k, t in zip(data.shape, kernel, ntiles))
     yzoff = {(cy, cz): (iy * (ntz * n_bins))[:, None] + (iz * n_bins)[None, :]
@@ -180,24 +176,25 @@ def _equalize(v: Volume, params: MclaheParams | None, out: np.ndarray) -> Volume
     wys = (1.0 - wy[None, :, None], wy[None, :, None])
     wzs = (1.0 - wz[None, None, :], wz[None, None, :])
 
-    def blend(s: slice, flat: np.ndarray, first: int) -> None:
+    def blend(s: slice, tables: list[np.ndarray]) -> None:
         acc = np.zeros((s.stop - s.start, sy, sz))
-        for cx, ix in enumerate((ix0, ix1)):
-            bx = bins[s] + ((ix[s] - first) * row_size)[:, None, None]
+        at = bins[s].astype(np.intp)  # widened once, not once per corner
+        for cx, table in enumerate(tables):
             for cy in (0, 1):
                 wxy = wxs[cx][s] * wys[cy]
                 for cz in (0, 1):
-                    vals = flat.take(bx + yzoff[cy, cz], mode="clip")
+                    vals = table.take(at + yzoff[cy, cz], mode="clip")
                     vals *= wxy * wzs[cz]
                     acc += vals
         out[s] = np.clip(acc, 0.0, 1.0)
 
     rows = {}
-    for first, group in groupby(slabs, key=lambda s: int(ix0[s.start])):
-        group = list(group)
+    cuts = [0, *(np.flatnonzero(np.diff(ix0) | np.diff(ix1)) + 1).tolist(), sx]
+    for a, b in zip(cuts, cuts[1:]):
+        pair = (int(ix0[a]), int(ix1[a]))
         rows = {tx: rows[tx] if tx in rows else
                 _row_tables(bins, tx, kernel, ntiles, n_bins, params.clip_limit)
-                for tx in range(first, int(ix1[group[-1].stop - 1]) + 1)}
-        flat = np.stack(list(rows.values())).reshape(-1)
-        _in_parallel([partial(blend, s, flat, first) for s in group])
+                for tx in pair}
+        _in_parallel([partial(blend, slice(a + s.start, a + s.stop), [rows[tx] for tx in pair])
+                      for s in _slabs((b - a, sy, sz), _SLAB_VOXELS // _threads())])
     return _derived(Volume, data=out, spacing=v.spacing, orientation=v.orientation)

@@ -306,19 +306,9 @@ def _hit_distance(at, d, shape, spacing, lo) -> np.ndarray:
     """The distance cKDTree gives between the centers of the voxels at the
     flat positions ``at`` of a window of ``shape`` whose voxel 0 sits at
     parent voxel ``lo``, and of the voxels ``d`` (3,) or (n, 3) on from
-    them: the centers as ``_centers_mm`` makes them, then ``_length`` of
-    their difference, one axis at a time."""
-    sq = None
-    for i, step, sp, o in zip(np.unravel_index(at, shape), np.asarray(d).T, spacing, lo):
-        center = i.astype(np.float64)
-        center += o
-        diff = center * sp
-        center += step
-        center *= sp
-        diff -= center
-        diff *= diff
-        sq = diff if sq is None else sq + diff
-    return np.sqrt(sq)
+    them: ``_length`` of the difference of their ``_centers_mm``."""
+    q = _indices(at, shape)
+    return _length(_centers_mm(q, spacing, lo) - _centers_mm(q + d, spacing, lo))
 
 
 def _two_bit_map(ps, gs, pad, queries):

@@ -4,8 +4,10 @@ Supported subset: single-file ``n+1`` images, 3 spatial dimensions, datatypes
 uint8 (2), int16 (4) and float32 (16).  Files are written little-endian with
 the 348-byte header and vox_offset 352; big-endian files are detected on read
 (dim[0] outside 1..7 under a little-endian parse) and byte-swapped.  Gzip
-containers are auto-detected by their 0x1F 0x8B prefix.  The qform/sform
-block is carried through as opaque bytes and never interpreted.
+containers are auto-detected by their 0x1F 0x8B prefix.  Spatial units
+must be mm (or unknown, taken as mm).  The orientation block, qfac
+(pixdim[0]) and then the qform/sform fields, is carried through as
+little-endian bytes and never interpreted.
 
 Arrays are C order (z fastest) in memory and x-fastest on disk; this module
 is the only place that knows the disk order.  Reads hand out fresh
@@ -64,8 +66,11 @@ _MAX_DIM = int(np.iinfo(np.int16).max)
 _MIN_SPACING = float(np.finfo(np.float32).smallest_subnormal)
 _MAX_SPACING = float(np.finfo(np.float32).max)
 
-# Raw byte span of the qform/sform block (codes, quaternion, srows).
+# Byte spans of the orientation block: qfac (pixdim[0], the sign of the
+# qform's third axis), then the qform/sform fields (codes, quaternion, srows).
+_QFAC_SPAN = slice(76, 80)
 _ORIENT_SPAN = slice(252, 328)
+_ORIENT_SIZE = 4 + 76
 
 _HEADER_FIELDS = [
     ("sizeof_hdr", "i4"),
@@ -225,6 +230,9 @@ def _read_raw(path, dtype=None, check=None):
         spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
         if any(not (p > 0 and np.isfinite(p)) for p in spacing):
             raise NiftiFormatError(f"{path}: non-positive voxel spacing {spacing}")
+        if (units := int(hdr["xyzt_units"]) & 7) not in (0, 2):
+            raise NiftiFormatError(
+                f"{path}: spatial unit code {units} is not mm (2) or unknown (0)")
 
         vox_offset = float(hdr["vox_offset"])
         if not HEADER_SIZE <= vox_offset < np.inf:
@@ -261,7 +269,8 @@ def _read_raw(path, dtype=None, check=None):
         # drain to EOF so a gzip container verifies its checksum
         while _fill(f, spare, path):
             pass
-        orient = raw[_ORIENT_SPAN]
+        le = np.array(hdr, dtype=_HDR_LE).tobytes()
+        orient = le[_QFAC_SPAN] + le[_ORIENT_SPAN]
         scl = (float(hdr["scl_slope"]), float(hdr["scl_inter"]))
         return arr, spacing, orient, scl
 
@@ -383,6 +392,9 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     """Encode a 3D array (uint8, int16 or float32) as a NIfTI-1 file,
     gzip-compressed when ``path`` ends in ``.gz``.
 
+    ``orientation`` is the 80-byte block ``read_nifti`` returns; None
+    writes qfac 1 and no qform or sform.
+
     The file appears at ``path`` only once it is complete; a failed write
     leaves a previous file there untouched.  What read_nifti would refuse
     raises ValueError before any file is opened; NaN and inf are written."""
@@ -414,9 +426,9 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     hdr["magic"] = MAGIC
     raw = bytearray(hdr.tobytes())
     if orientation is not None:
-        if len(orientation) != _ORIENT_SPAN.stop - _ORIENT_SPAN.start:
+        if len(orientation) != _ORIENT_SIZE:
             raise ValueError("orientation block has wrong size")
-        raw[_ORIENT_SPAN] = orientation
+        raw[_QFAC_SPAN], raw[_ORIENT_SPAN] = orientation[:4], orientation[4:]
 
     def pieces():
         yield bytes(raw) + b"\x00" * (VOX_OFFSET - HEADER_SIZE)
@@ -434,8 +446,8 @@ def write_volume(v: Volume | LabelMap, path, *, orientation: bytes | None = None
     """Write a Volume as float32 or a LabelMap as uint8, gzip-compressed
     when ``path`` ends in ``.gz``.
 
-    ``orientation`` is the qform/sform block to write; None takes a
-    Volume's own (a LabelMap carries none).
+    ``orientation`` is the orientation block to write (qfac, then the
+    qform/sform fields); None takes a Volume's own (a LabelMap carries none).
     """
     if orientation is None and isinstance(v, Volume):
         orientation = v.orientation

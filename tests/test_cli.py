@@ -475,8 +475,8 @@ def test_stitch_onto_a_parent_too_large_for_the_header_exits_1(tmp_path, capsys)
 
 def test_outputs_keep_the_orientation_block(files, tmp_path):
     """The enhanced image and the mask lie on the input's grid, so both
-    carry its qform/sform block."""
-    block = bytes(range(1, 77))
+    carry its orientation block: qfac and the qform/sform fields."""
+    block = bytes(range(1, 81))
     image = tmp_path / "oriented.nii.gz"
     write_volume(Volume(data=files["vol"].data, spacing=files["vol"].spacing,
                         orientation=block), image)

@@ -156,16 +156,16 @@ def test_matches_naive_reference(rng):
     ((192, 192, 48), None, 128, 0.01),         # default params, 28 slabs
     ((9, 40, 30), (1, 1, 1), 16, 0.01),        # one-voxel tiles, one x-row per slab
     ((7, 9, 5), (16, 12, 8), 32, 0.1),         # kernel larger than the grid
-    ((23, 40, 30), (5, 8, 7), 64, 0.02),       # slab capped at kx; padded x-edge row
+    ((23, 40, 30), (5, 8, 7), 64, 0.02),       # slabs cut at runs of 5 x-planes; padded x-edge row
 ])
 def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
     """Volumes spanning many x-slabs equal the unstreamed blend bit for bit,
-    at thread budgets 1, 2 and 3 (the (7, 9, 5) volume has fewer slabs
+    at thread budgets 1, 2, 3 and 4 (the (7, 9, 5) volume has fewer slabs
     than 3 threads)."""
     data = rng.random(shape, dtype=np.float32)
     params = MclaheParams(kernel_size=kernel, n_bins=n_bins, clip_limit=clip)
     ref = whole_volume_mclahe(data, params.resolve_kernel(shape), n_bins, clip)
-    for threads in (1, 2, 3):
+    for threads in (1, 2, 3, 4):
         with thread_budget(threads):
             out = mclahe(Volume(data=data, spacing=(1, 1, 1)), params)
         assert np.array_equal(out.data, ref), threads
@@ -234,8 +234,9 @@ def _traced_peak(data: np.ndarray, kernel) -> int:
 
 
 def test_tile_tables_follow_one_tile_row(rng):
-    """Tables are held for at most three tile rows, not the whole tile grid,
-    and are built once for all threads: with one-voxel tiles, growing x
+    """Tables are held for at most three tile rows (two while a run of
+    x-planes blends), not the whole tile grid, and are built once for all
+    threads: with one-voxel tiles, growing x
     adds only the output and the bins to the peak, and small tiles on a
     larger grid stay within 4x the input, at thread budgets 1 and 2."""
     for threads in (1, 2):

@@ -616,7 +616,7 @@ def test_raw_pair_carries_non_finite_bits_and_read_volume_names_the_file(tmp_pat
 
 def test_orientation_block_preserved(tmp_path, rng):
     arr = _random_array(rng, np.float32)
-    orient = bytes(rng.integers(0, 256, size=76, dtype=np.uint8))
+    orient = bytes(rng.integers(0, 256, size=80, dtype=np.uint8))
     path = tmp_path / "x.nii"
     write_nifti(path, arr, SPACING, orientation=orient)
     _, _, orient_back = read_nifti(path)
@@ -625,10 +625,57 @@ def test_orientation_block_preserved(tmp_path, rng):
     v = read_volume(path)
     out = tmp_path / "y.nii"
     write_volume(v, out)
-    assert out.read_bytes()[252:328] == orient
+    header = out.read_bytes()
+    assert header[76:80] + header[252:328] == orient
     with pytest.raises(ValueError, match="orientation block has wrong size"):
         write_nifti(tmp_path / "z.nii", arr, SPACING, orientation=orient[:-1])
     assert not (tmp_path / "z.nii").exists()
+
+
+def test_qfac_is_part_of_the_orientation_block(tmp_path, rng):
+    """The orientation block starts with qfac (pixdim[0]): a written -1
+    reads back, and a write without a block writes qfac 1."""
+    orient = struct.pack("<f2h", -1.0, 1, 0) + bytes(72)
+    path = tmp_path / "q.nii"
+    write_nifti(path, _random_array(rng, np.float32), SPACING, orientation=orient)
+    assert read_nifti(path)[2] == orient
+    assert struct.unpack_from("<f", path.read_bytes(), 76) == (-1.0,)
+    write_nifti(path, _random_array(rng, np.float32), SPACING)
+    assert read_nifti(path)[2] == struct.pack("<f", 1.0) + bytes(76)
+
+
+def test_big_endian_orientation_is_carried_little_endian(tmp_path, rng):
+    """A big-endian file's qfac and qform/sform fields come back as the
+    little-endian writer stores them, so an output written with them keeps
+    their values."""
+    orient = struct.pack("<f2h18f", -1.0, 1, 2, *range(18))
+    le = tmp_path / "le.nii"
+    be = tmp_path / "be.nii"
+    write_nifti(le, _random_array(rng, np.float32), SPACING, orientation=orient)
+    _reencode_big_endian(le, be)  # pixdim, qfac included
+    blob = bytearray(be.read_bytes())
+    blob[252:328] = struct.pack(">2h18f", *struct.unpack("<2h18f", blob[252:328]))
+    be.write_bytes(bytes(blob))
+    assert read_nifti(be)[2] == orient
+
+
+@pytest.mark.parametrize("code, refused", [(1, True), (3, True), (0, False), (2, False),
+                                           (10, False)])
+def test_spatial_units_other_than_mm_are_refused(tmp_path, code, refused):
+    """The spatial unit code (xyzt_units & 7) must be 2 (mm) or 0 (unknown,
+    taken as mm): a file in metres (1) or micrometres (3) is refused, naming
+    the file and the code.  Time units (10 is mm and seconds) do not count."""
+    path = tmp_path / "units.nii"
+    write_nifti(path, np.zeros((2, 3, 4), np.float32), SPACING)
+    blob = bytearray(path.read_bytes())
+    assert blob[123] == 2
+    blob[123] = code
+    path.write_bytes(bytes(blob))
+    if refused:
+        with pytest.raises(NiftiFormatError, match=f"units.nii: spatial unit code {code} "):
+            read_nifti(path)
+    else:
+        assert read_nifti(path)[1] == pytest.approx(SPACING)
 
 
 def test_volume_and_labelmap_level_io(tmp_path, rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import gzip
 import importlib.util
 import json
 import math
@@ -8,6 +9,7 @@ import pathlib
 import re
 import shlex
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -937,6 +939,24 @@ def test_summary_columns_follow_class_map(env):
                      "ph,ok,1.0,0.0,1.0,0.0,1.0,0.0"]
 
 
+def test_mask_keeps_the_image_qfac(env, tmp_path):
+    """qfac (pixdim[0]) -1 says the image's qform mirrors its third axis;
+    the mask lies on the image's grid, so it says so too."""
+    image = tmp_path / "mirrored.nii"
+    write_volume(env["vol"], image)
+    blob = bytearray(image.read_bytes())
+    struct.pack_into("<f", blob, 76, -1.0)
+    struct.pack_into("<h", blob, 252, 1)  # qform_code
+    image.write_bytes(bytes(blob))
+    cfg = config_from_dict(env["make"](
+        str(tmp_path / "out"), cases=[{"case_id": "ph", "image": str(image)}],
+        fine_backend={"kind": "threshold", "threshold": 0.5}))
+    assert run_pipeline(cfg).ok
+    header = gzip.decompress((tmp_path / "out" / "ph" / "mask.nii.gz").read_bytes())
+    assert struct.unpack_from("<f", header, 76) == (-1.0,)
+    assert struct.unpack_from("<h", header, 252) == (1,)
+
+
 def test_rerun_is_byte_identical_except_timings(env):
     cfg1 = config_from_dict(env["make"]("out_r1"))
     cfg2 = config_from_dict(env["make"]("out_r2"))
@@ -1123,8 +1143,9 @@ def test_overlapped_stages_name_the_stage_that_raised(env, tmp_path, threads):
 
 def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path, monkeypatch):
     """With MCLAHE and ground truth, a three-case batch writes the same
-    bytes at every worker count (1, 2 and 3) and at budgets 1 and 2
-    (threaded blend, write beside the evaluation).  run_pipeline shares
+    bytes at every worker count (1, 2 and 3) and at budgets 1 and 2, and
+    at budget 4 with one worker (threaded blend, write beside the
+    evaluation).  run_pipeline shares
     the CPUs out over its workers, so each budget comes from the CPU count
     the test gives it."""
     cases = []
@@ -1135,20 +1156,19 @@ def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path
         cases.append({"case_id": f"c{i}", "image": str(tmp_path / f"image{i}.nii.gz"),
                       "gt": str(tmp_path / f"gt{i}.nii.gz")})
     outputs = {}
-    for workers in (1, 2, 3):
-        for budget in (1, 2):
-            out = tmp_path / f"out_w{workers}_b{budget}"
-            cpus = set(range(workers * budget))
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            cfg = config_from_dict(env["make"](
-                str(out), mclahe={}, cases=cases,
-                fine_backend={"kind": "threshold", "threshold": 0.5}))
-            result = run_pipeline(cfg, workers=workers)
-            assert all(c.ok and c.metrics for c in result.cases), [c.error for c in result.cases]
-            outputs[workers, budget] = {
-                p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
-                if p.name in ("mask.nii.gz", "standard_placement.json",
-                              "window_placement.json", "summary.csv")}
+    for workers, budget in [(w, b) for w in (1, 2, 3) for b in (1, 2)] + [(1, 4)]:
+        out = tmp_path / f"out_w{workers}_b{budget}"
+        cpus = set(range(workers * budget))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        cfg = config_from_dict(env["make"](
+            str(out), mclahe={}, cases=cases,
+            fine_backend={"kind": "threshold", "threshold": 0.5}))
+        result = run_pipeline(cfg, workers=workers)
+        assert all(c.ok and c.metrics for c in result.cases), [c.error for c in result.cases]
+        outputs[workers, budget] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.name in ("mask.nii.gz", "standard_placement.json",
+                          "window_placement.json", "summary.csv")}
     assert len(outputs[1, 1]) == 3 * 3 + 1
     for setting, files in outputs.items():
         assert files == outputs[1, 1], setting

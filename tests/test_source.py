@@ -1,5 +1,6 @@
 """Checks on the package source itself, run in place of a linter."""
 import ast
+import math
 import pathlib
 import re
 
@@ -393,3 +394,70 @@ def test_scipy_scan_finds_a_second_import(tmp_path):
         "scipy_ok = 'not scipy'\n")
     assert scipy_imports(tmp_path) == ["geometry:2 scipy.ndimage", "geometry:4 scipy.spatial",
                                        "metrics:5 scipy"]
+
+
+def _passed(call: ast.Call, names) -> tuple[str, float, set[str | None]] | None:
+    """(callee, positional arguments, keywords) of ``call`` when it calls a
+    name in ``names``: directly (``f(...)``, ``core.f(...)``) or through
+    ``partial(f, ...)`` or ``ctx.run(f, ...)``.  A ``*args`` counts as
+    every position and a ``**kwargs`` as the keyword None."""
+    func, args = call.func, call.args
+    if ast.unparse(func).rsplit(".", 1)[-1] in ("partial", "run") and args:
+        func, args = args[0], args[1:]
+    callee = ast.unparse(func).rsplit(".", 1)[-1]
+    if callee not in names:
+        return None
+    count = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+    return callee, count, {k.arg for k in call.keywords}
+
+
+def unused_private_parameters(root=SRC) -> list[str]:
+    """``module.function(parameter)`` of every defaulted parameter of a
+    module-level private function in ``root/*.py`` that no call there
+    passes, by position or keyword, directly or through ``partial`` or
+    ``ctx.run``.  Calls match functions by name, whatever their module."""
+    trees = [(p.stem, ast.parse(p.read_text(), str(p))) for p in sorted(root.glob("*.py"))]
+    functions = [(module, f) for module, tree in trees for f in tree.body
+                 if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+                 and not f.name.endswith("__")]
+    names = {f.name for _, f in functions}
+    passed = {}  # name -> (most positional arguments, keywords)
+    for _, tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and (got := _passed(n, names)):
+                callee, count, keywords = got
+                most, known = passed.get(callee, (0, set()))
+                passed[callee] = (max(most, count), known | keywords)
+    found = []
+    for module, f in functions:
+        positional = [a.arg for a in f.args.posonlyargs + f.args.args]
+        first = len(positional) - len(f.args.defaults)
+        defaulted = [(a, i) for i, a in enumerate(positional) if i >= first] + [
+            (a.arg, math.inf) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+            if d is not None]
+        most, keywords = passed.get(f.name, (0, set()))
+        found += [f"{module}.{f.name}({a})" for a, i in defaulted
+                  if i >= most and a not in keywords and None not in keywords]
+    return found
+
+
+def test_every_private_default_is_passed():
+    assert unused_private_parameters() == []
+
+
+def test_private_parameter_scan_finds_a_default_nobody_passes(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "def _slabs(shape, most=None, voxels=1):\n    return shape\n"
+        "def _run(f, n=1, *, k=2, m=3):\n    return f\n"
+        "def _spread(a, b=1, c=2):\n    return a\n"
+        "def _named(a=1):\n    return a\n"
+        "def public(x=1):\n    return x\n")
+    (tmp_path / "mclahe.py").write_text(
+        "from functools import partial\n"
+        "def go(ctx, t, kw):\n"
+        "    _slabs(t, voxels=4)\n"
+        "    partial(_run, t, 2)\n"
+        "    ctx.run(_run, t, k=5)\n"
+        "    _spread(*t)\n"
+        "    return core._named(**kw)\n")
+    assert unused_private_parameters(tmp_path) == ["core._slabs(most)", "core._run(m)"]
