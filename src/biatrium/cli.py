@@ -8,6 +8,7 @@ invocations.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .geometry import (
 )
 from .loss import AsymLossParams, grad_check, volume_loss
 from .mclahe import MclaheParams, _mclahe_consume
-from .metrics import evaluate_case, format_float, write_report_csv
+from .metrics import _report_row, evaluate_case, format_float, write_report_csv
 from .nifti import (
     read_labelmap,
     read_nifti,
@@ -114,11 +115,9 @@ def _cmd_evaluate(args) -> int:
                          point_mode=point_mode)
     if args.csv:
         write_report_csv(rows, args.csv, percent=args.percent)
-    else:
-        scale = 100.0 if args.percent else 1.0
-        for r in rows:
-            print(f"{r.case_id},{r.class_name},{format_float(r.dice * scale)},"
-                  f"{format_float(r.hd95_mm)},{r.flags}")
+    else:  # the report's rows, without its header
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            _report_row(r, args.percent) for r in rows)
     return 0
 
 

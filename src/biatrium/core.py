@@ -3,7 +3,8 @@
 Volumes and label maps are axis-aligned 3D grids indexed (x, y, z) with a
 physical spacing in mm per axis.  Placements record how a child grid (a
 padded or cropped window) maps back into its parent grid.
-Public constructors check their input; ``_derived`` builds results from checked values.
+Public constructors check their input, each grid and orientation block by
+the one grid rule (``_GRID``); ``_derived`` builds results from checked values.
 ``_in_parallel`` is the one way the package runs work side by side, and
 ``_run_group`` the one way it starts, waits for, kills and reaps a backend.
 """
@@ -104,7 +105,7 @@ def check_label_codes(labels: LabelMap, classes: Mapping[str, int] | None = None
     codes = set((DEFAULT_CLASS_MAP if classes is None else classes).values()) | {0}
     # every code lies in [0, max]: when all of those are allowed, nothing is
     # left to count
-    if not labels.data.size or codes.issuperset(range(int(labels.data.max()) + 1)):
+    if codes.issuperset(range(int(labels.data.max()) + 1)):
         return labels
     bad = [c for c in _codes_present(labels.data) if c not in codes]
     if bad:
@@ -338,6 +339,18 @@ def _codes_present(data: np.ndarray) -> list[int]:
 
 _OPERATORS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 
+# The one grid rule, what a NIfTI-1 header can hold: 1..32767 voxels per
+# axis (int16 dim), spacings positive and finite as float32 (pixdim), and
+# an orientation block of 80 bytes (qfac, then the qform/sform fields).
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_GRID = {int: {"ge": 1, "le": int(np.iinfo(np.int16).max)},
+         float: {"ge": float(np.finfo(np.float32).smallest_subnormal), "le": _FLOAT32_MAX}}
+
+
+def _must_be(name: str, kind: str, bounds, value) -> ConfigError:
+    limits = " and ".join(f"{_OPERATORS[op]} {b}" for op, b in bounds.items())
+    return ConfigError(f"{name} must be {kind} {limits}".rstrip() + f", got {value!r}")
+
 
 def _check_number(value, name: str, integer: bool = False, **bounds):
     """Return ``value`` if it is a finite number (with ``integer``, an int)
@@ -353,26 +366,34 @@ def _check_number(value, name: str, integer: bool = False, **bounds):
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        kind = "an int" if integer else "a finite number"
-        limits = " and ".join(f"{_OPERATORS[op]} {b}" for op, b in bounds.items())
-        raise ConfigError(f"{name} must be {kind} {limits}".rstrip() + f", got {value!r}")
+        raise _must_be(name, "an int" if integer else "a finite number", bounds, value)
     return value
 
 
-def _as_triple(value, name: str, kind=int, positive: bool = True) -> tuple:
+def _as_triple(value, name: str, kind=int, positive: bool = True, grid: bool = False) -> tuple:
     """``value`` as a tuple of 3 ``kind`` numbers, each passing
-    ``_check_number`` and > 0 unless ``positive`` is false.  The one check
-    of every grid triple: shapes, factors, windows, spacings, radii,
-    offsets and box bounds."""
-    bounds = {"gt": 0} if positive else {}
+    ``_check_number`` and > 0 unless ``positive`` is false, or with ``grid``
+    within the grid rule.  The one check of every grid triple: shapes,
+    factors, windows, spacings, radii, offsets and box bounds."""
+    bounds = _GRID[kind] if grid else {"gt": 0} if positive else {}
     if not isinstance(value, (str, bytes)):  # "888" is not (8, 8, 8)
         with suppress(TypeError, ValueError, OverflowError):
             t = tuple(value)
             if len(t) == 3:
                 return tuple(kind(_check_number(v, name, integer=kind is int, **bounds))
                              for v in t)
-    what = "positive finite" if positive else "finite"
-    raise ConfigError(f"{name} must be 3 {what} numbers, got {value!r}")
+    raise _must_be(name, "3 ints" if kind is int else "3 finite numbers", bounds, value)
+
+
+def _grid(arr: np.ndarray, spacing, what: str, orientation: bytes | None = None) -> tuple:
+    """``spacing`` as a triple, once it, ``arr``'s shape and ``orientation`` keep the grid rule."""
+    if arr.ndim != 3:
+        raise ValueError(f"{what} must be 3D, got {arr.ndim}D")
+    _as_triple(arr.shape, f"{what} shape", grid=True)
+    if not (orientation is None or isinstance(orientation, bytes) and len(orientation) == 80):
+        got = f"{len(orientation)} bytes" if isinstance(orientation, bytes) else repr(orientation)
+        raise ConfigError(f"orientation block has wrong size: must be None or 80 bytes, got {got}")
+    return _as_triple(spacing, "spacing", float, grid=True)
 
 
 @contextmanager
@@ -415,17 +436,18 @@ def _write_json(doc, path) -> None:
         f.write("\n")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _set(obj, **fields):
+    """``obj`` with its ``fields`` set, arrays made read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _derived(cls, **fields):
     """``cls`` of checked ``fields``, arrays made read-only, skipping ``__post_init__``."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
-    return obj
+    return _set(object.__new__(cls), **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,15 +466,11 @@ class Volume:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got {arr.ndim}D")
-        if arr.size == 0:
-            raise ValueError("volume data must be non-empty")
+        spacing = _grid(arr, self.spacing, "volume data", self.orientation)
         # min and max propagate NaN and +-inf, so no per-voxel mask is needed
         if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("volume data contains non-finite values")
-        object.__setattr__(self, "data", _freeze(arr))
-        object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
+        _set(self, data=arr, spacing=spacing)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -468,16 +486,14 @@ class LabelMap:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise ValueError(f"label data must be 3D, got {arr.ndim}D")
+        spacing = _grid(arr, self.spacing, "label data")
         if arr.dtype != np.uint8:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"label data must be integer, got {arr.dtype}")
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
+            if arr.min() < 0 or arr.max() > 255:
                 raise ValueError("label values out of uint8 range")
             arr = arr.astype(np.uint8)
-        object.__setattr__(self, "data", _freeze(arr))
-        object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
+        _set(self, data=arr, spacing=spacing)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -492,8 +508,8 @@ class BBox:
     hi: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _as_triple(self.lo, "lo", positive=False))
-        object.__setattr__(self, "hi", _as_triple(self.hi, "hi", positive=False))
+        _set(self, lo=_as_triple(self.lo, "lo", positive=False),
+             hi=_as_triple(self.hi, "hi", positive=False))
         for a in range(3):
             if not (0 <= self.lo[a] < self.hi[a]):
                 raise ValueError(f"invalid bbox bounds on axis {a}: [{self.lo[a]}, {self.hi[a]})")
@@ -514,9 +530,9 @@ class Placement:
     window_shape: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "parent_shape", _as_triple(self.parent_shape, "parent_shape"))
-        object.__setattr__(self, "offset", _as_triple(self.offset, "offset", positive=False))
-        object.__setattr__(self, "window_shape", _as_triple(self.window_shape, "window_shape"))
+        _set(self, parent_shape=_as_triple(self.parent_shape, "parent_shape", grid=True),
+             offset=_as_triple(self.offset, "offset", positive=False),
+             window_shape=_as_triple(self.window_shape, "window_shape", grid=True))
 
 
 def from_json(cls, obj, where: str = ""):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (BBox, ConfigError, EmptyMaskError, LabelMap, Placement, Volume, _as_triple,
-                   _check_number, _derived, _slabs)
+from .core import (_FLOAT32_MAX, BBox, ConfigError, EmptyMaskError, LabelMap, Placement, Volume,
+                   _as_triple, _check_number, _derived, _slabs)
 
 __all__ = [
     "DEFAULT_STANDARD_SHAPE",
@@ -39,7 +39,6 @@ __all__ = [
 DEFAULT_STANDARD_SHAPE = (576, 576, 48)
 DEFAULT_DOWNSAMPLE_FACTORS = (4, 4, 1)
 DEFAULT_FINE_WINDOW = (256, 256, 48)
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _center_offset(src: int, dst: int) -> int:
@@ -63,8 +62,8 @@ def standardize(v: Volume | tuple[int, int, int],
     Placement alone and builds no array.
     """
     _check_number(pad_value, "pad_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
-    target_shape = _as_triple(target_shape, "target_shape")
-    shape = v.shape if isinstance(v, Volume) else _as_triple(v, "shape")
+    target_shape = _as_triple(target_shape, "target_shape", grid=True)
+    shape = v.shape if isinstance(v, Volume) else _as_triple(v, "shape", grid=True)
     place = Placement(parent_shape=shape, window_shape=target_shape,
                       offset=[_center_offset(s, t) for s, t in zip(shape, target_shape)])
     if not isinstance(v, Volume):
@@ -113,8 +112,8 @@ def downsample_mean(v: Volume, factors: tuple[int, int, int] = DEFAULT_DOWNSAMPL
         blocks = _window(v.data, (place, slab), 0.0, np.float64)
         out[x0:x1, lo[1]:hi[1], lo[2]:hi[2]] = (
             blocks.reshape(-1, fx, ky, fy, kz, fz).mean(axis=(1, 3, 5)))
-    spacing = _as_triple([sp * f for sp, f in zip(v.spacing, factors)], "spacing", float)
-    return _derived(Volume, data=out, spacing=spacing)
+    spacing = [sp * f for sp, f in zip(v.spacing, factors)]
+    return _derived(Volume, data=out, spacing=_as_triple(spacing, "spacing", float, grid=True))
 
 
 def bbox_from_mask(mask: np.ndarray | LabelMap,
@@ -161,7 +160,7 @@ def crop_window(v: Volume, center: tuple[int, int, int],
     straight from ``v``, with ``pad_value`` wherever it leaves either grid.
     """
     _check_number(pad_value, "pad_value", ge=-_FLOAT32_MAX, le=_FLOAT32_MAX)
-    window = _as_triple(window, "window")
+    window = _as_triple(window, "window", grid=True)
     center = _as_triple(center, "center", positive=False)
     chain = (through,) if through is not None else ()
     parent = through.window_shape if through is not None else v.shape

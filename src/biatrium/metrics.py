@@ -185,23 +185,20 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 # The shell search orders offsets by their own length in mm, but reports a
 # hit's distance from the two voxel centers ((index + lo) * spacing in
 # float64; ``_hit_distance``), the float cKDTree gives.  Both
-# approximate the exact length of offset * spacing.  With indices below
-# N = ``_EXACT_BELOW`` = 2**16, each center is rounded by at most
-# 2**-53 * N * spacing, so the centers' difference on an axis where the
-# offset is nonzero (one spacing or more) errs by a relative
-# 2 * N * 2**-53 = 2**-36 at most; where it is zero, both centers are the
-# same float.  Squares, sums and the root add a few units of 2**-53, and an
-# offset's own length errs by no more.  So both lie within a relative 2e-11
-# of the exact length, and ``_SETTLE_MARGIN`` covers twice that 25 times
-# over: a target nearer, by the center formula, than a hit at offset length
-# L has an offset no longer than L * (1 + _SETTLE_MARGIN), and a target at
-# an offset of length L' or more lies at least L' * (1 - _SETTLE_MARGIN)
-# away.  NIfTI grids have fewer than 2**15 voxels per axis.  Spacings
-# between 1e-100 and 1e100 keep every square a normal float.  Outside these
-# bounds every query goes to the KD-tree.
+# approximate the exact length of offset * spacing.  Core's grid rule
+# (``core._GRID``) keeps indices below N = 2**15, so each center is rounded
+# by at most 2**-53 * N * spacing, and the centers' difference on an axis
+# where the offset is nonzero (one spacing or more) errs by a relative
+# 2 * N * 2**-53 = 2**-37 at most; where it is zero, both centers are the
+# same float.  The rule's spacings, positive and finite as float32, keep
+# every square a normal float64, so squares, sums and the root add a few
+# units of 2**-53, and an offset's own length errs by no more.  Both lie
+# within a relative 1e-11 of the exact length, and ``_SETTLE_MARGIN``
+# covers twice that 50 times over: a target nearer, by the center formula,
+# than a hit at offset length L has an offset no longer than
+# L * (1 + _SETTLE_MARGIN), and a target at an offset of length L' or more
+# lies at least L' * (1 - _SETTLE_MARGIN) away.
 _SETTLE_MARGIN = 1e-9
-_EXACT_BELOW = 2 ** 16
-_EXACT_SPACING = (1e-100, 1e100)
 # Probes the search may spend, on average per query, before the queries it
 # has not settled go to the KD-tree: a count, so a case takes the same path
 # on every machine.  A probe costs about 1/70 of a KD-tree query (26 ns
@@ -266,9 +263,7 @@ def _search_rank95(ps: np.ndarray, gs: np.ndarray, spacing, lo) -> float:
     best = np.full(len(queries), np.inf)  # least hit distance so far
     first = np.full(len(queries), np.inf)  # offset length of the first hit
     active = np.arange(len(queries))
-    exact = (max(o + m for o, m in zip(lo, ps.shape)) <= _EXACT_BELOW
-             and _EXACT_SPACING[0] < s.min() and s.max() < _EXACT_SPACING[1])
-    budget = _PROBES_PER_QUERY * len(queries) if exact else 0
+    budget = _PROBES_PER_QUERY * len(queries)
     pad = None
     for length, offsets, reach in _offset_groups(s, ps.shape):
         active = active[first[active] * (1.0 + _SETTLE_MARGIN) >= length]
@@ -375,16 +370,19 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _report_row(r: MetricRow, percent: bool) -> list[str]:
+    """The report's fields of ``r``; ``percent`` scales Dice by 100."""
+    return [r.case_id, r.class_name, format_float(r.dice * 100.0 if percent else r.dice),
+            format_float(r.hd95_mm), r.flags]
+
+
 def write_report_csv(rows: list[MetricRow], path, percent: bool = False) -> None:
     """Columns case_id,class,dice,hd95_mm,flags; ``percent`` scales Dice by
     100.  Numbers are written so that float() recovers them exactly."""
     with _atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["case_id", "class", "dice", "hd95_mm", "flags"])
-        for r in rows:
-            d = r.dice * 100.0 if percent else r.dice
-            w.writerow([r.case_id, r.class_name, format_float(d),
-                        format_float(r.hd95_mm), r.flags])
+        w.writerows(_report_row(r, percent) for r in rows)
 
 
 def read_report_csv(path) -> list[MetricRow]:

@@ -38,8 +38,9 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .core import (EmptyMaskError, LabelMap, NiftiFormatError, Placement, Volume, _as_json,
-                   _as_triple, _atomic_open, _read_json, _write_json, check_label_codes, from_json)
+from .core import (ConfigError, EmptyMaskError, LabelMap, NiftiFormatError, Placement, Volume,
+                   _as_json, _as_triple, _atomic_open, _grid, _read_json,
+                   _write_json, check_label_codes, from_json)
 from .geometry import bbox_from_mask
 
 __all__ = [
@@ -61,16 +62,10 @@ GZIP_MAGIC = b"\x1f\x8b"
 DTYPE_CODES = {2: np.uint8, 4: np.int16, 16: np.float32}
 _CODE_FOR_DTYPE = {np.dtype(v): k for k, v in DTYPE_CODES.items()}
 
-# What the int16 dim and float32 pixdim header fields hold, as Python numbers
-_MAX_DIM = int(np.iinfo(np.int16).max)
-_MIN_SPACING = float(np.finfo(np.float32).smallest_subnormal)
-_MAX_SPACING = float(np.finfo(np.float32).max)
-
 # Byte spans of the orientation block: qfac (pixdim[0], the sign of the
 # qform's third axis), then the qform/sform fields (codes, quaternion, srows).
 _QFAC_SPAN = slice(76, 80)
 _ORIENT_SPAN = slice(252, 328)
-_ORIENT_SIZE = 4 + 76
 
 _HEADER_FIELDS = [
     ("sizeof_hdr", "i4"),
@@ -224,12 +219,11 @@ def _read_raw(path, dtype=None, check=None):
             raise NiftiFormatError(f"{path}: unsupported datatype code {code}")
         if hdr["dim"][0] != 3:
             raise NiftiFormatError(f"{path}: expected 3 spatial dims, header declares {int(hdr['dim'][0])}")
-        shape = tuple(int(d) for d in hdr["dim"][1:4])
-        if any(d < 1 for d in shape):
-            raise NiftiFormatError(f"{path}: non-positive dimension in {shape}")
-        spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
-        if any(not (p > 0 and np.isfinite(p)) for p in spacing):
-            raise NiftiFormatError(f"{path}: non-positive voxel spacing {spacing}")
+        try:
+            shape = _as_triple(hdr["dim"][1:4].tolist(), "dim[1:4]", grid=True)
+            spacing = _as_triple(hdr["pixdim"][1:4].tolist(), "spacing", float, grid=True)
+        except ConfigError as e:
+            raise NiftiFormatError(f"{path}: {e}") from e
         if (units := int(hdr["xyzt_units"]) & 7) not in (0, 2):
             raise NiftiFormatError(
                 f"{path}: spatial unit code {units} is not mm (2) or unknown (0)")
@@ -396,18 +390,14 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     writes qfac 1 and no qform or sform.
 
     The file appears at ``path`` only once it is complete; a failed write
-    leaves a previous file there untouched.  What read_nifti would refuse
+    leaves a previous file there untouched.  What core's grid rule refuses
     raises ValueError before any file is opened; NaN and inf are written."""
     arr = np.asarray(arr)
     if arr.ndim != 3:
         raise ValueError(f"expected 3D array, got {arr.ndim}D")
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise ValueError(f"unsupported dtype {arr.dtype}; use uint8, int16 or float32")
-    if not all(1 <= n <= _MAX_DIM for n in arr.shape):
-        raise ValueError(f"array shape {arr.shape} needs every dimension in 1..{_MAX_DIM}")
-    spacing = _as_triple(spacing, "spacing", float)
-    if not all(_MIN_SPACING <= s <= _MAX_SPACING for s in spacing):
-        raise ValueError(f"spacing {spacing} is not positive and finite as float32")
+    spacing = _grid(arr, spacing, "array", orientation)
 
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE
@@ -426,8 +416,6 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     hdr["magic"] = MAGIC
     raw = bytearray(hdr.tobytes())
     if orientation is not None:
-        if len(orientation) != _ORIENT_SIZE:
-            raise ValueError("orientation block has wrong size")
         raw[_QFAC_SPAN], raw[_ORIENT_SPAN] = orientation[:4], orientation[4:]
 
     def pieces():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DEFAULT_CLASS_MAP, LabelMap, Volume, _as_json, _as_triple, _check_number,
-                   _slabs, from_json)
+                   _set, _slabs, from_json)
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -27,9 +27,8 @@ class Ellipsoid:
     radii_mm: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "center_mm",
-                           _as_triple(self.center_mm, "center_mm", float, positive=False))
-        object.__setattr__(self, "radii_mm", _as_triple(self.radii_mm, "radii_mm", float))
+        _set(self, center_mm=_as_triple(self.center_mm, "center_mm", float, positive=False),
+             radii_mm=_as_triple(self.radii_mm, "radii_mm", float))
 
 
 def _default_la() -> Ellipsoid:
@@ -54,8 +53,8 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", _as_triple(self.shape, "shape"))
-        object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing", float))
+        _set(self, shape=_as_triple(self.shape, "shape", grid=True),
+             spacing=_as_triple(self.spacing, "spacing", float, grid=True))
         _check_number(self.wall_thickness_mm, "wall_thickness_mm", gt=0)
         for name in ("level_background", "level_wall", "level_cavity"):
             _check_number(getattr(self, name), name)

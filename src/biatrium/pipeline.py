@@ -50,6 +50,7 @@ from .core import (
     _read_json,
     _release_free_heap,
     _run_group,
+    _set,
     _write_json,
     check_class_map,
     check_label_codes,
@@ -180,8 +181,7 @@ class PipelineConfig:
     bbox_margin_vox: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "cases", tuple(self.cases))
-        object.__setattr__(self, "class_map", check_class_map(self.class_map))
+        _set(self, cases=tuple(self.cases), class_map=check_class_map(self.class_map))
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.cases:
@@ -193,8 +193,9 @@ class PipelineConfig:
             if c.case_id == "summary.csv":  # its directory would stand in the summary's way
                 raise ConfigError(f"case_id {c.case_id!r} is the batch summary's file name")
             seen.add(c.case_id)
-        for name in ("standard_shape", "coarse_factors", "fine_window"):
-            object.__setattr__(self, name, _as_triple(getattr(self, name), name))
+        _set(self, standard_shape=_as_triple(self.standard_shape, "standard_shape", grid=True),
+             coarse_factors=_as_triple(self.coarse_factors, "coarse_factors"),
+             fine_window=_as_triple(self.fine_window, "fine_window", grid=True))
         for ax, (s, f) in enumerate(zip(self.standard_shape, self.coarse_factors)):
             if s % f != 0:
                 raise ConfigError(

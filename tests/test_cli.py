@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -164,6 +166,22 @@ def test_evaluate_csv_and_full_region(files, tmp_path):
     text = out.read_text().splitlines()
     assert text[0] == "case_id,class,dice,hd95_mm,flags"
     assert len(text) == 4
+
+
+def test_evaluate_stdout_rows_are_the_report_rows(files, tmp_path, capsys):
+    """A case id holding a comma and a quote prints as one quoted field,
+    the very rows --csv writes below its header."""
+    case = 'a,"b'
+    args = ["evaluate", "--pred", files["gt_path"], "--gt", files["gt_path"],
+            "--case-id", case]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[:2] for r in rows] == [[case, "wall"], [case, "right_atrium"],
+                                     [case, "left_atrium"]]
+    assert all(len(r) == 5 for r in rows)
+    assert main(args + ["--csv", str(tmp_path / "r.csv")]) == 0
+    assert (tmp_path / "r.csv").read_text().splitlines()[1:] == out.splitlines()
 
 
 def test_evaluate_rejects_bad_class_map(files, capsys):

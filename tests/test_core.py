@@ -53,6 +53,37 @@ def test_volume_rejects_bad_spacing(spacing):
         Volume(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=spacing)
 
 
+@pytest.mark.parametrize("make", [Volume, LabelMap])
+@pytest.mark.parametrize("shape, spacing, match", [
+    ((2, 2, 2), (1e39, 1, 1), r"^spacing must .*, got \(1e\+39, 1, 1\)$"),     # inf as float32
+    ((2, 2, 2), (1e-50, 1, 1), r"^spacing must .*, got \(1e-50, 1, 1\)$"),     # 0 as float32
+    ((0, 2, 2), (1, 1, 1), r"data shape must .*, got \(0, 2, 2\)$"),
+    ((32768, 1, 1), (1, 1, 1), r"data shape must .*<= 32767, got \(32768, 1, 1\)$"),
+], ids=["spacing_1e39", "spacing_1e-50", "axis_0", "axis_32768"])
+def test_grids_outside_a_nifti_header_are_refused_where_built(make, shape, spacing, match):
+    """A grid no NIfTI-1 header can hold (int16 dim, float32 pixdim) is
+    refused by its constructor, naming the field and its value."""
+    with pytest.raises(ConfigError, match=match):
+        make(data=np.zeros(shape, dtype=np.uint8), spacing=spacing)
+
+
+@pytest.mark.parametrize("orientation, got", [(b"x" * 76, "76 bytes"), ("x" * 80, repr("x" * 80))],
+                         ids=["76_bytes", "str"])
+def test_volume_refuses_an_orientation_that_is_not_80_bytes(orientation, got):
+    with pytest.raises(ConfigError, match=f"^orientation block .*80 bytes, got {re.escape(got)}$"):
+        Volume(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, 1),
+               orientation=orientation)
+    block = bytes(80)
+    assert Volume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1), orientation=block).orientation is block
+
+
+def test_placement_refuses_a_window_past_the_int16_dim():
+    with pytest.raises(ConfigError, match=r"^window_shape must .*, got \(32768, 8, 8\)$"):
+        Placement(parent_shape=(8, 8, 8), offset=(0, 0, 0), window_shape=(32768, 8, 8))
+    with pytest.raises(ConfigError, match=r"^parent_shape must .*, got \(8, 8, 32768\)$"):
+        Placement(parent_shape=(8, 8, 32768), offset=(0, 0, 0), window_shape=(8, 8, 8))
+
+
 def test_labelmap_validates_class_codes(tmp_path):
     """A label map is a grid plus spacing; its codes are checked where
     labels enter, and a file holding an undeclared code names itself."""

@@ -432,6 +432,37 @@ def test_a_hit_waits_for_longer_offsets_within_the_margin():
     assert rows[0].hd95_mm == sy
 
 
+def test_a_shell_holds_the_offsets_at_its_radius():
+    """The first shell's radius is the length of (1, 1, 1): the diagonal
+    from (3, 3, 3) to (4, 4, 4) is probed there, so the far prediction
+    voxel's distance is sqrt(3), not 2.0 from the next shell."""
+    pred, gt = np.zeros((8, 8, 8), dtype=np.uint8), np.zeros((8, 8, 8), dtype=np.uint8)
+    pred[3, 3, 3] = pred[5, 3, 3] = 1
+    gt[4, 4, 4] = gt[5, 3, 3] = 1
+    p, g = _labels(pred), _labels(gt)
+    classes = {"background": 0, "c": 1}
+    rows = evaluate_case(p, g, classes)
+    assert rows == full_grid_evaluate_case(p, g, classes)
+    assert rows[0].hd95_mm == math.sqrt(3)
+
+
+def test_the_search_stops_at_the_rank_on_its_last_probes(monkeypatch):
+    """At spacing (1.5, 1.5, 2), 64 offsets are 4.0 mm long or shorter, so
+    three queries spend their whole budget of 64 probes each on them.  The
+    two near queries, a z-step of 4.0 mm apart, hit each other on the last
+    of those probes; with 12 voxels in both maps their distance is at the
+    rank, so the search returns it before the far query needs the KD-tree."""
+    pred, gt = np.zeros((24, 6, 8), dtype=np.uint8), np.zeros((24, 6, 8), dtype=np.uint8)
+    pred[12:15, :4, 0] = gt[12:15, :4, 0] = 1
+    pred[2, 2, 2] = gt[2, 2, 4] = pred[23, 5, 7] = 1
+    p, g = _labels(pred, (1.5, 1.5, 2.0)), _labels(gt, (1.5, 1.5, 2.0))
+    classes = {"background": 0, "c": 1}
+    want = full_grid_evaluate_case(p, g, classes, point_mode="region")
+    monkeypatch.setattr(metrics, "_kd_tree", None)  # a call would raise
+    assert evaluate_case(p, g, classes, point_mode="region") == want
+    assert want[0].hd95_mm == 4.0
+
+
 def test_evaluate_case_equals_full_grid_oracle_across_slabs():
     """Grids many x-slabs thick, with several blobs per class, still give
     the full-grid rows."""

@@ -30,6 +30,13 @@ def test_spec_validation():
         PhantomSpec(noise_amplitude=-0.1)
 
 
+def test_spec_refuses_a_grid_no_nifti_header_holds():
+    with pytest.raises(ConfigError, match=r"^shape must .*, got \(32768, 192, 48\)$"):
+        PhantomSpec(shape=(32768, 192, 48))
+    with pytest.raises(ConfigError, match=r"^spacing must .*, got \(0.625, 1e\+39, 2.5\)$"):
+        PhantomSpec(spacing=(0.625, 1e39, 2.5))
+
+
 def test_spec_rejects_ellipsoid_that_does_not_fit():
     with pytest.raises(ValueError, match="fit"):
         PhantomSpec(la=Ellipsoid(center_mm=(5.0, 60.0, 60.0),

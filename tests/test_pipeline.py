@@ -212,6 +212,16 @@ def test_config_unknown_key_paths():
         config_from_dict({**base, "mclahe": {"bins": 64}})
 
 
+def test_config_refuses_a_grid_past_the_int16_dim():
+    doc = {"cases": [{"image": "a.nii.gz"}], "output_dir": "o",
+           "coarse_backend": {"kind": "threshold", "threshold": 0.4},
+           "fine_backend": {"kind": "threshold", "threshold": 0.4}}
+    with pytest.raises(ConfigError, match=r"standard_shape must .*, got \[32768, 8, 8\]$"):
+        config_from_dict({**doc, "standard_shape": [32768, 8, 8], "coarse_factors": [1, 1, 1]})
+    with pytest.raises(ConfigError, match=r"fine_window must .*, got \[8, 32768, 8\]$"):
+        config_from_dict({**doc, "fine_window": [8, 32768, 8]})
+
+
 def test_config_missing_required():
     with pytest.raises(ConfigError, match="output_dir"):
         config_from_dict({"cases": [{"image": "a.nii.gz"}],
@@ -1145,7 +1155,9 @@ def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path
     """With MCLAHE and ground truth, a three-case batch writes the same
     bytes at every worker count (1, 2 and 3) and at budgets 1 and 2, and
     at budget 4 with one worker (threaded blend, write beside the
-    evaluation).  run_pipeline shares
+    evaluation); with the case list reversed (two workers, budget 1), the
+    masks and sidecars are the same bytes and each case's summary row the
+    same.  run_pipeline shares
     the CPUs out over its workers, so each budget comes from the CPU count
     the test gives it."""
     cases = []
@@ -1156,22 +1168,32 @@ def test_mask_and_summary_bytes_do_not_depend_on_the_thread_budget(env, tmp_path
         cases.append({"case_id": f"c{i}", "image": str(tmp_path / f"image{i}.nii.gz"),
                       "gt": str(tmp_path / f"gt{i}.nii.gz")})
     outputs = {}
-    for workers, budget in [(w, b) for w in (1, 2, 3) for b in (1, 2)] + [(1, 4)]:
-        out = tmp_path / f"out_w{workers}_b{budget}"
+    settings = [(w, b, 1) for w in (1, 2, 3) for b in (1, 2)] + [(1, 4, 1), (2, 1, -1)]
+    for workers, budget, order in settings:
+        out = tmp_path / f"out_w{workers}_b{budget}_o{order}"
         cpus = set(range(workers * budget))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         cfg = config_from_dict(env["make"](
-            str(out), mclahe={}, cases=cases,
+            str(out), mclahe={}, cases=cases[::order],
             fine_backend={"kind": "threshold", "threshold": 0.5}))
         result = run_pipeline(cfg, workers=workers)
         assert all(c.ok and c.metrics for c in result.cases), [c.error for c in result.cases]
-        outputs[workers, budget] = {
+        outputs[workers, budget, order] = {
             p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.name in ("mask.nii.gz", "standard_placement.json",
                           "window_placement.json", "summary.csv")}
-    assert len(outputs[1, 1]) == 3 * 3 + 1
+
+    def by_case(summary: bytes):
+        header, *rows = summary.decode().splitlines()
+        return header, {row.split(",")[0]: row for row in rows}
+
+    want = outputs[1, 1, 1]
+    assert len(want) == 3 * 3 + 1
     for setting, files in outputs.items():
-        assert files == outputs[1, 1], setting
+        if setting[2] < 0:  # the summary lists the cases in config order
+            assert by_case(files.pop("summary.csv")) == by_case(want["summary.csv"])
+            files["summary.csv"] = want["summary.csv"]
+        assert files == want, setting
 
 
 def test_batch_budget_shares_the_cpus_over_the_cases_that_run(env, monkeypatch):

@@ -396,6 +396,45 @@ def test_scipy_scan_finds_a_second_import(tmp_path):
                                        "metrics:5 scipy"]
 
 
+# What a NIfTI-1 header holds, its int16 dim and float32 pixdim, is stated
+# once: by the grid rule in core.
+_HEADER_LIMITS = {"np.iinfo(np.int16)", "np.finfo(np.float32)"}
+
+
+def header_limit_uses(root=SRC) -> list[str]:
+    """``module:line call`` of every call in ``_HEADER_LIMITS`` in
+    ``root/*.py`` outside core, in line order per module."""
+    found = []
+    for p in sorted(root.glob("*.py")):
+        if p.stem == "core":
+            continue
+        calls = [(n.lineno, ast.unparse(n)) for n in ast.walk(ast.parse(p.read_text(), str(p)))
+                 if isinstance(n, ast.Call)]
+        found += [f"{p.stem}:{line} {call}" for line, call in sorted(calls)
+                  if call in _HEADER_LIMITS]
+    return found
+
+
+def test_header_limits_are_stated_once():
+    assert header_limit_uses() == []
+
+
+def test_header_limit_scan_finds_a_second_statement(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import numpy as np\n"
+        "_GRID = (np.iinfo(np.int16).max, float(np.finfo(np.float32).max))\n")
+    (tmp_path / "geometry.py").write_text(
+        "import numpy as np\n"
+        "_FLOAT32_MAX = float(np.finfo(np.float32).max)\n"
+        "_EPS = np.finfo(np.float64).eps  # np.finfo(np.float32) is core's\n")
+    (tmp_path / "nifti.py").write_text(
+        "import numpy as np\n"
+        "_MAX_DIM = int(np.iinfo(np.int16).max)\n"
+        "_LIMITS = 'np.iinfo(np.int16)', np.iinfo(np.int64)\n")
+    assert header_limit_uses(tmp_path) == ["geometry:2 np.finfo(np.float32)",
+                                           "nifti:2 np.iinfo(np.int16)"]
+
+
 def _passed(call: ast.Call, names) -> tuple[str, float, set[str | None]] | None:
     """(callee, positional arguments, keywords) of ``call`` when it calls a
     name in ``names``: directly (``f(...)``, ``core.f(...)``) or through
