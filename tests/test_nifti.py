@@ -795,7 +795,7 @@ def test_write_rejects_unsupported_dtype(tmp_path):
     ((2, 2, 2), (1e39, 1, 1), "spacing"),    # inf as float32
     ((0, 2, 2), (1, 1, 1), r"\(0, 2, 2\)"),
     ((32768, 1, 1), (1, 1, 1), r"\(32768, 1, 1\)"),  # past the int16 dim field
-    ((2, 2), (1, 1, 1), "expected 3D array, got 2D"),
+    ((2, 2), (1, 1, 1), "array must be 3D, got 2D"),
 ])
 def test_write_refuses_what_the_reader_refuses(tmp_path, suffix, shape, spacing, match):
     """Header values read_nifti would reject raise ValueError, and neither

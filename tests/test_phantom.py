@@ -232,3 +232,61 @@ def test_generate_working_set_is_its_outputs():
     spec = PhantomSpec(noise_amplitude=0.05)
     image_bytes = 4 * int(np.prod(spec.shape))
     assert traced_peak(generate, spec) <= 2.0 * image_bytes
+
+
+def _spec(shape, spacing, la, ra, wall, noise):
+    return PhantomSpec(shape=shape, spacing=spacing, wall_thickness_mm=wall,
+                       la=Ellipsoid(center_mm=la[0], radii_mm=la[1]),
+                       ra=Ellipsoid(center_mm=ra[0], radii_mm=ra[1]),
+                       noise_amplitude=noise, seed=2)
+
+
+# (shape, spacing, la, ra, wall) of phantoms whose regions sit on the edges
+# of their boxes
+_BOX_EDGES = {
+    # la holds no voxel centre: no x index is within 0.2 mm of 5.5
+    "empty_cavity": ((16, 16, 16), (1.0, 1.0, 1.0),
+                     ((5.5, 5.0, 5.0), (0.2, 0.2, 0.2)),
+                     ((11.0, 8.0, 8.0), (2.0, 2.0, 2.0)), 2.0),
+    # each grown ellipsoid reaches the extent: its box starts at index 0 or
+    # ends at the last, where one term is exactly 1 and the others 0
+    "reach_is_extent": ((17, 13, 11), (1.0, 1.0, 1.0),
+                        ((4.0, 6.0, 5.0), (2.0, 4.0, 3.0)),
+                        ((12.0, 6.0, 5.0), (2.0, 4.0, 3.0)), 2.0),
+    "anisotropic": ((100, 20, 14), (0.3, 1.7, 2.5),
+                    ((9.0, 16.0, 16.0), (4.0, 8.0, 8.0)),
+                    ((21.0, 16.0, 16.0), (3.5, 7.0, 9.0)), 2.0),
+    "subvoxel_wall": ((24, 24, 24), (1.0, 1.0, 1.0),
+                      ((7.0, 12.0, 12.0), (5.0, 6.0, 5.0)),
+                      ((17.0, 12.0, 12.0), (4.0, 5.0, 5.0)), 0.3),
+    # the cavities' boxes share x and y indices 9..10, the cavities no voxel
+    "cavity_boxes_meet": ((20, 20, 17), (1.0, 1.0, 1.0),
+                          ((6.0, 6.0, 8.0), (4.0, 4.0, 4.0)),
+                          ((13.0, 13.0, 8.0), (4.0, 4.0, 4.0)), 1.0),
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("name", sorted(_BOX_EDGES))
+def test_generate_equals_whole_grid_oracle_at_box_edges(name, noise):
+    """Testing each region only inside its box changes no voxel where a box
+    is empty, touches the grid's edge, or meets the other cavity's box."""
+    spec = _spec(*_BOX_EDGES[name], noise)
+    vol, gt = generate(spec)
+    ref_vol, ref_gt = whole_grid_generate(spec)
+    assert np.array_equal(vol.data, ref_vol.data)
+    assert np.array_equal(gt.data, ref_gt.data)
+    if name == "empty_cavity":
+        assert not (gt.data == 3).any() and (gt.data == 2).any()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_cavities_sharing_one_voxel_are_rejected(noise):
+    """Both cavities reach the voxel at (8, 8, 8) mm, each with d² exactly 1,
+    and no other."""
+    spec = _spec((17, 17, 17), (1.0, 1.0, 1.0), ((5.0, 8.0, 8.0), (3.0, 3.0, 3.0)),
+                 ((11.0, 8.0, 8.0), (3.0, 3.0, 3.0)), 1.0, noise)
+    with pytest.raises(ValueError, match="overlap"):
+        whole_grid_generate(spec)
+    with pytest.raises(ValueError, match="overlap"):
+        generate(spec)
