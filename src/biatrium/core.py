@@ -6,7 +6,8 @@ padded or cropped window) maps back into its parent grid.
 Public constructors check their input, each grid and orientation block by
 the one grid rule (``_GRID``); ``_derived`` builds results from checked values.
 ``_in_parallel`` is the one way the package runs work side by side, and
-``_run_group`` the one way it starts, waits for, kills and reaps a backend.
+``_run_group`` the one way it starts, waits for, kills and reaps a backend;
+the ownership table of ``tests/test_source.py`` (``OWNERSHIP``) enforces both.
 """
 from __future__ import annotations
 

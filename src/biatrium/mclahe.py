@@ -42,6 +42,7 @@ class MclaheParams:
     """Tile shape in voxels, histogram resolution, and clip fraction.
 
     ``kernel_size=None`` selects max(1, dim // 8) per axis at call time.
+    ``n_bins`` is at most 65536, so each voxel's bin index fits a uint16.
     """
 
     kernel_size: tuple[int, int, int] | None = None
@@ -51,7 +52,7 @@ class MclaheParams:
     def __post_init__(self):
         if self.kernel_size is not None:
             object.__setattr__(self, "kernel_size", _as_triple(self.kernel_size, "kernel_size"))
-        _check_number(self.n_bins, "n_bins", integer=True, ge=2)
+        _check_number(self.n_bins, "n_bins", integer=True, ge=2, le=65536)
         _check_number(self.clip_limit, "clip_limit", gt=0, le=1)
 
     def resolve_kernel(self, shape: tuple[int, int, int]) -> tuple[int, int, int]:

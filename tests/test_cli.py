@@ -62,6 +62,12 @@ def test_enhance_output_is_exact_and_rle_deflated(tmp_path):
     assert np.array_equal(read_volume(out).data, want.data)
 
 
+def test_enhance_refuses_more_bins_than_a_uint16_index_holds(files, tmp_path, capsys):
+    out = tmp_path / "enh.nii"
+    assert main(["enhance", files["image"], str(out), "--n-bins", "65537"]) == 1
+    assert "n_bins" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_standardize_and_placement(files, tmp_path):
     out = tmp_path / "std.nii.gz"
     place_path = tmp_path / "place.json"

@@ -149,6 +149,16 @@ def test_matches_naive_reference(rng):
         assert np.array_equal(out.data, ref.astype(np.float32)), (shape, kernel)
 
 
+def test_n_bins_stops_where_a_uint16_bin_index_does(rng):
+    """65536 bins, the most a uint16 bin index can count, equalize a
+    one-tile volume as the reference does; 65537 are refused by name."""
+    data = rng.random((6, 5, 4), dtype=np.float32)
+    out = mclahe(Volume(data=data, spacing=(1, 1, 1)),
+                 MclaheParams(kernel_size=data.shape, n_bins=65536, clip_limit=0.5))
+    assert np.array_equal(out.data, naive_mclahe(data, data.shape, 65536, 0.5).astype(np.float32))
+    with pytest.raises(ValueError, match="n_bins must be an int >= 2 and <= 65536, got 65537"):
+        MclaheParams(n_bins=65537)
+
 @pytest.mark.parametrize("shape, kernel, n_bins, clip", [
     ((37, 190, 150), (5, 24, 16), 32, 0.02),   # padded; slab edges cut tiles
     ((37, 190, 150), (5, 24, 16), 300, 0.5),   # uint16 bins

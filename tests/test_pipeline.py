@@ -311,6 +311,8 @@ _BASE_DOC = {
     ({"fine_backend": {"kind": "external-command",
                        "command_template": 'python3 "seg.py {input} {output}'}},
      "fine_backend: command_template"),
+    # past a uint16 bin index
+    ({"mclahe": {"n_bins": 65537}}, "mclahe: n_bins"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}

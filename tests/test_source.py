@@ -4,6 +4,8 @@ import math
 import pathlib
 import re
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "biatrium"
 
 
@@ -91,348 +93,177 @@ def test_unused_import_scan_finds_a_leftover(tmp_path):
     assert unused_imports(tmp_path) == ["a._slabs", "b.json"]
 
 
-# Modules that may call each name: the public Volume constructor is the
-# boundary for files (nifti) and generated phantoms; everything derived
-# from checked values goes through core._derived, the one bypass.
-_CALLERS = {"Volume": {"core", "nifti", "phantom"}, "object.__new__": {"core"}}
+# Who owns what.  Each row: a pattern over the whole of a use as ``uses`` writes it, its
+# owners (a module, or a module and one of its module-level functions or classes) and,
+# where one is pinned, the most uses they may make.  ``(.*\.)?`` is "however reached".
+OWNERSHIP = {
+    # Volume(...) checks at the boundary, for files (nifti) and phantoms;
+    # what is derived from checked values goes through core._derived, the one bypass.
+    "volume": (r"call (.*\.)?Volume\(.*", {"core", "nifti", "phantom"}, None),
+    "bypass": (r"read object\.__new__", {"core"}, None),
+    # Threads start in the one helper that runs work side by side, a case's and a batch's.
+    "threads": (r"read (.*\.)?(Thread|ThreadPoolExecutor)", {("core", "_in_parallel")}, None),
+    # Each batch-wide decision has one owner: _in_parallel sets the thread
+    # budget of a batch's cases, and run_pipeline trims the heap, once.
+    "case_threads": (r"read (.*\.)?_case_threads\.set", {("core", "_in_parallel")}, 1),
+    "heap_trim": (r"read (.*\.)?_release_free_heap", {("pipeline", "run_pipeline")}, 1),
+    # The one module that touches the C allocator, through ctypes.
+    "ctypes": (r"(import|read|str) ctypes(\..*)?", {"core"}, None),
+    # Processes start in the one function that owns a backend's process
+    # group, start to reap, and never by an os fork, exec or spawn.
+    "subprocess": (r"import (.*\.)?subprocess(\..*)?", {"core"}, None),
+    "popen": (r"read (.*\.)?Popen", {("core", "_run_group")}, None),
+    "spawn": (r"(import|read) os\.((fork|exec|spawn|posix_spawn)\w*|system|popen)", set(), None),
+    # scipy loads in one place, the KD-tree helper, and lazily: importing
+    # scipy.spatial adds tens of MB and hundreds of ms to a process.
+    "scipy": (r"(import|str) scipy(\..*)?", {("metrics", "_kd_tree")}, None),
+    # What a NIfTI-1 header holds (int16 dim, float32 pixdim) is stated once, by core's grid rule.
+    "header_limits": (r"call np\.(iinfo\(np\.int16|finfo\(np\.float32)\)", {"core"}, None),
+    # One rule for what a valid number is, core._check_number.
+    "numbers": (r"import numbers(\..*)?", {"core"}, None),
+    # One writer of JSON sidecars.
+    "json_dump": (r"(import|read) json\.dump", {("core", "_write_json")}, None),
+    # Artifacts are written atomically: one temporary file replaces a path.
+    "rename": (r"(import|read) os\.(replace|rename)", {("core", "_atomic_open")}, None),
+}
 
 
-def boundary_breaches(root=SRC) -> list[str]:
-    """``module:line name`` of every call in ``root/*.py`` of a name in
-    ``_CALLERS`` from a module not listed for it.  ``Volume`` matches
-    however it is reached (``Volume(...)``, ``core.Volume(...)``)."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        for n in ast.walk(ast.parse(p.read_text(), str(p))):
-            if not isinstance(n, ast.Call):
-                continue
-            name = ast.unparse(n.func)
-            if name.rsplit(".", 1)[-1] == "Volume":
-                name = "Volume"
-            if name in _CALLERS and p.stem not in _CALLERS[name]:
-                found.append(f"{p.stem}:{n.lineno} {name}")
-    return found
+def _use(n: ast.AST, aliases: dict[str, str]) -> list[str]:
+    """The uses node ``n`` makes, as ``uses`` writes them."""
+    if isinstance(n, ast.Import):
+        return [f"import {a.name}" for a in n.names]
+    if isinstance(n, ast.ImportFrom):
+        base = "." * n.level + (f"{n.module}." if n.module else "")
+        return [f"import {base}{a.name}" for a in n.names]
+    if isinstance(n, ast.Call):
+        return [f"call {ast.unparse(n)}"]
+    if isinstance(n, (ast.Name, ast.Attribute)):
+        head, dot, rest = ast.unparse(n).partition(".")
+        return [f"read {aliases.get(head, head)}{dot}{rest}"]
+    if isinstance(n, ast.Constant) and isinstance(n.value, str):
+        return [f"str {n.value}"]
+    return []
 
 
-def test_checks_stay_at_the_boundary():
-    assert boundary_breaches() == []
-
-
-def test_boundary_scan_finds_a_rescan_and_a_second_bypass(tmp_path):
-    (tmp_path / "core.py").write_text("def _derived(cls):\n    return object.__new__(cls)\n")
-    (tmp_path / "nifti.py").write_text("def read(a, s):\n    return Volume(data=a, spacing=s)\n")
-    (tmp_path / "geometry.py").write_text(
-        "def pad(v):\n    return core.Volume(data=v.data, spacing=v.spacing)\n"
-        "def raw(cls):\n    return object.__new__(cls)\n")
-    (tmp_path / "pipeline.py").write_text(
-        "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n")
-    assert boundary_breaches(tmp_path) == ["geometry:2 Volume", "geometry:4 object.__new__"]
-
-
-# Where threads may start: the one helper that runs work side by side, a
-# case's over its thread budget and the cases of a batch alike.
-_THREAD_STARTERS = {"ThreadPoolExecutor", "Thread"}
-_THREAD_OWNERS = {("core", "_in_parallel")}
-
-
-def thread_starts(root=SRC) -> list[str]:
-    """``module:line name`` of every use in ``root/*.py`` of a name in
-    ``_THREAD_STARTERS``, bare or as an attribute (``threading.Thread``),
-    outside the module-level functions of ``_THREAD_OWNERS``.  Imports are
-    not uses."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        for stmt in ast.parse(p.read_text(), str(p)).body:
-            owner = (p.stem, getattr(stmt, "name", None))
-            for n in ast.walk(stmt):
-                name = n.id if isinstance(n, ast.Name) else (
-                    n.attr if isinstance(n, ast.Attribute) else None)
-                if name in _THREAD_STARTERS and owner not in _THREAD_OWNERS:
-                    found.append(f"{p.stem}:{n.lineno} {name}")
-    return found
-
-
-def test_threads_start_in_one_place():
-    assert thread_starts() == []
-
-
-def test_thread_scan_finds_a_second_starter(tmp_path):
-    (tmp_path / "core.py").write_text(
-        "import threading\n"
-        "def _in_parallel(f):\n    threading.Thread(target=f).start()\n")
-    (tmp_path / "pipeline.py").write_text(
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "def run_pipeline():\n    return ThreadPoolExecutor(2)\n"
-        "def run_case():\n    return ThreadPoolExecutor(1)\n")
-    (tmp_path / "nifti.py").write_text(
-        "from threading import Thread\n"
-        "class W:\n    def go(self, f):\n        Thread(target=f).start()\n")
-    assert thread_starts(tmp_path) == ["nifti:4 Thread", "pipeline:3 ThreadPoolExecutor",
-                                       "pipeline:5 ThreadPoolExecutor"]
-
-
-# The one owner of each batch-wide decision: _in_parallel sets the thread
-# budget of the cases of a batch, and run_pipeline trims the heap, once,
-# before its first case.
-_BATCH_OWNERS = {"_case_threads.set": ("core", "_in_parallel"),
-                 "_release_free_heap": ("pipeline", "run_pipeline")}
-
-
-def batch_policy_uses(root=SRC) -> list[str]:
-    """``module:line name`` of every use in ``root/*.py`` of a name in
-    ``_BATCH_OWNERS`` outside the module-level function that owns it, and
-    of every use there after the first.  A use is a call or a reference
-    passed on (``ctx.run(_case_threads.set, n)``); ``_case_threads.set``
-    matches however the variable is reached (``core._case_threads.set``),
-    ``_release_free_heap`` bare or as an attribute.  Imports and the
-    definition are not uses.  Per module in walk order."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        for stmt in ast.parse(p.read_text(), str(p)).body:
-            owner = (p.stem, getattr(stmt, "name", None))
-            owned = set()
-            for n in ast.walk(stmt):
-                if isinstance(n, ast.Attribute) and n.attr == "set":
-                    name = ast.unparse(n.value).rsplit(".", 1)[-1] + ".set"
-                elif isinstance(n, ast.Attribute):
-                    name = n.attr
-                else:
-                    name = n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) else None
-                if name not in _BATCH_OWNERS:
-                    continue
-                if owner == _BATCH_OWNERS[name] and name not in owned:
-                    owned.add(name)
-                else:
-                    found.append(f"{p.stem}:{n.lineno} {name}")
-    return found
-
-
-def test_batch_policy_has_one_owner():
-    assert batch_policy_uses() == []
-
-
-def test_batch_policy_scan_finds_a_second_setter_and_caller(tmp_path):
-    (tmp_path / "core.py").write_text(
-        "_case_threads = ContextVar('_case_threads')\n"
-        "def _in_parallel(tasks, threads):\n"
-        "    ctx.run(_case_threads.set, threads)\n"
-        "    return _case_threads.get(0)\n"
-        "def _release_free_heap():\n    pass\n"
-        "def _threads(n):\n    _case_threads.set(n)\n")
-    (tmp_path / "pipeline.py").write_text(
-        "from .core import _release_free_heap\n"
-        "def run_pipeline(cases):\n"
-        "    _release_free_heap()\n"
-        "    batch.run(core._case_threads.set, 2)\n"
-        "    return _in_parallel(cases), _release_free_heap()\n"
-        "def run_case(case):\n    core._release_free_heap()\n")
-    assert batch_policy_uses(tmp_path) == [
-        "core:8 _case_threads.set",
-        "pipeline:4 _case_threads.set", "pipeline:5 _release_free_heap",
-        "pipeline:7 _release_free_heap",
-    ]
-
-
-# The one module that touches the C allocator, through ctypes.
-_CTYPES_OWNER = "core"
-
-
-def ctypes_uses(root=SRC) -> list[str]:
-    """``module:line`` of each line of ``root/*.py`` outside
-    ``_CTYPES_OWNER`` that imports ``ctypes`` or a submodule of it, reads
-    the bare name, or holds the string ``"ctypes"`` (as ``importlib``
-    takes it), in line order per module."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        if p.stem == _CTYPES_OWNER:
-            continue
-        lines = set()
-        for n in ast.walk(ast.parse(p.read_text(), str(p))):
-            names = ([a.name for a in n.names] if isinstance(n, ast.Import) else
-                     [n.module or ""] if isinstance(n, ast.ImportFrom) else
-                     [n.id] if isinstance(n, ast.Name) else
-                     [n.value] if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                     else [])
-            if any(name.split(".")[0] == "ctypes" for name in names):
-                lines.add(n.lineno)
-        found += [f"{p.stem}:{line}" for line in sorted(lines)]
-    return found
-
-
-def test_ctypes_stays_in_core():
-    assert ctypes_uses() == []
-
-
-def test_ctypes_scan_finds_a_second_allocator_caller(tmp_path):
-    (tmp_path / "core.py").write_text(
-        "import ctypes\n"
-        "def _trim():\n    ctypes.CDLL(None).malloc_trim(0)\n")
-    (tmp_path / "nifti.py").write_text("import os, ctypes.util\n")
-    (tmp_path / "pipeline.py").write_text(
-        "import importlib\n"
-        "def run():\n    return importlib.import_module('ctypes')\n"
-        "from ctypes import CDLL\n")
-    (tmp_path / "geometry.py").write_text(
-        "ctypes_ok = 'not ctypes'\n"
-        "def f(core):\n    return core.ctypes\n")
-    assert ctypes_uses(tmp_path) == ["nifti:1", "pipeline:3", "pipeline:4"]
-
-
-# Where processes may start: the one function that owns a backend's
-# process group, from its start to its reap.
-_PROCESS_OWNER = ("core", "_run_group")
-_OS_STARTER = re.compile(r"os\.((fork|exec|spawn|posix_spawn)\w*|system|popen)")
-
-
-def process_starts(root=SRC) -> list[str]:
-    """``module:line name`` of every process starter in ``root/*.py``
-    outside its owner: an import of ``subprocess`` or of a name from it
-    outside the module of ``_PROCESS_OWNER``, a use of ``Popen`` outside
-    that function, and anywhere an ``os`` function that forks, execs or
-    spawns (``fork*``, ``exec*``, ``spawn*``, ``posix_spawn*``, ``system``,
-    ``popen``), reached through ``os``, an alias of it or an import from
-    it.  Per module in walk order."""
-    found = []
+def uses(root=SRC):
+    """``(module, owner, line, use)`` of every use in ``root/*.py`` in source order,
+    ``owner`` being the enclosing module-level function or class or None.  A use is
+    ``import a.b`` per name an import binds (``from a import b`` too), ``call f(x)``
+    for a whole call, ``read a.b`` for a name or attribute (``import a as x``'s ``x``
+    read as ``a``) and ``str s`` for a string, as ``importlib`` takes a module's name."""
     for p in sorted(root.glob("*.py")):
         tree = ast.parse(p.read_text(), str(p))
-        os_names = {"os"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.Import)
-                             for a in n.names if a.name == "os" and a.asname}
-        for stmt in tree.body:
-            owner = (p.stem, getattr(stmt, "name", None))
-            for n in ast.walk(stmt):
-                imports = isinstance(n, (ast.Import, ast.ImportFrom))
-                if isinstance(n, ast.Import):
-                    names = [a.name for a in n.names]
-                elif isinstance(n, ast.ImportFrom):
-                    names = [f"{n.module}.{a.name}" for a in n.names]
-                elif isinstance(n, ast.Attribute):
-                    through_os = isinstance(n.value, ast.Name) and n.value.id in os_names
-                    names = [f"os.{n.attr}" if through_os else n.attr]
-                else:
-                    names = [n.id] if isinstance(n, ast.Name) else []
-                found += [f"{p.stem}:{n.lineno} {name}" for name in names if (
-                    _OS_STARTER.fullmatch(name)
-                    or (imports and "subprocess" in name.split(".")
-                        and p.stem != _PROCESS_OWNER[0])
-                    or (name == "Popen" and owner != _PROCESS_OWNER))]
+        aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names if a.asname}
+        found = [(n.lineno, n.col_offset, use, getattr(stmt, "name", None))
+                 for stmt in tree.body for n in ast.walk(stmt) for use in _use(n, aliases)]
+        yield from ((p.stem, owner, line, use) for line, _, use, owner in sorted(found))
+
+
+def ownership_breaches(root=SRC) -> list[tuple[str, str, str]]:
+    """``(row, module:line, use)`` of every use in ``root/*.py`` that a row
+    of ``OWNERSHIP`` matches, made outside its owners or past its count."""
+    found, owned = [], dict.fromkeys(OWNERSHIP, 0)
+    for module, owner, line, use in uses(root):
+        for row, (pattern, owners, most) in OWNERSHIP.items():
+            if re.fullmatch(pattern, use):
+                ours = module in owners or (module, owner) in owners
+                owned[row] += ours
+                if not ours or most is not None and owned[row] > most:
+                    found.append((row, f"{module}:{line}", use))
     return found
 
 
-def test_processes_start_in_one_place():
-    assert process_starts() == []
+def test_every_use_keeps_its_owner():
+    assert ownership_breaches() == []
 
 
-def test_process_scan_finds_a_second_starter(tmp_path):
-    (tmp_path / "core.py").write_text(
-        "import os, subprocess\n"
-        "def _run_group(argv):\n    return subprocess.Popen(argv, start_new_session=True)\n"
-        "def _other(argv):\n    return subprocess.Popen(argv)\n"
-        "def _fine():\n    return os.getpid(), os.environ, os.systems\n")
-    (tmp_path / "pipeline.py").write_text(
-        "import subprocess\n"
-        "import subprocess as sp\n"
-        "from subprocess import run\n"
-        "def go(argv):\n    return sp.run(argv), run(argv)\n")
-    (tmp_path / "nifti.py").write_text(
-        "import os\n"
-        "from os import fork, getcwd, posix_spawnp\n"
-        "def go(a):\n"
-        "    os.fork(); os.forkpty(); os.execv(a[0], a); os.execlp(a[0], *a)\n"
-        "    os.spawnl(os.P_WAIT, a[0], *a); os.posix_spawn(a[0], a, {})\n"
-        "    return os.system(a[0]), os.popen(a[0]), getcwd(), fork, posix_spawnp\n")
-    (tmp_path / "geometry.py").write_text(
-        "import os as o\n"
-        "from asyncio import subprocess\n"
-        "def go(a):\n    return o.spawnv(o.P_WAIT, a[0], a), subprocess.PIPE\n")
-    assert process_starts(tmp_path) == [
-        "core:5 Popen",
-        "geometry:2 asyncio.subprocess", "geometry:4 os.spawnv",
-        "nifti:2 os.fork", "nifti:2 os.posix_spawnp",
-        "nifti:4 os.fork", "nifti:4 os.forkpty", "nifti:4 os.execv", "nifti:4 os.execlp",
-        "nifti:5 os.spawnl", "nifti:5 os.posix_spawn",
-        "nifti:6 os.system", "nifti:6 os.popen",
-        "pipeline:1 subprocess", "pipeline:2 subprocess", "pipeline:3 subprocess.run",
-    ]
+# Each row's plant: the ``module:line`` of each breach the row reports, in
+# order, and the modules it writes, whose other uses the row must allow.
+PLANTS = {
+    "volume": (["geometry:2"], {
+        "nifti": "def read(a, s):\n    return Volume(data=a, spacing=s)\n",
+        "geometry": "def pad(v):\n    return core.Volume(data=v.data, spacing=v.spacing)\n"}),
+    "bypass": (["geometry:2"], {
+        "core": "def _derived(cls):\n    return object.__new__(cls)\n",
+        "geometry": "def raw(cls):\n    return object.__new__(cls)\n",
+        "pipeline": "class C:\n    def f(self):\n        object.__setattr__(self, 'a', 1)\n"}),
+    "threads": (["nifti:4", "pipeline:3", "pipeline:5"], {
+        "core": "import threading\ndef _in_parallel(f):\n    threading.Thread(target=f).start()\n",
+        "pipeline": "from concurrent.futures import ThreadPoolExecutor\n"
+                    "def run_pipeline():\n    return ThreadPoolExecutor(2)\n"
+                    "def run_case():\n    return ThreadPoolExecutor(1)\n",
+        "nifti": "from threading import Thread\n"
+                 "class W:\n    def go(self, f):\n        Thread(target=f).start()\n"}),
+    "case_threads": (["core:6", "pipeline:2"], {
+        "core": "_case_threads = ContextVar('_case_threads')\ndef _in_parallel(tasks, threads):\n"
+                "    ctx.run(_case_threads.set, threads)\n    return _case_threads.get(0)\n"
+                "def _threads(n):\n    _case_threads.set(n)\n",
+        "pipeline": "def run_pipeline(cases):\n    batch.run(core._case_threads.set, 2)\n"}),
+    "heap_trim": (["pipeline:4", "pipeline:6"], {
+        "core": "def _release_free_heap():\n    pass\n",
+        "pipeline": "from .core import _release_free_heap\ndef run_pipeline(cases):\n"
+                    "    _release_free_heap()\n    return cases, _release_free_heap()\n"
+                    "def run_case(case):\n    core._release_free_heap()\n"}),
+    "ctypes": (["nifti:1", "pipeline:3", "pipeline:4"], {
+        "core": "import ctypes\ndef _trim():\n    ctypes.CDLL(None).malloc_trim(0)\n",
+        "nifti": "import os, ctypes.util\n",
+        "pipeline": "import importlib\ndef run():\n    return importlib.import_module('ctypes')\n"
+                    "from ctypes import CDLL\n",
+        "geometry": "ctypes_ok = 'not ctypes'\ndef f(core):\n    return core.ctypes\n"}),
+    "subprocess": (["geometry:1", "pipeline:1", "pipeline:2", "pipeline:3"], {
+        "core": "import os, subprocess\n",
+        "pipeline": "import subprocess\nimport subprocess as sp\nfrom subprocess import run\n"
+                    "def go(argv):\n    return sp.run(argv), run(argv)\n",
+        "geometry": "from asyncio import subprocess\ndef go():\n    return subprocess.PIPE\n"}),
+    "popen": (["core:4"], {
+        "core": "def _run_group(a):\n    return subprocess.Popen(a, start_new_session=True)\n"
+                "def _other(a):\n    return subprocess.Popen(a)\n"}),
+    "spawn": (["geometry:3", "nifti:2", "nifti:2", "nifti:4", "nifti:4", "nifti:4", "nifti:4",
+               "nifti:5", "nifti:5", "nifti:6", "nifti:6"], {
+        "core": "import os\ndef _fine():\n    return os.getpid(), os.environ, os.systems\n",
+        "nifti": "import os\nfrom os import fork, getcwd, posix_spawnp\ndef go(a):\n"
+                 "    os.fork(); os.forkpty(); os.execv(a[0], a); os.execlp(a[0], *a)\n"
+                 "    os.spawnl(os.P_WAIT, a[0], *a); os.posix_spawn(a[0], a, {})\n"
+                 "    return os.system(a[0]), os.popen(a[0]), getcwd(), fork, posix_spawnp\n",
+        "geometry": "import os as o\ndef go(a):\n    return o.spawnv(o.P_WAIT, a[0], a)\n"}),
+    "scipy": (["geometry:2", "geometry:4", "metrics:5"], {
+        "metrics": "def _kd_tree(a):\n"
+                   "    from scipy.spatial import cKDTree\n    return cKDTree(a).query\n"
+                   "def _label(m):\n    from scipy import ndimage\n    return ndimage.label(m)\n",
+        "geometry": "import importlib\nimport scipy.ndimage as ndi\n"
+                    "def f():\n    return importlib.import_module('scipy.spatial')\n"
+                    "scipy_ok = 'not scipy'\n"}),
+    "header_limits": (["geometry:2", "nifti:2"], {
+        "core": "import numpy as np\n"
+                "_GRID = (np.iinfo(np.int16).max, float(np.finfo(np.float32).max))\n",
+        "geometry": "import numpy as np\n_FLOAT32_MAX = float(np.finfo(np.float32).max)\n"
+                    "_EPS = np.finfo(np.float64).eps  # np.finfo(np.float32) is core's\n",
+        "nifti": "import numpy as np\n_MAX_DIM = int(np.iinfo(np.int16).max)\n"
+                 "_LIMITS = 'np.iinfo(np.int16)', np.iinfo(np.int64)\n"}),
+    "numbers": (["geometry:1", "pipeline:1"], {
+        "core": "import numbers\n",
+        "geometry": "from numbers import Integral\nnumbers = 'numbers'\n",
+        "pipeline": "import numbers\n"}),
+    "json_dump": (["core:5", "pipeline:1"], {
+        "core": "import json\ndef _write_json(doc, f):\n    json.dump(doc, f, indent=2)\n"
+                "def _dump(doc, f):\n    json.dump(doc, f)\n",
+        "cli": "import json\nprint(json.dumps({}))\n",
+        "pipeline": "from json import dump\n"}),
+    "rename": (["nifti:3", "pipeline:1"], {
+        "core": "import os\ndef _atomic_open(tmp, path):\n    os.replace(tmp, path)\n"
+                "def _drop(tmp):\n    os.remove(tmp)\n",
+        "nifti": "import os as o\ndef mv(a, b):\n    o.rename(a, b)\n    b.replace('.', '')\n",
+        "pipeline": "from os import replace\n"}),
+}
 
 
-# The one place that may import scipy: the KD-tree helper, imported lazily
-# because scipy.spatial adds tens of MB and hundreds of ms to a process.
-_SCIPY_OWNER = ("metrics", "_kd_tree")
-
-
-def scipy_imports(root=SRC) -> list[str]:
-    """``module:line name`` of every import of ``scipy`` or a submodule of
-    it in ``root/*.py``, as a statement or as a string (``importlib`` takes
-    it so), outside the module-level function ``_SCIPY_OWNER``."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        for stmt in ast.parse(p.read_text(), str(p)).body:
-            owner = (p.stem, getattr(stmt, "name", None))
-            for n in ast.walk(stmt):
-                names = ([a.name for a in n.names] if isinstance(n, ast.Import) else
-                         [n.module or ""] if isinstance(n, ast.ImportFrom) else
-                         [n.value] if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                         else [])
-                found += [f"{p.stem}:{n.lineno} {name}" for name in names
-                          if name.split(".")[0] == "scipy" and owner != _SCIPY_OWNER]
-    return found
-
-
-def test_scipy_loads_in_one_place():
-    assert scipy_imports() == []
-
-
-def test_scipy_scan_finds_a_second_import(tmp_path):
-    (tmp_path / "metrics.py").write_text(
-        "def _kd_tree(a):\n"
-        "    from scipy.spatial import cKDTree\n    return cKDTree(a).query\n"
-        "def _label(m):\n    from scipy import ndimage\n    return ndimage.label(m)\n")
-    (tmp_path / "geometry.py").write_text(
-        "import importlib\n"
-        "import scipy.ndimage as ndi\n"
-        "def f():\n    return importlib.import_module('scipy.spatial')\n"
-        "scipy_ok = 'not scipy'\n")
-    assert scipy_imports(tmp_path) == ["geometry:2 scipy.ndimage", "geometry:4 scipy.spatial",
-                                       "metrics:5 scipy"]
-
-
-# What a NIfTI-1 header holds, its int16 dim and float32 pixdim, is stated
-# once: by the grid rule in core.
-_HEADER_LIMITS = {"np.iinfo(np.int16)", "np.finfo(np.float32)"}
-
-
-def header_limit_uses(root=SRC) -> list[str]:
-    """``module:line call`` of every call in ``_HEADER_LIMITS`` in
-    ``root/*.py`` outside core, in line order per module."""
-    found = []
-    for p in sorted(root.glob("*.py")):
-        if p.stem == "core":
-            continue
-        calls = [(n.lineno, ast.unparse(n)) for n in ast.walk(ast.parse(p.read_text(), str(p)))
-                 if isinstance(n, ast.Call)]
-        found += [f"{p.stem}:{line} {call}" for line, call in sorted(calls)
-                  if call in _HEADER_LIMITS]
-    return found
-
-
-def test_header_limits_are_stated_once():
-    assert header_limit_uses() == []
-
-
-def test_header_limit_scan_finds_a_second_statement(tmp_path):
-    (tmp_path / "core.py").write_text(
-        "import numpy as np\n"
-        "_GRID = (np.iinfo(np.int16).max, float(np.finfo(np.float32).max))\n")
-    (tmp_path / "geometry.py").write_text(
-        "import numpy as np\n"
-        "_FLOAT32_MAX = float(np.finfo(np.float32).max)\n"
-        "_EPS = np.finfo(np.float64).eps  # np.finfo(np.float32) is core's\n")
-    (tmp_path / "nifti.py").write_text(
-        "import numpy as np\n"
-        "_MAX_DIM = int(np.iinfo(np.int16).max)\n"
-        "_LIMITS = 'np.iinfo(np.int16)', np.iinfo(np.int64)\n")
-    assert header_limit_uses(tmp_path) == ["geometry:2 np.finfo(np.float32)",
-                                           "nifti:2 np.iinfo(np.int16)"]
+@pytest.mark.parametrize("row", OWNERSHIP)
+def test_ownership_scan_finds_its_plants(tmp_path, row):
+    breaches, modules = PLANTS[row]
+    for module, text in modules.items():
+        (tmp_path / f"{module}.py").write_text(text)
+    assert [found[:2] for found in ownership_breaches(tmp_path)] == [(row, b) for b in breaches]
 
 
 def _passed(call: ast.Call, names) -> tuple[str, float, set[str | None]] | None:
