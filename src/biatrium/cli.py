@@ -52,7 +52,7 @@ def _triple(parser_value: str) -> tuple[int, int, int]:
 def _class_map(text: str) -> dict:
     try:
         cm = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise argparse.ArgumentTypeError(f"class map is not valid JSON: {e}")
     try:
         return check_class_map(cm)

@@ -422,11 +422,12 @@ def _as_json(obj) -> dict:
 
 
 def _read_json(path):
-    """The parsed UTF-8 JSON file ``path``; invalid JSON is a ConfigError naming it."""
+    """The parsed UTF-8 JSON file ``path``; a file that is not UTF-8, not
+    JSON or nested too deep to parse is a ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
 
 

@@ -4,10 +4,13 @@ Supported subset: single-file ``n+1`` images, 3 spatial dimensions, datatypes
 uint8 (2), int16 (4) and float32 (16).  Files are written little-endian with
 the 348-byte header and vox_offset 352; big-endian files are detected on read
 (dim[0] outside 1..7 under a little-endian parse) and byte-swapped.  Gzip
-containers are auto-detected by their 0x1F 0x8B prefix.  Spatial units
-must be mm (or unknown, taken as mm).  The orientation block, qfac
-(pixdim[0]) and then the qform/sform fields, is carried through as
-little-endian bytes and never interpreted.
+containers are auto-detected by their 0x1F 0x8B prefix.  Spatial units must
+be mm (or unknown, taken as mm).  The header fields read or written are
+sizeof_hdr, regular, dim, datatype, bitpix, pixdim[0:4], vox_offset,
+scl_slope, scl_inter, xyzt_units, qform_code through srow_z and magic; every
+other header byte is written as zero and ignored on read.  The orientation
+block, qfac (pixdim[0]) and then the qform/sform fields, is carried through
+as little-endian bytes and never interpreted.
 
 Arrays are C order (z fastest) in memory and x-fastest on disk; this module
 is the only place that knows the disk order.  Reads hand out fresh
@@ -62,56 +65,24 @@ GZIP_MAGIC = b"\x1f\x8b"
 DTYPE_CODES = {2: np.uint8, 4: np.int16, 16: np.float32}
 _CODE_FOR_DTYPE = {np.dtype(v): k for k, v in DTYPE_CODES.items()}
 
-# Byte spans of the orientation block: qfac (pixdim[0], the sign of the
-# qform's third axis), then the qform/sform fields (codes, quaternion, srows).
-_QFAC_SPAN = slice(76, 80)
-_ORIENT_SPAN = slice(252, 328)
-
-_HEADER_FIELDS = [
-    ("sizeof_hdr", "i4"),
-    ("data_type", "S10"),
-    ("db_name", "S18"),
-    ("extents", "i4"),
-    ("session_error", "i2"),
-    ("regular", "S1"),
-    ("dim_info", "u1"),
-    ("dim", "i2", (8,)),
-    ("intent_p1", "f4"),
-    ("intent_p2", "f4"),
-    ("intent_p3", "f4"),
-    ("intent_code", "i2"),
-    ("datatype", "i2"),
-    ("bitpix", "i2"),
-    ("slice_start", "i2"),
-    ("pixdim", "f4", (8,)),
-    ("vox_offset", "f4"),
-    ("scl_slope", "f4"),
-    ("scl_inter", "f4"),
-    ("slice_end", "i2"),
-    ("slice_code", "u1"),
-    ("xyzt_units", "u1"),
-    ("cal_max", "f4"),
-    ("cal_min", "f4"),
-    ("slice_duration", "f4"),
-    ("toffset", "f4"),
-    ("glmax", "i4"),
-    ("glmin", "i4"),
-    ("descrip", "S80"),
-    ("aux_file", "S24"),
-    ("qform_code", "i2"),
-    ("sform_code", "i2"),
-    ("quatern_b", "f4"),
-    ("quatern_c", "f4"),
-    ("quatern_d", "f4"),
-    ("qoffset_x", "f4"),
-    ("qoffset_y", "f4"),
-    ("qoffset_z", "f4"),
-    ("srow_x", "f4", (4,)),
-    ("srow_y", "f4", (4,)),
-    ("srow_z", "f4", (4,)),
-    ("intent_name", "S16"),
-    ("magic", "S4"),
-]
+# name -> (byte offset, struct format) of each header field the docstring names;
+# the orientation block's are unsigned, as a float would quiet a signalling NaN.
+_HEADER = {
+    "sizeof_hdr": (0, "i"),
+    "regular": (38, "c"),
+    "dim": (40, "8h"),
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "qfac": (76, "I"),  # pixdim[0]
+    "pixdim": (80, "3f"),  # pixdim[1:4], the spacing
+    "vox_offset": (108, "f"),
+    "scl": (112, "2f"),  # scl_slope, scl_inter
+    "xyzt_units": (123, "B"),
+    "qform_sform": (252, "2H18I"),  # the codes, quaternion, offsets and srows
+    "magic": (344, "4s"),
+}
+# The 80-byte orientation block read_nifti returns and write_nifti takes.
+_ORIENTATION = struct.Struct("<" + _HEADER["qfac"][1] + _HEADER["qform_sform"][1])
 
 # Edge of the cubic blocks a transpose copies at a time: 64**3 float32 is
 # 1 MiB, so a block of the source and of the destination stay in cache.
@@ -143,10 +114,6 @@ _DEFLATE_MAX_RATIO = 1032
 _TRIAL_PLANES = 32
 _TRIAL_BYTES = 1 << 15
 _RLE_MARGIN = 1.4
-
-_HDR_LE = np.dtype(_HEADER_FIELDS).newbyteorder("<")
-_HDR_BE = np.dtype(_HEADER_FIELDS).newbyteorder(">")
-assert _HDR_LE.itemsize == HEADER_SIZE
 
 
 @contextmanager
@@ -200,38 +167,35 @@ def _read_raw(path, dtype=None, check=None):
             raise NiftiFormatError(
                 f"{path}: malformed header, expected {HEADER_SIZE} bytes, got {got}"
             )
-        raw = bytes(raw)
-        hdr = np.frombuffer(raw, dtype=_HDR_LE)[0]
-        swapped = False
+        order = "<" if 1 <= struct.unpack_from("<h", raw, _HEADER["dim"][0])[0] <= 7 else ">"
+        hdr = {name: struct.unpack_from(order + fmt, raw, offset)
+               for name, (offset, fmt) in _HEADER.items()}
         if not 1 <= hdr["dim"][0] <= 7:
-            hdr = np.frombuffer(raw, dtype=_HDR_BE)[0]
-            swapped = True
-            if not 1 <= hdr["dim"][0] <= 7:
-                raise NiftiFormatError(f"{path}: malformed header, dim[0] invalid in both byte orders")
-        if hdr["sizeof_hdr"] != HEADER_SIZE:
+            raise NiftiFormatError(f"{path}: malformed header, dim[0] invalid in both byte orders")
+        if hdr["sizeof_hdr"][0] != HEADER_SIZE:
             raise NiftiFormatError(
-                f"{path}: malformed header, sizeof_hdr={int(hdr['sizeof_hdr'])} != {HEADER_SIZE}"
+                f"{path}: malformed header, sizeof_hdr={hdr['sizeof_hdr'][0]} != {HEADER_SIZE}"
             )
-        if raw[344:348] != MAGIC:
-            raise NiftiFormatError(f"{path}: malformed header, magic {raw[344:348]!r}")
-        code = int(hdr["datatype"])
+        if hdr["magic"] != (MAGIC,):
+            raise NiftiFormatError(f"{path}: malformed header, magic {hdr['magic'][0]!r}")
+        code = hdr["datatype"][0]
         if code not in DTYPE_CODES:
             raise NiftiFormatError(f"{path}: unsupported datatype code {code}")
         if hdr["dim"][0] != 3:
-            raise NiftiFormatError(f"{path}: expected 3 spatial dims, header declares {int(hdr['dim'][0])}")
+            raise NiftiFormatError(f"{path}: expected 3 spatial dims, header declares {hdr['dim'][0]}")
         try:
-            shape = _as_triple(hdr["dim"][1:4].tolist(), "dim[1:4]", grid=True)
-            spacing = _as_triple(hdr["pixdim"][1:4].tolist(), "spacing", float, grid=True)
+            shape = _as_triple(list(hdr["dim"][1:4]), "dim[1:4]", grid=True)
+            spacing = _as_triple(list(hdr["pixdim"]), "spacing", float, grid=True)
         except ConfigError as e:
             raise NiftiFormatError(f"{path}: {e}") from e
-        if (units := int(hdr["xyzt_units"]) & 7) not in (0, 2):
+        if (units := hdr["xyzt_units"][0] & 7) not in (0, 2):
             raise NiftiFormatError(
                 f"{path}: spatial unit code {units} is not mm (2) or unknown (0)")
 
-        vox_offset = float(hdr["vox_offset"])
+        vox_offset = hdr["vox_offset"][0]
         if not HEADER_SIZE <= vox_offset < np.inf:
             raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not past the header")
-        stored = np.dtype(DTYPE_CODES[code]).newbyteorder(">" if swapped else "<")
+        stored = np.dtype(DTYPE_CODES[code]).newbyteorder(order)
         nx, ny, nz = shape
         nbytes = nx * ny * nz * stored.itemsize
         truncated = NiftiFormatError(f"{path}: truncated payload, header declares {nbytes} bytes")
@@ -263,10 +227,7 @@ def _read_raw(path, dtype=None, check=None):
         # drain to EOF so a gzip container verifies its checksum
         while _fill(f, spare, path):
             pass
-        le = np.array(hdr, dtype=_HDR_LE).tobytes()
-        orient = le[_QFAC_SPAN] + le[_ORIENT_SPAN]
-        scl = (float(hdr["scl_slope"]), float(hdr["scl_inter"]))
-        return arr, spacing, orient, scl
+        return arr, spacing, _ORIENTATION.pack(*hdr["qfac"], *hdr["qform_sform"]), hdr["scl"]
 
 
 def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
@@ -397,27 +358,26 @@ def write_nifti(path, arr: np.ndarray, spacing, *,
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise ValueError(f"unsupported dtype {arr.dtype}; use uint8, int16 or float32")
 
-    hdr = np.zeros((), dtype=_HDR_LE)
-    hdr["sizeof_hdr"] = HEADER_SIZE
-    hdr["regular"] = b"r"
-    hdr["dim"][0] = 3
-    hdr["dim"][1:4] = arr.shape
-    hdr["dim"][4:] = 1
-    hdr["datatype"] = _CODE_FOR_DTYPE[arr.dtype]
-    hdr["bitpix"] = arr.dtype.itemsize * 8
-    hdr["pixdim"][0] = 1.0
-    hdr["pixdim"][1:4] = spacing
-    hdr["vox_offset"] = VOX_OFFSET
-    hdr["scl_slope"] = 1.0
-    hdr["scl_inter"] = 0.0
-    hdr["xyzt_units"] = 2  # mm
-    hdr["magic"] = MAGIC
-    raw = bytearray(hdr.tobytes())
-    if orientation is not None:
-        raw[_QFAC_SPAN], raw[_ORIENT_SPAN] = orientation[:4], orientation[4:]
+    orient = _ORIENTATION.unpack(orientation or struct.pack("<f", 1.0) + bytes(76))
+    raw = bytearray(VOX_OFFSET)  # zero where no field is set, the 4 extension bytes too
+    for name, values in {
+        "sizeof_hdr": (HEADER_SIZE,),
+        "regular": (b"r",),
+        "dim": (3, *arr.shape, 1, 1, 1, 1),
+        "datatype": (_CODE_FOR_DTYPE[arr.dtype],),
+        "bitpix": (arr.dtype.itemsize * 8,),
+        "qfac": orient[:1],
+        "pixdim": spacing,
+        "vox_offset": (VOX_OFFSET,),
+        "scl": (1.0, 0.0),
+        "xyzt_units": (2,),  # mm
+        "qform_sform": orient[1:],
+        "magic": (MAGIC,),
+    }.items():
+        struct.pack_into("<" + _HEADER[name][1], raw, _HEADER[name][0], *values)
 
     def pieces():
-        yield bytes(raw) + b"\x00" * (VOX_OFFSET - HEADER_SIZE)
+        yield raw
         yield from _x_fastest_planes(arr)
 
     with _atomic_open(path, "wb") as fh:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_CLASS_MAP, LabelMap, Volume, _as_json, _as_triple, _check_number,
-                   _set, _slabs, from_json)
+from .core import (DEFAULT_CLASS_MAP, ConfigError, LabelMap, Volume, _as_json, _as_triple,
+                   _check_number, _set, _slabs, from_json)
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -151,7 +151,10 @@ def spec_from_json(obj: dict | str) -> PhantomSpec:
     are rejected; omitted keys take the defaults.  Errors are ConfigErrors
     (a ValueError) naming the key path."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ConfigError(f"phantom spec text is not valid JSON: {e}") from e
     return from_json(PhantomSpec, obj)
 
 

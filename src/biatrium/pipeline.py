@@ -134,6 +134,10 @@ class BackendSpec:
         elif self.kind == "copy-file":
             if not self.source_path or not isinstance(self.source_path, str):
                 raise ValueError("copy-file backend needs source_path")
+        for name in ("command_template", "source_path"):
+            # the exec or open of a case's stage would refuse it, late and unnamed
+            if "\0" in (getattr(self, name) or ""):
+                raise ConfigError(f"{name} must not contain a NUL byte")
         # at most a C int of milliseconds, which any wait or poll can take
         _check_number(self.timeout_s, "timeout_s", gt=0, le=2147483)
 

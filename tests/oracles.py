@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way (explicit loops, all-pairs
 distance tables, textbook formulas) and deliberately avoids the package's
 own vectorized code paths, so agreement between the two is meaningful.
-The exceptions are earlier, simpler versions of rewritten routines
+``nifti1_header`` packs the header at the byte offsets nifti1.h documents,
+not through the package's field table.  The exceptions are earlier,
+simpler versions of rewritten routines
 (``full_grid_evaluate_case``, ``whole_volume_mclahe``, ``x_fastest_payload``,
 ``gzipfile_bytes``, ``whole_grid_downsample_mean``, ``whole_grid_generate``,
 ``two_step_chain``), kept so that tests can require the rewrite to give the same results bit for
@@ -14,6 +16,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,32 @@ def x_fastest_payload(arr) -> bytes:
     """The NIfTI-1 payload of a 3D array (the bytes after the 352-byte
     header): x fastest, as the writer built it with one whole-array copy."""
     return np.asarray(arr).tobytes(order="F")
+
+
+def nifti1_header(shape, dtype, spacing, orientation=None) -> bytes:
+    """The 352 bytes before a written payload: the 348-byte NIfTI-1 header,
+    each field the writer sets packed little-endian at its nifti1.h offset
+    and every other byte zero, then 4 zero extension bytes.  ``orientation``
+    (qfac, then qform_code .. srow_z) is copied as bytes; None is qfac 1
+    and no qform or sform."""
+    code, bitpix = {np.uint8: (2, 8), np.int16: (4, 16), np.float32: (16, 32)}[dtype]
+    if orientation is None:
+        orientation = struct.pack("<f", 1.0) + bytes(76)
+    out = bytearray(352)
+    struct.pack_into("<i", out, 0, 348)                      # sizeof_hdr
+    out[38:39] = b"r"                                        # regular
+    struct.pack_into("<8h", out, 40, 3, *shape, 1, 1, 1, 1)  # dim[8]
+    struct.pack_into("<h", out, 70, code)                    # datatype
+    struct.pack_into("<h", out, 72, bitpix)                  # bitpix
+    out[76:80] = orientation[:4]                             # pixdim[0], qfac
+    struct.pack_into("<3f", out, 80, *spacing)               # pixdim[1..3]
+    struct.pack_into("<f", out, 108, 352.0)                  # vox_offset
+    struct.pack_into("<f", out, 112, 1.0)                    # scl_slope
+    struct.pack_into("<f", out, 116, 0.0)                    # scl_inter
+    out[123] = 2                                             # xyzt_units: mm
+    out[252:328] = orientation[4:]                           # qform_code .. srow_z[3]
+    out[344:348] = b"n+1\x00"                                # magic
+    return bytes(out)
 
 
 def gzipfile_bytes(data: bytes) -> bytes:

@@ -204,6 +204,8 @@ def test_evaluate_rejects_bad_class_map(files, capsys):
     (["enhance", "IMAGE", "OUT", "--kernel-size", "1,2"], "expected 3 integers, got '1,2'"),
     (["evaluate", "--pred", "GT", "--gt", "GT", "--class-map", "{wall: 1}"],
      "class map is not valid JSON"),
+    (["evaluate", "--pred", "GT", "--gt", "GT", "--class-map", "[" * 100000 + "]" * 100000],
+     "class map is not valid JSON: maximum recursion depth exceeded"),
 ])
 def test_unparsable_argument_exits_2(files, tmp_path, capsys, argv, message):
     paths = {"IMAGE": files["image"], "GT": files["gt_path"], "OUT": str(tmp_path / "o.nii")}
@@ -440,6 +442,20 @@ def test_run_rejects_zero_workers(files, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: workers must be an int >= 1")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (b"\xff{}", "'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+])
+def test_run_config_that_cannot_be_decoded_exits_1_naming_it(tmp_path, capsys, doc, reason):
+    """A config that is not UTF-8, or nested too deep for the parser, is a
+    config error naming the file, not a traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(doc)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON: {reason}")
 
 
 def test_run_rejects_a_field_the_backend_kind_does_not_use(files, tmp_path, capsys):

@@ -34,7 +34,7 @@ from biatrium import (
 )
 from biatrium import nifti
 from conftest import traced_peak
-from oracles import gzipfile_bytes, x_fastest_payload
+from oracles import gzipfile_bytes, nifti1_header, x_fastest_payload
 
 SPACING = (0.625, 0.625, 2.5)
 
@@ -57,6 +57,24 @@ def test_roundtrip_bit_exact(tmp_path, rng, dtype, suffix):
     assert back.dtype == dtype
     assert np.array_equal(back, arr)
     assert spacing == pytest.approx(SPACING)
+
+
+def test_header_bytes_match_the_nifti1_oracle(tmp_path, rng):
+    """The first 352 bytes written, plain or gzip, are the NIfTI-1 header
+    packed field by field at nifti1.h's offsets: every dtype, with no
+    orientation block, a random one and one of signalling-NaN words."""
+    shape, spacing = (7, 5, 3), (0.7, 1.3, 2.5)
+    orients = (None, bytes(rng.integers(0, 256, size=80, dtype=np.uint8)),
+               struct.pack("<I2h18I", 0x7F800001, 1, 2, *[0x7F800001, 0xFFA00000] * 9))
+    for dtype in (np.uint8, np.int16, np.float32):
+        for orient in orients:
+            for suffix in (".nii", ".nii.gz"):
+                path = tmp_path / f"x{suffix}"
+                write_nifti(path, _random_array(rng, dtype, shape), spacing, orientation=orient)
+                blob = path.read_bytes()
+                if suffix == ".nii.gz":
+                    blob = gzip.decompress(blob)
+                assert blob[:352] == nifti1_header(shape, dtype, spacing, orient), (dtype, orient)
 
 
 def test_gzip_detected_by_content_not_name(tmp_path, rng):
@@ -281,7 +299,8 @@ def test_payload_is_x_fastest(tmp_path):
 
 
 def _reencode_big_endian(path, out_path):
-    """Byte-swap a little-endian file into a big-endian one."""
+    """Byte-swap a little-endian plain file into a big-endian one: every
+    header field the reader reads, then the payload by its item size."""
     blob = bytearray(path.read_bytes())
     assert struct.unpack("<i", bytes(blob[:4]))[0] == 348
 
@@ -289,20 +308,19 @@ def _reencode_big_endian(path, out_path):
         b = blob[span]
         blob[span] = b''.join(bytes(b[i:i + size][::-1]) for i in range(0, len(b), size))
 
-    # integer and float header fields that matter to the reader
     swap(slice(0, 4), 4)            # sizeof_hdr
     swap(slice(40, 56), 2)          # dim[8]
     swap(slice(70, 72), 2)          # datatype
     swap(slice(72, 74), 2)          # bitpix
-    swap(slice(76, 108), 4)         # pixdim[8]
+    swap(slice(76, 108), 4)         # pixdim[8], qfac included
     swap(slice(108, 112), 4)        # vox_offset
     swap(slice(112, 116), 4)        # scl_slope
     swap(slice(116, 120), 4)        # scl_inter
-    datatype = struct.unpack(">h", bytes(blob[70:72]))[0]
-    itemsize = {2: 1, 4: 2, 16: 4}[datatype]
-    if itemsize > 1:
-        swap(slice(352, len(blob)), itemsize)
-    out_path.write_bytes(bytes(blob))
+    swap(slice(252, 256), 2)        # qform_code, sform_code
+    swap(slice(256, 328), 4)        # quatern_b .. srow_z
+    itemsize = {2: 1, 4: 2, 16: 4}[struct.unpack(">h", bytes(blob[70:72]))[0]]
+    payload = np.frombuffer(blob, f"<u{itemsize}", offset=nifti.VOX_OFFSET)
+    out_path.write_bytes(bytes(blob[:nifti.VOX_OFFSET]) + payload.astype(f">u{itemsize}").tobytes())
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
@@ -405,16 +423,6 @@ def test_write_memory_is_a_fraction_of_the_array(tmp_path, rng, dtype, suffix):
     assert peak <= 0.6 * arr.nbytes, peak / arr.nbytes
 
 
-def _big_endian_copy(path, out_path, dtype) -> None:
-    """``path`` re-encoded big-endian with numpy, for payloads too large
-    for ``_reencode_big_endian``."""
-    blob = path.read_bytes()
-    hdr = np.frombuffer(blob, nifti._HDR_LE, count=1).astype(nifti._HDR_BE)
-    payload = np.frombuffer(blob, np.dtype(dtype).newbyteorder("<"), offset=nifti.VOX_OFFSET)
-    out_path.write_bytes(hdr.tobytes() + blob[nifti.HEADER_SIZE:nifti.VOX_OFFSET]
-                         + payload.astype(payload.dtype.newbyteorder(">")).tobytes())
-
-
 @pytest.mark.parametrize("encoding", ["plain", "gzip", "big-endian"])
 def test_read_memory_is_a_fraction_of_the_output(tmp_path, encoding):
     """Reads stream a few z-planes at a time into the output: a paper-scale
@@ -431,7 +439,7 @@ def test_read_memory_is_a_fraction_of_the_output(tmp_path, encoding):
         path = tmp_path / ("x.nii.gz" if encoding == "gzip" else "x.nii")
         write_nifti(path, arr, SPACING)
         if encoding == "big-endian":
-            _big_endian_copy(path, tmp_path / "be.nii", dtype)
+            _reencode_big_endian(path, tmp_path / "be.nii")
             path = tmp_path / "be.nii"
         vol = read_volume(path)
         assert np.array_equal(vol.data, arr)
@@ -647,16 +655,16 @@ def test_qfac_is_part_of_the_orientation_block(tmp_path, rng):
 def test_big_endian_orientation_is_carried_little_endian(tmp_path, rng):
     """A big-endian file's qfac and qform/sform fields come back as the
     little-endian writer stores them, so an output written with them keeps
-    their values."""
-    orient = struct.pack("<f2h18f", -1.0, 1, 2, *range(18))
+    their values; signalling NaNs in qfac and the srows keep their bits,
+    which a float round trip would quiet (0x7f800001 to 0x7fc00001)."""
     le = tmp_path / "le.nii"
     be = tmp_path / "be.nii"
-    write_nifti(le, _random_array(rng, np.float32), SPACING, orientation=orient)
-    _reencode_big_endian(le, be)  # pixdim, qfac included
-    blob = bytearray(be.read_bytes())
-    blob[252:328] = struct.pack(">2h18f", *struct.unpack("<2h18f", blob[252:328]))
-    be.write_bytes(bytes(blob))
-    assert read_nifti(be)[2] == orient
+    for orient in (struct.pack("<f2h18f", -1.0, 1, 2, *range(18)),
+                   struct.pack("<I2h6f12I", 0x7F800001, 1, 2, *range(6),
+                               *[0x7F800001, 0xFFA00000, 0x7F812345] * 4)):
+        write_nifti(le, _random_array(rng, np.float32), SPACING, orientation=orient)
+        _reencode_big_endian(le, be)
+        assert read_nifti(be)[2] == orient
 
 
 @pytest.mark.parametrize("code, refused", [(1, True), (3, True), (0, False), (2, False),
@@ -744,6 +752,10 @@ def test_error_bad_dim_count(tmp_path, rng):
     p.write_bytes(bytes(blob))
     with pytest.raises(NiftiFormatError, match="dim"):
         read_nifti(p)
+    blob[40:46] = struct.pack("<3h", 3, 7, -5)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(NiftiFormatError, match=r"ok\.nii: dim\[1:4\] must be .*, got \[7, -5, 3\]$"):
+        read_nifti(p)
 
 
 def test_error_dim0_invalid_both_orders(tmp_path, rng):
@@ -768,7 +780,7 @@ def test_error_bad_spacing(tmp_path, rng):
     blob = bytearray(p.read_bytes())
     blob[80:84] = struct.pack("<f", 0.0)  # pixdim[1]
     p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="spacing"):
+    with pytest.raises(NiftiFormatError, match=r"spacing must be .*, got \[0\.0, 0\.625, 2\.5\]$"):
         read_nifti(p)
 
 

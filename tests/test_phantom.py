@@ -168,6 +168,12 @@ def test_json_defaults_when_omitted():
     assert spec_from_json({"seed": 3}) == PhantomSpec(seed=3)
 
 
+def test_json_text_that_is_not_json_is_a_config_error():
+    for text in ("{", "[" * 100000 + "]" * 100000):
+        with pytest.raises(ConfigError, match="phantom spec text is not valid JSON"):
+            spec_from_json(text)
+
+
 def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         spec_from_json({"wall_mm": 4.0})

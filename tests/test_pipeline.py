@@ -313,6 +313,12 @@ _BASE_DOC = {
      "fine_backend: command_template"),
     # past a uint16 bin index
     ({"mclahe": {"n_bins": 65537}}, "mclahe: n_bins"),
+    # refused at load: exec or open would refuse a NUL only once a case reached the stage
+    ({"fine_backend": {"kind": "external-command",
+                       "command_template": "cp {input} {output}\x00"}},
+     "fine_backend: command_template must not contain a NUL byte"),
+    ({"fine_backend": {"kind": "copy-file", "source_path": "mask\x00.nii.gz"}},
+     "fine_backend: source_path must not contain a NUL byte"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
     doc = {**_BASE_DOC, **over}
