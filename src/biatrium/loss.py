@@ -86,9 +86,10 @@ def volume_loss(probs: Sequence[Volume | np.ndarray], gt: LabelMap,
     """One-vs-rest mean of the kernel over every (class, voxel) pair.
 
     ``probs[i]`` is the predicted probability field for ``class_codes[i]``
-    (default codes 0..n-1).  Ground-truth codes outside the provided set are
-    rejected.  Summation is a single fixed-order float64 reduction, so the
-    result is independent of threading.
+    (default codes 0..n-1); the codes are distinct label codes, ints in
+    0..255.  Ground-truth codes outside the provided set are rejected.
+    Summation is a single fixed-order float64 reduction, so the result is
+    independent of threading.
     """
     params = params or AsymLossParams()
     if len(probs) == 0:
@@ -96,6 +97,10 @@ def volume_loss(probs: Sequence[Volume | np.ndarray], gt: LabelMap,
     codes = list(class_codes) if class_codes is not None else list(range(len(probs)))
     if len(codes) != len(probs):
         raise ValueError(f"{len(probs)} probability volumes but {len(codes)} class codes")
+    for i, code in enumerate(codes):
+        _check_number(code, f"class_codes[{i}]", integer=True, ge=0, le=255)
+        if code in codes[:i]:  # two predictions of one class contradict each other
+            raise ValueError(f"class_codes[{i}] repeats class code {code}")
     arrs = []
     for pr in probs:
         arr = pr.data if isinstance(pr, Volume) else np.asarray(pr)

@@ -66,23 +66,30 @@ def _row_tables(bins: np.ndarray, tx: int, kernel: tuple[int, int, int],
     """Histogram, clip and map the tiles of tile row ``tx`` (one tile thick
     in x); the return value has shape (nty, ntz, n_bins).
 
-    ``bins`` holds per-voxel bin indices on the unpadded grid.  Only this
-    row is replicate-padded up to whole tiles, so every temporary here is
-    a fraction of the grid.
+    ``bins`` holds per-voxel bin indices on the unpadded grid.  Tiles past
+    its edge are replicate-padded, which only repeats each axis's last
+    index, and that index lies in the axis's last tile.  So the padded row
+    is never built: a voxel counts 1 + pad times along each axis where it
+    holds the last index, and every temporary here is a fraction of the
+    grid whatever the kernel.
     """
     kx, ky, kz = kernel
     _, nty, ntz = ntiles
     row = bins[tx * kx:(tx + 1) * kx]
-    pad = [(0, n * k - s) for n, k, s in zip((1, nty, ntz), kernel, row.shape)]
-    if any(p for _, p in pad):
-        row = np.pad(row, pad, mode="edge")
-    tid_yz = ((np.arange(nty * ky, dtype=np.int64) // ky)[:, None] * ntz
-              + (np.arange(ntz * kz, dtype=np.int64) // kz)[None, :]) * n_bins
+    pads = [n * k - s for n, k, s in zip((1, nty, ntz), kernel, row.shape)]
+    if any(pads):
+        wx, wy, wz = (np.concatenate([np.ones(s - 1), [1.0 + p]]) for s, p in zip(row.shape, pads))
+        wyz = wy[:, None] * wz[None, :]
+    tid_yz = ((np.arange(row.shape[1], dtype=np.int64) // ky)[:, None] * ntz
+              + (np.arange(row.shape[2], dtype=np.int64) // kz)[None, :]) * n_bins
     # the flat (tile, bin) indices are int64, so they are counted one x-slab
-    # of the row at a time
+    # of the row at a time; padded counts are whole float64s below 2**53,
+    # so exact
     hists = np.zeros(nty * ntz * n_bins, dtype=np.int64)
     for s in _slabs(row.shape):
-        hists += np.bincount((tid_yz + row[s]).ravel(), minlength=hists.size)
+        weights = (wx[s, None, None] * wyz).ravel() if any(pads) else None
+        hists += np.bincount((tid_yz + row[s]).ravel(), weights,
+                             minlength=hists.size).astype(np.int64, copy=False)
     hists = hists.reshape(nty * ntz, n_bins)
 
     # clip every bin to the limit, then spread the excess in one pass: an

@@ -8,7 +8,6 @@ import pytest
 
 from biatrium import (
     Ellipsoid,
-    LabelMap,
     MclaheParams,
     PhantomSpec,
     Volume,
@@ -276,6 +275,25 @@ def test_loss_checks_ground_truth_against_the_scored_codes(tmp_path, capsys, rng
     assert captured.out == "" and "[5]" in captured.err
 
 
+@pytest.mark.parametrize("codes, message", [
+    (["1", "1"], "class_codes[1] repeats class code 1"),
+    (["0", "300"], "class_codes[1] must be an int >= 0 and <= 255, got 300"),
+])
+def test_loss_refuses_codes_that_are_not_distinct_label_codes(tmp_path, capsys, rng, codes,
+                                                              message):
+    """Two predictions of one class, or a code no label map can hold, exit
+    1 instead of printing a score."""
+    gt = tmp_path / "gt.nii"
+    write_nifti(gt, np.zeros((6, 6, 4), dtype=np.uint8), (1, 1, 1))
+    probs = [str(tmp_path / f"p{i}.nii") for i in range(2)]
+    for path in probs:
+        write_nifti(path, rng.random((6, 6, 4), dtype=np.float32), (1, 1, 1))
+    rc = main(["loss", "--probs", *probs, "--gt", str(gt), "--class-codes", *codes])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_loss_nan_exponent_exits_1(files, capsys):
     rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
                "--gamma-pos", "nan"])
@@ -368,33 +386,6 @@ def test_run_command_reports_failure(files, tmp_path, capsys):
     assert "gone: failed" in capsys.readouterr().out
 
 
-def test_enhance_huge_header_exits_1(tmp_path, capsys):
-    """A 360-byte file declaring 30000^3 float32 is a format error, not a
-    MemoryError traceback."""
-    src = tmp_path / "huge.nii"
-    write_nifti(src, np.zeros((2, 1, 1), dtype=np.float32), (1, 1, 1))
-    blob = bytearray(src.read_bytes())
-    blob[42:48] = np.array([30000] * 3, dtype="<i2").tobytes()  # dim[1:4]
-    src.write_bytes(bytes(blob))
-    rc = main(["enhance", str(src), str(tmp_path / "out.nii")])
-    assert rc == 1
-    assert "truncated payload" in capsys.readouterr().err
-
-
-def test_enhance_nan_payload_names_the_file(tmp_path, capsys):
-    """A raw float32 file may carry NaN; as a volume it is refused, and the
-    error names the file."""
-    src = tmp_path / "nan_voxel.nii"
-    arr = np.zeros((4, 4, 2), dtype=np.float32)
-    arr[1, 2, 1] = np.nan
-    write_nifti(src, arr, (1, 1, 1))
-    rc = main(["enhance", str(src), str(tmp_path / "out.nii")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert str(src) in err and "non-finite" in err
-    assert not (tmp_path / "out.nii").exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["standardize", "--target", "72,72,24", "--fill", "nan"],
     ["crop-roi", "--center", "32,32,12", "--window", "80,32,12", "--fill", "1e39"],
@@ -447,33 +438,16 @@ def test_run_rejects_zero_workers(files, tmp_path, capsys):
 @pytest.mark.parametrize("doc, reason", [
     (b"\xff{}", "'utf-8' codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    (b"{nope", "Expecting property name enclosed in double quotes"),
 ])
 def test_run_config_that_cannot_be_decoded_exits_1_naming_it(tmp_path, capsys, doc, reason):
-    """A config that is not UTF-8, or nested too deep for the parser, is a
-    config error naming the file, not a traceback."""
+    """A config that is not UTF-8, not JSON, or nested too deep for the
+    parser is a config error naming the file, not a traceback."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(doc)
     assert main(["run", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg_path}: invalid JSON: {reason}")
-
-
-def test_run_rejects_a_field_the_backend_kind_does_not_use(files, tmp_path, capsys):
-    """A threshold backend with a source_path is a config error naming the
-    field, not a TypeError traceback from rebasing the path."""
-    cfg = {
-        "cases": [{"case_id": "ph", "image": files["image"]}],
-        "output_dir": str(tmp_path / "out"),
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4, "source_path": 5},
-        "fine_backend": {"kind": "threshold", "threshold": 0.7},
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    rc = main(["run", "--config", str(cfg_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: coarse_backend: source_path") and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -262,3 +262,10 @@ def test_volume_loss_validation(rng):
         volume_loss(probs[:2], gt)  # gt contains code 2 with only codes 0,1
     with pytest.raises(ValueError, match=r"codes \[0\] not covered"):
         volume_loss(probs[1:], gt, class_codes=[1, 2])  # 0 is a code like any other
+    # a code no label map can hold would score as an empty class
+    for bad in (300, -1, 1.5, True):
+        with pytest.raises(ValueError, match=rf"^class_codes\[2\] must be an int >= 0 and "
+                                             rf"<= 255, got {bad!r}$"):
+            volume_loss(probs, gt, class_codes=[0, 1, bad])
+    with pytest.raises(ValueError, match=r"^class_codes\[2\] repeats class code 1$"):
+        volume_loss(probs, gt, class_codes=[0, 1, 1])

@@ -181,6 +181,20 @@ def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
         assert np.array_equal(out.data, ref), threads
 
 
+def test_kernel_far_larger_than_the_grid_is_counted_not_padded(rng):
+    """Tiles many times the grid give the reference's bits, and a 200^3
+    kernel over an 8^3 grid traces under 1 MB: the replicate padding is
+    counted, not built (its bin indices alone would be 8 MB)."""
+    for shape, kernel in [((8, 8, 8), (24, 24, 24)), ((10, 9, 7), (4, 30, 2)),
+                          ((5, 3, 9), (2, 2, 40))]:
+        data = rng.random(shape, dtype=np.float32)
+        out = mclahe(Volume(data=data, spacing=(1, 1, 1)),
+                     MclaheParams(kernel_size=kernel, n_bins=32, clip_limit=0.1))
+        assert np.array_equal(out.data, naive_mclahe(data, kernel, 32, 0.1).astype(np.float32))
+    v = Volume(data=rng.random((8, 8, 8), dtype=np.float32), spacing=(1, 1, 1))
+    assert traced_peak(mclahe, v, MclaheParams(kernel_size=(200, 200, 200))) < 1 << 20
+
+
 def test_streamed_working_set_is_bounded(rng):
     """Traced allocations stay within 3x the float32 input, at thread
     budgets 1 and 2: output, bins and slab-sized temporaries, with no

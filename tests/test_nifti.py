@@ -33,6 +33,7 @@ from biatrium import (
     write_volume,
 )
 from biatrium import nifti
+from biatrium.cli import main
 from conftest import traced_peak
 from oracles import gzipfile_bytes, nifti1_header, x_fastest_payload
 
@@ -573,31 +574,20 @@ def test_zero_slope_means_unscaled(tmp_path):
     assert np.array_equal(read_volume(path).data, arr.astype(np.float32))
 
 
-def _with_scl(path, slope: float, inter: float) -> None:
-    blob = bytearray(path.read_bytes())
-    blob[112:120] = struct.pack("<2f", slope, inter)  # scl_slope, scl_inter
-    path.write_bytes(bytes(blob))
-
-
-@pytest.mark.parametrize("slope, inter", [
-    (1e35, 0.0),     # 32767 * slope overflows float32
-    (1e34, 3e38),    # the product fits, adding the intercept overflows
-    (np.inf, 0.0),   # inf * 0 is NaN
-    (np.nan, 0.0),
-    (2.0, -np.inf),
-])
-def test_scaling_to_non_finite_names_the_file(tmp_path, slope, inter):
-    """Scaling that leaves float32 is a NiftiFormatError naming the file,
-    with no numpy warning on the way; the raw reader still reads it."""
+def test_raw_reader_ignores_scaling_that_leaves_float32(tmp_path):
+    """read_nifti applies no scaling, so a file whose scl_slope/scl_inter
+    would take it past float32 reads unchanged, with no numpy warning
+    (read_volume refuses it: see REFUSALS)."""
     path = tmp_path / "scaled.nii"
     arr = np.array([0, 1, 30000, 32767], dtype=np.int16).reshape(2, 2, 1)
     write_nifti(path, arr, (1, 1, 1))
-    _with_scl(path, slope, inter)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NiftiFormatError, match=r"scaled\.nii: .*non-finite"):
-            read_volume(path)
-        assert np.array_equal(read_nifti(path)[0], arr)
+    blob = bytearray(path.read_bytes())
+    for slope, inter in [(1e35, 0.0), (1e34, 3e38), (np.inf, 0.0), (np.nan, 0.0), (2.0, -np.inf)]:
+        blob[112:120] = struct.pack("<2f", slope, inter)  # scl_slope, scl_inter
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(read_nifti(path)[0], arr)
 
 
 # quiet, signalling, negative and payload-carrying NaNs, and both infinities
@@ -605,21 +595,15 @@ _NON_FINITE_BITS = [0x7FC00000, 0x7F800001, 0xFFC00000, 0x7FC12345, 0x7F800000, 
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
-def test_raw_pair_carries_non_finite_bits_and_read_volume_names_the_file(tmp_path, suffix):
-    """read_nifti/write_nifti carry any float32 bits; read_volume refuses
-    a value that is not finite and names the file."""
+def test_raw_pair_carries_non_finite_bits(tmp_path, suffix):
+    """read_nifti/write_nifti carry any float32 bits (read_volume refuses
+    them: see REFUSALS)."""
     bits = np.zeros((3, 4, 2), dtype=np.uint32)
     bits.flat[[1, 5, 8, 13, 20, 23]] = _NON_FINITE_BITS
     path = tmp_path / f"nan_voxels{suffix}"
     write_nifti(path, bits.view(np.float32), (1, 1, 1))
     arr, _, _ = read_nifti(path)
     assert arr.dtype == np.float32 and np.array_equal(arr.view(np.uint32), bits)
-    for word in _NON_FINITE_BITS:
-        one = np.zeros((2, 2, 2), dtype=np.uint32)
-        one[1, 0, 1] = word
-        write_nifti(path, one.view(np.float32), (1, 1, 1))
-        with pytest.raises(NiftiFormatError, match=f"nan_voxels{suffix}: .*non-finite"):
-            read_volume(path)
 
 
 def test_orientation_block_preserved(tmp_path, rng):
@@ -667,22 +651,16 @@ def test_big_endian_orientation_is_carried_little_endian(tmp_path, rng):
         assert read_nifti(be)[2] == orient
 
 
-@pytest.mark.parametrize("code, refused", [(1, True), (3, True), (0, False), (2, False),
-                                           (10, False)])
-def test_spatial_units_other_than_mm_are_refused(tmp_path, code, refused):
-    """The spatial unit code (xyzt_units & 7) must be 2 (mm) or 0 (unknown,
-    taken as mm): a file in metres (1) or micrometres (3) is refused, naming
-    the file and the code.  Time units (10 is mm and seconds) do not count."""
+def test_spatial_units_mm_or_unknown_are_read(tmp_path):
+    """The spatial unit code (xyzt_units & 7) 2 (mm) or 0 (unknown, taken as
+    mm) is read; time units (10 is mm and seconds) do not count.  Metres and
+    micrometres are refused: see REFUSALS."""
     path = tmp_path / "units.nii"
-    write_nifti(path, np.zeros((2, 3, 4), np.float32), SPACING)
-    blob = bytearray(path.read_bytes())
+    blob = bytearray(_valid_bytes(tmp_path))
     assert blob[123] == 2
-    blob[123] = code
-    path.write_bytes(bytes(blob))
-    if refused:
-        with pytest.raises(NiftiFormatError, match=f"units.nii: spatial unit code {code} "):
-            read_nifti(path)
-    else:
+    for code in (0, 2, 10):
+        blob[123] = code
+        path.write_bytes(bytes(blob))
         assert read_nifti(path)[1] == pytest.approx(SPACING)
 
 
@@ -706,91 +684,136 @@ def test_labelmap_from_integer_valued_float_file(tmp_path):
     assert m.data.dtype == np.uint8
     assert np.array_equal(m.data, arr.astype(np.uint8))
 
-    bad = tmp_path / "bad.nii"
-    write_nifti(bad, arr + 0.5, (1, 1, 1))
-    with pytest.raises(NiftiFormatError):
-        read_labelmap(bad)
+
+# -- refusals ---------------------------------------------------------------
+
+def _valid_bytes(tmp_path) -> bytes:
+    """The one valid file that the refusal rows and the header tests edit:
+    2x3x4 float32 zeros, which every reader reads."""
+    path = tmp_path / "valid.nii"
+    write_nifti(path, np.zeros((2, 3, 4), np.float32), SPACING)
+    return path.read_bytes()
 
 
-# -- error taxonomy ---------------------------------------------------------
-
-def _valid_file(tmp_path, rng):
-    path = tmp_path / "ok.nii"
-    write_nifti(path, _random_array(rng, np.int16), SPACING)
-    return path
+def _patch(offset, fmt, *values):
+    """An edit of the file that packs ``values`` little-endian as ``fmt``
+    at ``offset``."""
+    return "file", lambda blob: struct.pack_into("<" + fmt, blob, offset, *values)
 
 
-def test_error_truncated_header(tmp_path):
-    p = tmp_path / "short.nii"
-    p.write_bytes(b"\x00" * 100)
-    with pytest.raises(NiftiFormatError, match="header"):
-        read_nifti(p)
+def _cut(end):
+    """An edit of the file that drops its bytes from ``end`` on."""
+    return "file", lambda blob: blob.__delitem__(slice(end, None))
 
 
-def test_error_bad_magic(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[344:348] = b"ni1\x00"
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="magic"):
-        read_nifti(p)
+def _gzip(edit):
+    """``edit`` made to the gzip stream of the file, so that the row is
+    stored as gzip only."""
+    return "gzip", edit[1]
 
 
-def test_error_unsupported_datatype(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[70:72] = struct.pack("<h", 64)  # float64: unsupported
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="datatype"):
-        read_nifti(p)
+def _stored(tmp_path, edits, gz: bool) -> bytes:
+    """The valid file with the file ``edits`` made, then, if ``gz``,
+    gzip-compressed with the gzip ``edits`` made."""
+    blob = bytearray(_valid_bytes(tmp_path))
+    for layer in ("file", "gzip") if gz else ("file",):
+        if layer == "gzip":
+            blob = bytearray(gzip.compress(blob, mtime=0))
+        for at, edit in edits:
+            if at == layer:
+                edit(blob)
+    return bytes(blob)
 
 
-def test_error_bad_dim_count(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[40:42] = struct.pack("<h", 4)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="dim"):
-        read_nifti(p)
-    blob[40:46] = struct.pack("<3h", 3, 7, -5)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match=r"ok\.nii: dim\[1:4\] must be .*, got \[7, -5, 3\]$"):
-        read_nifti(p)
+_ALL = (read_nifti, read_volume, read_labelmap)
+_VOXEL = nifti.VOX_OFFSET  # the first payload value
+_TRUNCATED = "truncated payload, header declares 96 bytes"
+_NOT_FINITE = "volume data contains non-finite values"
+_NOT_INTEGER = "label file contains non-integer values"
+_NOT_UINT8 = "label values out of uint8 range"
+_SCALED = _patch(_VOXEL, "f", 32767.0)
+
+# Every way the readers refuse a file: id -> (edits of the valid file, the
+# readers that refuse it, the message after "<path>: ").  A new refusal is
+# one row.
+REFUSALS = {
+    "header-cut": ((_cut(100),), _ALL, "malformed header, expected 348 bytes, got 100"),
+    "sizeof_hdr-349": ((_patch(0, "i", 349),), _ALL, "malformed header, sizeof_hdr=349 != 348"),
+    "dim0-9": ((_patch(40, "h", 9),), _ALL,
+               "malformed header, dim[0] invalid in both byte orders"),
+    "magic": ((_patch(344, "4s", b"ni1\0"),), _ALL, r"malformed header, magic b'ni1\x00'"),
+    "datatype-float64": ((_patch(70, "h", 64),), _ALL, "unsupported datatype code 64"),
+    "dim0-4": ((_patch(40, "h", 4),), _ALL, "expected 3 spatial dims, header declares 4"),
+    "dim-negative": ((_patch(40, "4h", 3, 7, -5, 3),), _ALL,
+                     "dim[1:4] must be 3 ints >= 1 and <= 32767, got [7, -5, 3]"),
+    "spacing-zero": ((_patch(80, "f", 0.0),), _ALL,
+                     "spacing must be 3 finite numbers >= 1.401298464324817e-45 and "
+                     "<= 3.4028234663852886e+38, got [0.0, 0.625, 2.5]"),
+    "units-metres": ((_patch(123, "B", 1),), _ALL,
+                     "spatial unit code 1 is not mm (2) or unknown (0)"),
+    "units-micrometres": ((_patch(123, "B", 3),), _ALL,
+                          "spatial unit code 3 is not mm (2) or unknown (0)"),
+    "vox_offset-100": ((_patch(108, "f", 100.0),), _ALL, "vox_offset 100.0 is not past the header"),
+    "vox_offset-nan": ((_patch(108, "f", np.nan),), _ALL, "vox_offset nan is not past the header"),
+    "vox_offset-inf": ((_patch(108, "f", np.inf),), _ALL, "vox_offset inf is not past the header"),
+    "vox_offset-3e38": ((_patch(108, "f", 3e38),), _ALL, _TRUNCATED),
+    "vox_offset-1e6": ((_patch(108, "f", 1e6),), _ALL, _TRUNCATED),
+    # a gzip file passes the size bound but ends inside the gap
+    "vox_offset-2000": ((_patch(108, "f", 2000.0),), _ALL, _TRUNCATED),
+    "payload-cut": ((_cut(-10),), _ALL, _TRUNCATED),
+    # 108 TB, refused from the bytes the file holds before anything is allocated
+    "dims-30000^3": ((_patch(42, "3h", 30000, 30000, 30000),), _ALL,
+                     "truncated payload, header declares 108000000000000 bytes"),
+    "gzip-crc": ((_gzip(_patch(-8, "I", 0)),), _ALL,
+                 "corrupt or truncated stream: CRC check failed 0x0 != 0x954e3ba3"),
+    "gzip-block-type": ((_gzip(_patch(10, "B", 7)),), _ALL,
+                        "corrupt or truncated stream: Error -3 while decompressing data: "
+                        "invalid block type"),
+    "gzip-cut": ((_gzip(_cut(-12)),), _ALL,
+                 "corrupt or truncated stream: Compressed file ended before the "
+                 "end-of-stream marker was reached"),
+    # scaling that leaves float32, with no numpy warning on the way
+    "scl-1e35": ((_SCALED, _patch(112, "2f", 1e35, 0.0)), (read_volume,), _NOT_FINITE),
+    "scl-1e34+3e38": ((_SCALED, _patch(112, "2f", 1e34, 3e38)), (read_volume,), _NOT_FINITE),
+    "scl-inf*0": ((_SCALED, _patch(112, "2f", np.inf, 0.0)), (read_volume,), _NOT_FINITE),
+    "scl-nan": ((_SCALED, _patch(112, "2f", np.nan, 0.0)), (read_volume,), _NOT_FINITE),
+    "scl-inter-inf": ((_SCALED, _patch(112, "2f", 2.0, -np.inf)), (read_volume,), _NOT_FINITE),
+    **{f"payload-{word:#x}": ((_patch(_VOXEL, "I", word),), (read_volume,), _NOT_FINITE)
+       for word in _NON_FINITE_BITS},
+    "label-0.5": ((_patch(_VOXEL, "f", 0.5),), (read_labelmap,), _NOT_INTEGER),
+    # rint of a signalling NaN warns
+    "label-0x7f800001": ((_patch(_VOXEL, "I", 0x7F800001),), (read_labelmap,), _NOT_INTEGER),
+    "label-int16-300": ((_patch(70, "h", 4), _patch(_VOXEL, "h", 300)), (read_labelmap,),
+                        _NOT_UINT8),
+    "label-int16--1": ((_patch(70, "h", 4), _patch(_VOXEL, "h", -1)), (read_labelmap,),
+                       _NOT_UINT8),
+    "label-256": ((_patch(_VOXEL, "f", 256.0),), (read_labelmap,), _NOT_UINT8),
+    "label-1e30": ((_patch(_VOXEL, "f", 1e30),), (read_labelmap,), _NOT_UINT8),
+    "label-inf": ((_patch(_VOXEL, "f", np.inf),), (read_labelmap,), _NOT_UINT8),
+    "label-code-5": ((_patch(_VOXEL, "f", 5.0),), (read_labelmap,),
+                     "label values [5] not in declared class codes [0, 1, 2, 3]"),
+}
 
 
-def test_error_dim0_invalid_both_orders(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[40:42] = struct.pack("<h", 9)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="byte order"):
-        read_nifti(p)
-
-
-def test_error_truncated_payload(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = p.read_bytes()
-    p.write_bytes(blob[:-10])
-    with pytest.raises(NiftiFormatError, match="truncated"):
-        read_nifti(p)
-
-
-def test_error_bad_spacing(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[80:84] = struct.pack("<f", 0.0)  # pixdim[1]
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match=r"spacing must be .*, got \[0\.0, 0\.625, 2\.5\]$"):
-        read_nifti(p)
-
-
-def test_error_vox_offset_too_small(tmp_path, rng):
-    p = _valid_file(tmp_path, rng)
-    blob = bytearray(p.read_bytes())
-    blob[108:112] = struct.pack("<f", 100.0)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(NiftiFormatError, match="vox_offset"):
-        read_nifti(p)
+@pytest.mark.parametrize("edits, readers, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(tmp_path, capsys, edits, readers, message):
+    """Each row, stored plain and gzip (gzip only for an edit of the
+    stream): every reader it names raises NiftiFormatError "<path>:
+    <message>" with no numpy warning, and one subcommand reading it that way
+    prints that error, exits 1 and writes no output."""
+    for suffix in (".nii.gz",) if any(at == "gzip" for at, _ in edits) else (".nii", ".nii.gz"):
+        path, out = tmp_path / f"refused{suffix}", tmp_path / "out.nii"
+        path.write_bytes(_stored(tmp_path, edits, gz=suffix == ".nii.gz"))
+        for reader in readers:
+            with warnings.catch_warnings(), pytest.raises(NiftiFormatError) as refused:
+                warnings.simplefilter("error")
+                reader(path)
+            assert str(refused.value) == f"{path}: {message}", reader.__name__
+        argv = (["enhance", str(path), str(out)] if read_volume in readers
+                else ["evaluate", "--pred", str(path), "--gt", str(path), "--csv", str(out)])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):
@@ -826,60 +849,19 @@ def test_write_accepts_the_header_limits(tmp_path):
     assert arr.shape == (32767, 1, 1) and got == spacing
 
 
-def test_corrupt_gzip_rejected(tmp_path, rng):
-    p = tmp_path / "x.nii.gz"
-    write_nifti(p, _random_array(rng, np.uint8), SPACING)
-    blob = bytearray(p.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    p.write_bytes(bytes(blob))
-    with pytest.raises(Exception):
-        read_nifti(p)
-
-
-@pytest.mark.parametrize("arr", [
-    np.full((2, 2, 2), 300, dtype=np.int16),
-    np.full((2, 2, 2), -1, dtype=np.int16),
-    np.full((2, 2, 2), 256.0, dtype=np.float32),
-    np.full((2, 2, 2), 1e30, dtype=np.float32),
-    np.full((2, 2, 2), np.inf, dtype=np.float32),
-])
-def test_labelmap_file_out_of_range_names_file(tmp_path, arr):
-    path = tmp_path / "wide.nii"
-    write_nifti(path, arr, (1, 1, 1))
-    with pytest.raises(NiftiFormatError, match="wide.nii: label values out of uint8 range"):
-        read_labelmap(path)
-
-
 # -- declared sizes ---------------------------------------------------------
 
-def _header_bytes(tmp_path, dims=(3, 2, 1, 1), datatype=16, vox_offset=352.0) -> bytes:
-    """A 360-byte float32 file (8 payload bytes) with ``dim[0:len(dims)]``,
-    ``datatype`` and ``vox_offset`` overwritten."""
-    p = tmp_path / "template.nii"
-    write_nifti(p, np.zeros((2, 1, 1), dtype=np.float32), (1, 1, 1))
-    blob = bytearray(p.read_bytes())
-    blob[40:40 + 2 * len(dims)] = struct.pack(f"<{len(dims)}h", *dims)
-    blob[70:72] = struct.pack("<h", datatype)
-    blob[108:112] = struct.pack("<f", vox_offset)
-    return bytes(blob)
+def _header_bytes(tmp_path, dims, datatype=16, vox_offset=352.0) -> bytes:
+    """The valid file with ``dim[0:len(dims)]``, ``datatype`` and
+    ``vox_offset`` overwritten."""
+    edits = (_patch(40, f"{len(dims)}h", *dims), _patch(70, "h", datatype),
+             _patch(108, "f", vox_offset))
+    return _stored(tmp_path, edits, gz=False)
 
 
 def _store(path, blob: bytes, gz: bool):
     path.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
     return path
-
-
-@pytest.mark.parametrize("gz", [False, True])
-def test_huge_declared_dims_are_truncated_payload(tmp_path, gz):
-    """30000^3 float32 declares 108 TB; the reader must refuse it from the
-    bytes the file holds instead of allocating what the header asks."""
-    blob = _header_bytes(tmp_path, dims=(3, 30000, 30000, 30000))
-    assert len(blob) == 360
-    path = _store(tmp_path / "huge.nii", blob, gz)
-    with pytest.raises(NiftiFormatError, match="huge.nii: truncated payload"):
-        read_volume(path)
-    with pytest.raises(NiftiFormatError, match="truncated payload"):
-        read_labelmap(path)
 
 
 @pytest.mark.parametrize("gz", [False, True])
@@ -892,15 +874,6 @@ def test_bytes_after_the_payload_are_read_and_ignored(tmp_path, rng, gz):
     path = _store(tmp_path / "tail.nii", path.read_bytes() + b"tail" * 1000, gz)
     back, spacing, _ = read_nifti(path)
     assert np.array_equal(back, arr) and spacing == SPACING
-
-
-# 2000: a gzip file passes the size bound but ends inside the gap
-@pytest.mark.parametrize("vox_offset", [np.nan, np.inf, 3e38, 1e6, 2000.0])
-@pytest.mark.parametrize("gz", [False, True])
-def test_bad_or_far_vox_offset_rejected(tmp_path, vox_offset, gz):
-    path = _store(tmp_path / "far.nii", _header_bytes(tmp_path, vox_offset=vox_offset), gz)
-    with pytest.raises(NiftiFormatError, match="vox_offset|truncated payload"):
-        read_nifti(path)
 
 
 @settings(max_examples=150, deadline=None,

@@ -22,12 +22,10 @@ import pytest
 from biatrium import (
     BackendError,
     BackendSpec,
-    CaseSpec,
     ConfigError,
     Ellipsoid,
     LabelMap,
     PhantomSpec,
-    PipelineConfig,
     Placement,
     Volume,
     config_from_dict,
@@ -35,7 +33,6 @@ from biatrium import (
     invoke_backend,
     load_config,
     read_placement,
-    read_volume,
     run_case,
     run_pipeline,
     write_volume,
@@ -87,182 +84,7 @@ def _small_volume(value=0.5, shape=(6, 6, 4)):
     return Volume(data=np.full(shape, value, dtype=np.float32), spacing=(1, 1, 1))
 
 
-# -- BackendSpec / PipelineConfig validation --------------------------------
-
-def test_backend_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        BackendSpec(kind="magic")
-    with pytest.raises(ValueError, match="command_template"):
-        BackendSpec(kind="external-command")
-    with pytest.raises(ValueError, match="command_template"):
-        BackendSpec(kind="external-command", command_template="run {input}")
-    with pytest.raises(ValueError, match="threshold"):
-        BackendSpec(kind="threshold")
-    with pytest.raises(ValueError, match="threshold"):
-        BackendSpec(kind="threshold", threshold=1.5)
-    with pytest.raises(ValueError, match="source_path"):
-        BackendSpec(kind="copy-file")
-    with pytest.raises(ValueError, match="timeout"):
-        BackendSpec(kind="threshold", threshold=0.5, timeout_s=0.0)
-
-
-def test_backend_spec_rejects_fields_its_kind_does_not_use():
-    with pytest.raises(ValueError, match="threshold must be null for a copy-file backend"):
-        BackendSpec(kind="copy-file", source_path="m.nii", threshold="junk")
-    with pytest.raises(ValueError, match="source_path must be null for a threshold backend"):
-        BackendSpec(kind="threshold", threshold=0.4, source_path=5)
-    with pytest.raises(ValueError, match="command_template must be null"):
-        BackendSpec(kind="threshold", threshold=0.4, command_template="run {input} {output}")
-    with pytest.raises(ValueError, match="threshold must be null for a external-command"):
-        BackendSpec(kind="external-command", command_template="run {input} {output}",
-                    threshold=0.5)
-    # timeout_s has a default, so every kind may set it
-    assert BackendSpec(kind="threshold", threshold=0.4, timeout_s=5).timeout_s == 5
-
-
-def _min_cfg(**over):
-    kwargs = dict(
-        cases=(CaseSpec(case_id="a", image="a.nii.gz"),),
-        output_dir="out",
-        coarse_backend=BackendSpec(kind="threshold", threshold=0.5),
-        fine_backend=BackendSpec(kind="threshold", threshold=0.5),
-    )
-    kwargs.update(over)
-    return PipelineConfig(**kwargs)
-
-
-def test_pipeline_config_defaults():
-    cfg = _min_cfg()
-    assert cfg.standard_shape == (576, 576, 48)
-    assert cfg.coarse_factors == (4, 4, 1)
-    assert cfg.fine_window == (256, 256, 48)
-    assert cfg.bbox_margin_vox == 8
-    assert cfg.mclahe_params is not None  # enhancement on by default
-
-
-def test_pipeline_config_validation():
-    with pytest.raises(ConfigError, match="no cases"):
-        _min_cfg(cases=())
-    with pytest.raises(ConfigError, match="duplicate"):
-        _min_cfg(cases=(CaseSpec("a", "x.nii.gz"), CaseSpec("a", "y.nii.gz")))
-    # its directory would take the batch summary's path
-    with pytest.raises(ConfigError, match="'summary.csv'"):
-        _min_cfg(cases=(CaseSpec("summary.csv", "x.nii.gz"), CaseSpec("ok", "y.nii.gz")))
-    with pytest.raises(ConfigError, match="divisible"):
-        _min_cfg(standard_shape=(10, 8, 8), coarse_factors=(4, 4, 1))
-    with pytest.raises(ConfigError, match="bbox_margin_vox"):
-        _min_cfg(bbox_margin_vox=-1)
-    with pytest.raises(ConfigError, match="fine_window"):
-        _min_cfg(fine_window=(0, 8, 8))
-    with pytest.raises(ConfigError, match="bbox_margin_vox"):
-        _min_cfg(bbox_margin_vox=2.5)
-    with pytest.raises(ConfigError, match="output_dir"):
-        _min_cfg(output_dir=None)
-
-
-def test_case_spec_validation():
-    assert CaseSpec(image="scans/p7.nii.gz").case_id == "p7"
-    assert CaseSpec(image="scans/p8.nii").case_id == "p8"
-    assert CaseSpec(case_id="a b", image="x.nii").case_id == "a b"
-    for bad in ("../escaped", "a/b", "a\\b", "..", ".", 7):
-        with pytest.raises(ValueError, match="case_id"):
-            CaseSpec(case_id=bad, image="a.nii.gz")
-    with pytest.raises(ValueError, match="case_id"):
-        CaseSpec(image="scans/.nii.gz")  # defaulted id is empty
-    with pytest.raises(ValueError, match="image"):
-        CaseSpec(case_id="a", image=5)
-    with pytest.raises(ValueError, match="gt"):
-        CaseSpec(case_id="a", image="a.nii.gz", gt=5)
-
-
-# -- config parsing ---------------------------------------------------------
-
-def test_config_from_dict_minimal(tmp_path):
-    doc = {
-        "cases": [{"image": "scans/case7.nii.gz"}],
-        "output_dir": "results",
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-        "fine_backend": {"kind": "copy-file", "source_path": "masks/m.nii.gz"},
-    }
-    cfg = config_from_dict(doc, base_dir=tmp_path)
-    assert cfg.cases[0].case_id == "case7"  # derived from the file name
-    assert cfg.cases[0].image == str(tmp_path / "scans/case7.nii.gz")
-    assert cfg.cases[0].gt is None
-    assert cfg.output_dir == str(tmp_path / "results")
-    assert cfg.fine_backend.source_path == str(tmp_path / "masks/m.nii.gz")
-
-
-def test_config_unknown_key_paths():
-    base = {
-        "cases": [{"image": "a.nii.gz"}],
-        "output_dir": "o",
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-        "fine_backend": {"kind": "threshold", "threshold": 0.4},
-    }
-    with pytest.raises(ConfigError, match="unknown config key colour"):
-        config_from_dict({**base, "colour": 1})
-    bad_case = {**base, "cases": [{"image": "a.nii.gz", "weight": 2}]}
-    with pytest.raises(ConfigError, match=r"cases\[0\]\.weight"):
-        config_from_dict(bad_case)
-    bad_backend = {**base, "coarse_backend": {"kind": "threshold", "threshold": 0.4,
-                                              "gpu": True}}
-    with pytest.raises(ConfigError, match=r"coarse_backend\.gpu"):
-        config_from_dict(bad_backend)
-    with pytest.raises(ConfigError, match=r"mclahe\.bins"):
-        config_from_dict({**base, "mclahe": {"bins": 64}})
-
-
-def test_config_refuses_a_grid_past_the_int16_dim():
-    doc = {"cases": [{"image": "a.nii.gz"}], "output_dir": "o",
-           "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-           "fine_backend": {"kind": "threshold", "threshold": 0.4}}
-    with pytest.raises(ConfigError, match=r"standard_shape must .*, got \[32768, 8, 8\]$"):
-        config_from_dict({**doc, "standard_shape": [32768, 8, 8], "coarse_factors": [1, 1, 1]})
-    with pytest.raises(ConfigError, match=r"fine_window must .*, got \[8, 32768, 8\]$"):
-        config_from_dict({**doc, "fine_window": [8, 32768, 8]})
-
-
-def test_config_missing_required():
-    with pytest.raises(ConfigError, match="output_dir"):
-        config_from_dict({"cases": [{"image": "a.nii.gz"}],
-                          "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-                          "fine_backend": {"kind": "threshold", "threshold": 0.4}})
-    with pytest.raises(ConfigError, match="image"):
-        config_from_dict({"cases": [{"case_id": "x"}], "output_dir": "o",
-                          "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-                          "fine_backend": {"kind": "threshold", "threshold": 0.4}})
-
-
-def test_config_mclahe_null_disables_and_object_parses():
-    base = {
-        "cases": [{"image": "a.nii.gz"}],
-        "output_dir": "o",
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-        "fine_backend": {"kind": "threshold", "threshold": 0.4},
-    }
-    assert config_from_dict({**base, "mclahe": None}).mclahe_params is None
-    cfg = config_from_dict({**base, "mclahe": {"n_bins": 64, "clip_limit": 0.02,
-                                               "kernel_size": [16, 16, 4]}})
-    assert cfg.mclahe_params.n_bins == 64
-    assert cfg.mclahe_params.clip_limit == 0.02
-    assert cfg.mclahe_params.kernel_size == (16, 16, 4)
-
-
-def test_config_class_map_validation():
-    base = {
-        "cases": [{"image": "a.nii.gz"}],
-        "output_dir": "o",
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-        "fine_backend": {"kind": "threshold", "threshold": 0.4},
-    }
-    cfg = config_from_dict({**base, "class_map": {"background": 0, "cavity": 7}})
-    assert cfg.class_map == {"background": 0, "cavity": 7}
-    for bad in (300, 1.5, True, -1):
-        with pytest.raises(ConfigError, match="class_map"):
-            config_from_dict({**base, "class_map": {"x": bad}})
-        with pytest.raises(ConfigError, match="class_map"):
-            _min_cfg(class_map={"x": bad})
-
+# -- config -----------------------------------------------------------------
 
 _BASE_DOC = {
     "cases": [{"image": "a.nii.gz"}],
@@ -270,8 +92,57 @@ _BASE_DOC = {
     "coarse_backend": {"kind": "threshold", "threshold": 0.4},
     "fine_backend": {"kind": "threshold", "threshold": 0.4},
 }
+_DROP = object()  # a row value that drops its key from the base document
 
 
+def test_pipeline_config_defaults():
+    cfg = config_from_dict(_BASE_DOC)
+    assert cfg.standard_shape == (576, 576, 48)
+    assert cfg.coarse_factors == (4, 4, 1)
+    assert cfg.fine_window == (256, 256, 48)
+    assert cfg.bbox_margin_vox == 8
+    assert cfg.mclahe_params is not None  # enhancement on by default
+
+
+def test_config_from_dict_minimal(tmp_path):
+    doc = {
+        **_BASE_DOC,
+        "cases": [{"image": "scans/case7.nii.gz"}, {"image": "scans/p8.nii"},
+                  {"case_id": "a b", "image": "x.nii"}],
+        "output_dir": "results",
+        "fine_backend": {"kind": "copy-file", "source_path": "masks/m.nii.gz"},
+        "class_map": {"background": 0, "cavity": 7},
+    }
+    cfg = config_from_dict(doc, base_dir=tmp_path)
+    # derived from the file name
+    assert [c.case_id for c in cfg.cases] == ["case7", "p8", "a b"]
+    assert cfg.cases[0].image == str(tmp_path / "scans/case7.nii.gz")
+    assert cfg.cases[0].gt is None
+    assert cfg.output_dir == str(tmp_path / "results")
+    assert cfg.fine_backend.source_path == str(tmp_path / "masks/m.nii.gz")
+    assert cfg.class_map == {"background": 0, "cavity": 7}
+
+
+def test_config_mclahe_null_disables_and_object_parses():
+    assert config_from_dict({**_BASE_DOC, "mclahe": None}).mclahe_params is None
+    cfg = config_from_dict({**_BASE_DOC, "mclahe": {"n_bins": 64, "clip_limit": 0.02,
+                                                    "kernel_size": [16, 16, 4]}})
+    assert cfg.mclahe_params.n_bins == 64
+    assert cfg.mclahe_params.clip_limit == 0.02
+    assert cfg.mclahe_params.kernel_size == (16, 16, 4)
+
+
+def _threshold(**over):
+    return {"kind": "threshold", "threshold": 0.4, **over}
+
+
+def _external(**over):
+    return {"kind": "external-command", "command_template": "run {input} {output}", **over}
+
+
+# Every way a config document is refused: the base document with ``over``
+# merged in, and the start of the message, which names the key path.  A new
+# refusal is one row.
 @pytest.mark.parametrize("over, path", [
     ({"standard_shape": 5}, "standard_shape"),
     ({"cases": [{"image": 5}]}, "cases[0]: image"),
@@ -286,21 +157,16 @@ _BASE_DOC = {
     ({"standard_shape": [math.inf, 576, 48]}, "standard_shape"),
     ({"mclahe": {"kernel_size": [math.inf, 1, 1]}}, "mclahe: kernel_size"),
     ({"mclahe": {"kernel_size": "888"}}, "mclahe: kernel_size"),
-    ({"fine_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": math.nan}},
-     "fine_backend: timeout_s"),
+    ({"fine_backend": _threshold(timeout_s=math.nan)}, "fine_backend: timeout_s"),
     ({"mclahe": {"n_bins": 128.0}}, "mclahe: n_bins"),
     ({"mclahe": {"n_bins": True}}, "mclahe: n_bins"),
     ({"mclahe": {"clip_limit": True}}, "mclahe: clip_limit"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": True}}, "coarse_backend: threshold"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": "0.4"}}, "coarse_backend: threshold"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": True}},
-     "coarse_backend: timeout_s"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": "5"}},
-     "coarse_backend: timeout_s"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": 2147484}},
-     "coarse_backend: timeout_s"),
-    ({"coarse_backend": {"kind": "threshold", "threshold": 0.4, "timeout_s": math.inf}},
-     "coarse_backend: timeout_s"),
+    ({"coarse_backend": _threshold(threshold=True)}, "coarse_backend: threshold"),
+    ({"coarse_backend": _threshold(threshold="0.4")}, "coarse_backend: threshold"),
+    ({"coarse_backend": _threshold(timeout_s=True)}, "coarse_backend: timeout_s"),
+    ({"coarse_backend": _threshold(timeout_s="5")}, "coarse_backend: timeout_s"),
+    ({"coarse_backend": _threshold(timeout_s=2147484)}, "coarse_backend: timeout_s"),
+    ({"coarse_backend": _threshold(timeout_s=math.inf)}, "coarse_backend: timeout_s"),
     ({"standard_shape": [576.5, 576, 48]}, "standard_shape"),
     ({"standard_shape": ["576", "576", "48"]}, "standard_shape"),
     ({"coarse_factors": [True, True, 1]}, "coarse_factors"),
@@ -308,54 +174,101 @@ _BASE_DOC = {
     ({"mclahe": {"clip_limit": "0.01"}}, "mclahe: clip_limit"),
     # refused at load: a case would otherwise fail only after most of its chain
     ({"cases": [{"image": "a.nii.gz", "gt": ""}]}, "cases[0]: gt"),
-    ({"fine_backend": {"kind": "external-command",
-                       "command_template": 'python3 "seg.py {input} {output}'}},
+    ({"fine_backend": _external(command_template='python3 "seg.py {input} {output}')},
      "fine_backend: command_template"),
     # past a uint16 bin index
     ({"mclahe": {"n_bins": 65537}}, "mclahe: n_bins"),
     # refused at load: exec or open would refuse a NUL only once a case reached the stage
-    ({"fine_backend": {"kind": "external-command",
-                       "command_template": "cp {input} {output}\x00"}},
+    ({"fine_backend": _external(command_template="cp {input} {output}\x00")},
      "fine_backend: command_template must not contain a NUL byte"),
     ({"fine_backend": {"kind": "copy-file", "source_path": "mask\x00.nii.gz"}},
      "fine_backend: source_path must not contain a NUL byte"),
+    # backends
+    ({"coarse_backend": {"kind": "magic"}}, "coarse_backend: backend kind must be one of"),
+    ({"coarse_backend": {"threshold": 0.4}}, "coarse_backend is missing required key 'kind'"),
+    ({"coarse_backend": {"kind": "external-command"}},
+     "coarse_backend: external-command backend needs a command_template containing {input} "
+     "and {output}"),
+    ({"coarse_backend": _external(command_template="run {input}")},
+     "coarse_backend: external-command backend needs a command_template"),
+    ({"coarse_backend": {"kind": "threshold"}},
+     "coarse_backend: threshold must be a finite number >= 0 and <= 1, got None"),
+    ({"coarse_backend": _threshold(threshold=1.5)},
+     "coarse_backend: threshold must be a finite number >= 0 and <= 1, got 1.5"),
+    ({"coarse_backend": {"kind": "copy-file"}}, "coarse_backend: copy-file backend needs source_path"),
+    ({"coarse_backend": _threshold(timeout_s=0.0)},
+     "coarse_backend: timeout_s must be a finite number > 0 and <= 2147483, got 0.0"),
+    ({"coarse_backend": {"kind": "copy-file", "source_path": "m.nii", "threshold": "junk"}},
+     "coarse_backend: threshold must be null for a copy-file backend, got 'junk'"),
+    ({"coarse_backend": _threshold(source_path=5)},
+     "coarse_backend: source_path must be null for a threshold backend, got 5"),
+    ({"coarse_backend": _threshold(command_template="run {input} {output}")},
+     "coarse_backend: command_template must be null for a threshold backend"),
+    ({"coarse_backend": _external(threshold=0.5)},
+     "coarse_backend: threshold must be null for a external-command backend, got 0.5"),
+    # cases
+    ({"cases": []}, "config lists no cases"),
+    ({"cases": [5]}, "cases[0] must be an object"),
+    ({"cases": [{"case_id": "x"}]}, "cases[0]: image must be a non-empty string, got ''"),
+    ({"cases": [{"case_id": "a", "image": "x.nii.gz"}, {"case_id": "a", "image": "y.nii.gz"}]},
+     "duplicate case_id 'a'"),
+    # its directory would take the batch summary's path
+    ({"cases": [{"case_id": "summary.csv", "image": "x.nii.gz"}, {"image": "y.nii.gz"}]},
+     "case_id 'summary.csv' is the batch summary's file name"),
+    *[({"cases": [{"image": "a.nii.gz", "case_id": bad}]},
+       f"cases[0]: case_id must be a single path component, got {bad!r}")
+      for bad in ("a/b", "a\\b", "..", ".")],
+    # the id defaulted from the file name is empty
+    ({"cases": [{"image": "scans/.nii.gz"}]},
+     "cases[0]: case_id must be a single path component, got ''"),
+    # the batch
+    ({"output_dir": _DROP}, "config is missing required key 'output_dir'"),
+    ({"output_dir": None}, "output_dir must be a string, got None"),
+    ({"standard_shape": [10, 8, 8], "coarse_factors": [4, 4, 1]},
+     "standard_shape[0]=10 is not divisible by coarse_factors[0]=4"),
+    ({"standard_shape": [32768, 8, 8], "coarse_factors": [1, 1, 1]},
+     "standard_shape must be 3 ints >= 1 and <= 32767, got [32768, 8, 8]"),
+    ({"fine_window": [8, 32768, 8]},
+     "fine_window must be 3 ints >= 1 and <= 32767, got [8, 32768, 8]"),
+    ({"fine_window": [0, 8, 8]}, "fine_window must be 3 ints >= 1 and <= 32767, got [0, 8, 8]"),
+    ({"bbox_margin_vox": -1}, "bbox_margin_vox must be an int >= 0, got -1"),
+    ({"bbox_margin_vox": 2.5}, "bbox_margin_vox must be an int >= 0, got 2.5"),
+    ({"class_map": [["background", 0]]}, "class_map must be an object, got [['background', 0]]"),
+    *[({"class_map": {"x": bad}}, f"class_map['x'] must be an int >= 0 and <= 255, got {bad!r}")
+      for bad in (300, 1.5, True, -1)],
+    # unknown keys
+    ({"colour": 1}, "unknown config key colour"),
+    ({"cases": [{"image": "a.nii.gz", "weight": 2}]}, "unknown config key cases[0].weight"),
+    ({"coarse_backend": _threshold(gpu=True)}, "unknown config key coarse_backend.gpu"),
+    ({"mclahe": {"bins": 64}}, "unknown config key mclahe.bins"),
 ])
 def test_config_bad_values_name_key_path(tmp_path, capsys, over, path):
-    doc = {**_BASE_DOC, **over}
-    with pytest.raises(ConfigError, match=re.escape(path)):
+    """``config_from_dict`` and ``biatrium run`` both refuse the document
+    with a ConfigError whose message starts with ``path``, and no output
+    directory appears."""
+    doc = {key: value for key, value in {**_BASE_DOC, **over}.items() if value is not _DROP}
+    with pytest.raises(ConfigError, match="^" + re.escape(path)):
         config_from_dict(doc)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and path in err
+    assert capsys.readouterr().err.startswith(f"error: {path}")
     assert not (tmp_path / "o").exists()
 
 
 def test_config_timeout_upper_bound_loads():
     """A timeout is at most a C int of milliseconds: 2147483 s is the
-    longest, and it loads."""
-    backend = {"kind": "threshold", "threshold": 0.4, "timeout_s": 2147483}
-    cfg = config_from_dict({**_BASE_DOC, "coarse_backend": backend})
-    assert cfg.coarse_backend.timeout_s == 2147483
+    longest, and every backend kind may set it."""
+    for backend in (_threshold(), _external(), {"kind": "copy-file", "source_path": "m.nii"}):
+        cfg = config_from_dict({**_BASE_DOC, "coarse_backend": {**backend, "timeout_s": 2147483}})
+        assert cfg.coarse_backend.timeout_s == 2147483
 
 
-def test_load_config_round_trip_and_bad_json(tmp_path):
-    doc = {
-        "cases": [{"image": "img.nii.gz"}],
-        "output_dir": "out",
-        "coarse_backend": {"kind": "threshold", "threshold": 0.4},
-        "fine_backend": {"kind": "threshold", "threshold": 0.4},
-    }
+def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**_BASE_DOC, "cases": [{"image": "img.nii.gz"}]}))
     cfg = load_config(path)
     assert cfg.cases[0].image == str(tmp_path / "img.nii.gz")
-
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(ConfigError, match="JSON"):
-        load_config(bad)
 
 
 # -- invoke_backend ---------------------------------------------------------

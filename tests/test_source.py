@@ -126,6 +126,9 @@ OWNERSHIP = {
     "json_dump": (r"(import|read) json\.dump", {("core", "_write_json")}, None),
     # Artifacts are written atomically: one temporary file replaces a path.
     "rename": (r"(import|read) os\.(replace|rename)", {("core", "_atomic_open")}, None),
+    # Files are refused in one module, the one test_nifti.py's REFUSALS reads
+    # them through: core only defines NiftiFormatError, and pipeline only catches it.
+    "file_refusals": (r"call (.*\.)?NiftiFormatError\(.*", {"nifti"}, None),
 }
 
 
@@ -293,6 +296,12 @@ PLANTS = {
                 "def _drop(tmp):\n    os.remove(tmp)\n",
         "nifti": "import os as o\ndef mv(a, b):\n    o.rename(a, b)\n    b.replace('.', '')\n",
         "pipeline": "from os import replace\n"}),
+    "file_refusals": (["geometry:3", "pipeline:5"], {
+        "core": "class NiftiFormatError(BiatriumError):\n    pass\n",
+        "geometry": "from .core import NiftiFormatError\ndef f(p):\n    return NiftiFormatError(p)\n",
+        "nifti": "def read(p):\n    raise NiftiFormatError(f'{p}: bad')\n",
+        "pipeline": "def run(read, p):\n    try:\n        return read(p)\n"
+                    "    except NiftiFormatError as e:\n        raise core.NiftiFormatError(p) from e\n"}),
 }
 
 
