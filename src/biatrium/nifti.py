@@ -210,10 +210,9 @@ def _read_raw(path, dtype=None, check=None):
         # it is that large
         spare = memoryview(buf if buf.nbytes >= _READ_CAP else bytearray(_READ_CAP)).cast("B")
         gap = int(vox_offset) - HEADER_SIZE
+        # a stream that ends in the gap leaves the first chunk short
         while gap and (got := _fill(f, spare[:gap], path)):
             gap -= got
-        if gap:
-            raise truncated
         for z0 in range(0, nz, _CHUNK_Z):
             chunk = buf[:min(_CHUNK_Z, nz - z0)]
             if _fill(f, chunk, path) != chunk.nbytes:

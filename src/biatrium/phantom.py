@@ -15,13 +15,12 @@ time.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_CLASS_MAP, ConfigError, LabelMap, Volume, _as_json, _as_triple,
-                   _check_number, _set, _slabs, from_json)
+from .core import (DEFAULT_CLASS_MAP, LabelMap, Volume, _as_json, _as_triple, _check_number,
+                   _set, _slabs, from_json)
 
 __all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
 
@@ -146,15 +145,10 @@ def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
     return vol, gt
 
 
-def spec_from_json(obj: dict | str) -> PhantomSpec:
-    """Build a PhantomSpec from a JSON dict (or JSON text).  Unknown keys
-    are rejected; omitted keys take the defaults.  Errors are ConfigErrors
-    (a ValueError) naming the key path."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ConfigError(f"phantom spec text is not valid JSON: {e}") from e
+def spec_from_json(obj: dict) -> PhantomSpec:
+    """Build a PhantomSpec from a parsed JSON object.  Unknown keys are
+    rejected; omitted keys take the defaults.  Errors are ConfigErrors (a
+    ValueError) naming the key path."""
     return from_json(PhantomSpec, obj)
 
 

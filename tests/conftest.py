@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from biatrium import LabelMap, Volume
+from biatrium import LabelMap
 from biatrium import core
 
 
@@ -66,10 +66,6 @@ def interrupt_the_blend(monkeypatch) -> None:
         return real([partial(slowly, caller, t) for t in tasks] + [interrupt])
 
     monkeypatch.setattr(mclahe_module, "_in_parallel", interrupted)
-
-
-def random_volume(rng, shape, spacing=(1.0, 1.0, 1.0)) -> Volume:
-    return Volume(data=rng.random(shape, dtype=np.float32), spacing=spacing)
 
 
 def random_blobby_labels(rng, shape, codes=(1, 2, 3), spacing=(1.0, 1.0, 1.0),

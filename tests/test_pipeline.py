@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -61,9 +62,9 @@ def env(tmp_path_factory):
     script = root / "fine_seg.py"
     script.write_text(COMPONENT_SPLIT_FINE)
 
-    def make(out_name, **over):
+    def make(out_name, image=image, gt=gt_path, **over):
         doc = {
-            "cases": [{"case_id": "ph", "image": str(image), "gt": str(gt_path)}],
+            "cases": [{"case_id": "ph", "image": str(image), "gt": gt and str(gt)}],
             "output_dir": str(root / out_name),
             "standard_shape": [64, 64, 24],
             "coarse_factors": [4, 4, 2],
@@ -290,52 +291,17 @@ def test_copy_file_backend(tmp_path):
     spec = BackendSpec(kind="copy-file", source_path=str(src))
     out = invoke_backend(spec, _small_volume(shape=(5, 5, 2)))
     assert np.array_equal(out.data, arr)
-    # a label map must have its input's shape
-    with pytest.raises(BackendError, match=r"produced shape \(5, 5, 2\), expected \(6, 6, 4\)"):
-        invoke_backend(spec, _small_volume())
-    missing = BackendSpec(kind="copy-file", source_path=str(tmp_path / "nope.nii.gz"))
-    with pytest.raises(BackendError, match="copy-file"):
-        invoke_backend(missing, _small_volume())
 
 
 def test_backend_spacing_is_compared_as_float32(tmp_path):
     """A header holds float32, so 0.7 mm reads back as 0.699999988...: that
-    is the input's spacing; 0.75 mm is not."""
+    is the input's spacing (row fine-spacing-0.75mm of CASE_FAULTS: 0.75 mm
+    is not)."""
     src = tmp_path / "mask.nii"
     write_nifti(src, np.zeros((6, 6, 4), dtype=np.uint8), (0.7, 0.7, 2.5))
     spec = BackendSpec(kind="copy-file", source_path=str(src))
     image = Volume(data=np.zeros((6, 6, 4), dtype=np.float32), spacing=(0.7, 0.7, 2.5))
     assert invoke_backend(spec, image).spacing != image.spacing
-    image = Volume(data=image.data, spacing=(0.7, 0.75, 2.5))
-    with pytest.raises(BackendError, match=re.escape(
-            "backend produced spacing (0.699999988079071, 0.699999988079071, 2.5), "
-            "expected (0.7, 0.75, 2.5)")):
-        invoke_backend(spec, image)
-
-
-_RESPACED_BACKEND = (
-    "import sys\n"
-    "import numpy as np\n"
-    "from biatrium import read_volume\n"
-    "from biatrium.nifti import write_nifti\n"
-    "v = read_volume(sys.argv[1])\n"
-    "write_nifti(sys.argv[2], (v.data >= 0.3).astype(np.uint8), (1.0, 1.0, 1.0))\n")
-
-
-@pytest.mark.parametrize("stage, expected", [("coarse_backend", (4.0, 4.0, 4.0)),
-                                             ("fine_backend", (1.0, 1.0, 2.0))])
-def test_backend_output_at_another_spacing_fails_its_stage(env, tmp_path, stage, expected):
-    """A backend that writes the right shape at 1 mm spacing fails the stage
-    that ran it, naming both spacings, and the case writes no mask."""
-    script = tmp_path / "respaced.py"
-    script.write_text(_RESPACED_BACKEND)
-    doc = env["make"](f"out_spacing_{stage}", **{stage: {
-        "kind": "external-command", "command_template": f"python3 {script} {{input}} {{output}}"}})
-    cfg = config_from_dict(doc)
-    result = run_case(cfg, cfg.cases[0])
-    assert (result.failed_stage, result.error_type) == (stage, "BackendError")
-    assert f"backend produced spacing (1.0, 1.0, 1.0), expected {expected}" in result.error
-    assert not (env["root"] / f"out_spacing_{stage}" / "ph" / "mask.nii.gz").exists()
 
 
 def test_external_backend_round_trip(tmp_path):
@@ -352,15 +318,6 @@ def test_external_backend_round_trip(tmp_path):
     v = _small_volume(0.7)
     out = invoke_backend(spec, v, classes={"background": 0, "foreground": 1})
     assert np.all(out.data == 1)
-
-
-def test_external_backend_nonzero_exit():
-    spec = BackendSpec(
-        kind="external-command",
-        command_template='python3 -c "import sys; sys.stderr.write(\'boom\'); sys.exit(3)"'
-                         " {input} {output}")
-    with pytest.raises(BackendError, match="boom"):
-        invoke_backend(spec, _small_volume())
 
 
 # Run in a fresh interpreter by the test below: a backend that writes
@@ -407,22 +364,6 @@ def test_external_backend_output_is_not_held_in_memory(tmp_path):
     assert error.startswith("backend command exited with 3; stderr: ")
     assert error.endswith(repr("x" * 1993 + "the end"))
     assert growth_kib * 1024 < 16 * 2**20, growth_kib
-
-
-def test_external_backend_no_output():
-    spec = BackendSpec(kind="external-command",
-                       command_template="python3 -c pass {input} {output}")
-    with pytest.raises(BackendError, match="no output"):
-        invoke_backend(spec, _small_volume())
-
-
-def test_external_backend_timeout():
-    spec = BackendSpec(
-        kind="external-command",
-        command_template='python3 -c "import time; time.sleep(30)" {input} {output}',
-        timeout_s=0.4)
-    with pytest.raises(BackendError, match="timed out"):
-        invoke_backend(spec, _small_volume())
 
 
 def _overshoots(tmp_path, timeout_s, sleep_s=0.22, runs=3) -> list[float]:
@@ -725,35 +666,6 @@ def test_backend_registry_empties_under_thread_contention(tmp_path):
     assert core._live_groups == set()
 
 
-def test_external_backend_cannot_start():
-    spec = BackendSpec(kind="external-command",
-                       command_template="no-such-binary-xyzzy {input} {output}")
-    with pytest.raises(BackendError, match="could not start"):
-        invoke_backend(spec, _small_volume())
-
-
-def test_external_backend_unusable_output(tmp_path):
-    script = tmp_path / "junk.py"
-    script.write_text(
-        "import sys\n"
-        "import numpy as np\n"
-        "from biatrium import read_volume\n"
-        "from biatrium.nifti import write_nifti\n"
-        "v = read_volume(sys.argv[1])\n"
-        "write_nifti(sys.argv[2], np.full(v.shape, 0.5, dtype=np.float32), v.spacing)\n")
-    spec = BackendSpec(kind="external-command",
-                       command_template=f"python3 {script} {{input}} {{output}}")
-    with pytest.raises(BackendError, match="unusable"):
-        invoke_backend(spec, _small_volume())
-
-
-def test_external_backend_unreadable_output():
-    # the backend leaves a directory where the output file belongs
-    spec = BackendSpec(kind="external-command", command_template="mkdir {output} {input}.d")
-    with pytest.raises(BackendError, match="backend output unusable"):
-        invoke_backend(spec, _small_volume())
-
-
 def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
@@ -775,37 +687,145 @@ def test_external_backend_scratch_dir_env(tmp_path, monkeypatch):
     assert seen.startswith(str(scratch))
 
 
-def _write_code7_backend(tmp_path, kind):
-    """A backend of ``kind`` whose output holds code 7, which no class map
-    below declares."""
-    arr = np.zeros((6, 6, 4), dtype=np.uint8)
-    arr[1, 1, 1] = 7
-    if kind == "copy-file":
-        src = tmp_path / "code7.nii.gz"
-        write_nifti(src, arr, (1, 1, 1))
-        return BackendSpec(kind=kind, source_path=str(src))
-    script = tmp_path / "code7.py"
-    script.write_text(
-        "import sys\n"
-        "import numpy as np\n"
-        "from biatrium.nifti import write_nifti\n"
-        "arr = np.zeros((6, 6, 4), dtype=np.uint8)\n"
-        "arr[1, 1, 1] = 7\n"
-        "write_nifti(sys.argv[2], arr, (1, 1, 1))\n")
-    return BackendSpec(kind=kind, command_template=f"python3 {script} {{input}} {{output}}")
+# -- case faults ------------------------------------------------------------
+
+# Files a fault row reads from {tmp}: name -> (shape, spacing, the value of
+# voxel (1, 1, 1)), zeros elsewhere; uint8, or float32 for a float value.
+# The coarse input is 16x16x12 at 4 mm, the fine input 48x32x16 at
+# (1, 1, 2) mm, and the phantom 64x64x24 at (1, 1, 2) mm.
+_FAULT_FILES = {
+    "coarse7.nii": ((16, 16, 12), (4, 4, 4), 7),
+    "fine7.nii": ((48, 32, 16), (1, 1, 2), 7),
+    "coarse1mm.nii": ((16, 16, 12), (1, 1, 1), 0),
+    "fine1mm.nii": ((48, 32, 16), (1, 1, 1), 0),
+    "fine0.7mm.nii": ((48, 32, 16), (0.7, 0.7, 2.5), 0),
+    "image0.75mm.nii": ((64, 64, 24), (0.7, 0.75, 2.5), 0.5),
+    "gt7.nii": ((64, 64, 24), (1, 1, 2), 7),
+    "cube8.nii": ((8, 8, 8), (1, 1, 2), 0),
+}
 
 
-@pytest.mark.parametrize("kind,source", [
-    ("copy-file", r"copy-file backend could not read \S*code7"),
-    ("external-command", "backend output unusable"),
-])
-def test_backend_output_with_undeclared_code_fails(tmp_path, kind, source):
-    spec = _write_code7_backend(tmp_path, kind)
-    with pytest.raises(BackendError, match=source + r".*\[7\]"):
-        invoke_backend(spec, _small_volume())
-    with pytest.raises(BackendError, match=source + r".*\[7\]"):
-        invoke_backend(spec, _small_volume(),
-                       classes={"background": 0, "foreground": 1})
+def _backend_fault(stage: str, spec: dict | str, error: str) -> tuple:
+    """The row of a backend that fails ``stage`` with ``error``: ``spec``,
+    or an external command that runs ``spec`` with its input and output."""
+    if isinstance(spec, str):
+        spec = _external(command_template=spec + " {input} {output}")
+    return {stage: spec}, stage, "BackendError", error, False
+
+
+def _copied(name: str) -> str:
+    """A command that copies the file ``name`` to its output."""
+    return f"sh -c 'cp {{tmp}}/{name} \"$1\"'"
+
+
+def _copy_file(name: str) -> dict:
+    return {"kind": "copy-file", "source_path": f"{{tmp}}/{name}"}
+
+
+_fine, _coarse = partial(_backend_fault, "fine_backend"), partial(_backend_fault, "coarse_backend")
+_NO_FILE = "[Errno 2] No such file or directory: "
+_UNUSABLE = "backend output unusable: {scratch}/output.nii: "
+_COPY = "copy-file backend could not read {tmp}/"
+_CLASSES = "not in declared class codes [0, 1, 2, 3]"
+_BINARY = "not in declared class codes [0, 1]"
+_THRESHOLD = {"fine_backend": _threshold(threshold=0.3)}
+
+# Every way a case fails at its boundary: id -> (the keywords of the env
+# document, where "{tmp}" is the test's directory; the failed stage; the
+# error type; the whole error, whose only wildcards are {tmp} and
+# {scratch}, the backend's scratch directory; whether mask.nii.gz exists).
+# A new fault is one row.
+CASE_FAULTS = {
+    # the backend's process, in core._run_group
+    "fine-exit-3": _fine('python3 -c "import sys; sys.stderr.write(\'boom\'); sys.exit(3)"',
+                         "backend command exited with 3; stderr: 'boom'"),
+    "fine-exit-9": _fine('python3 -c "import sys; sys.exit(9)"',
+                         "backend command exited with 9; stderr: ''"),
+    "fine-timeout": _fine(_external(command_template='python3 -c "import time; time.sleep(30)"'
+                                    " {input} {output}", timeout_s=0.4),
+                          "backend command timed out after 0.4 s"),
+    "fine-cannot-start": _fine("no-such-binary-xyzzy", "backend command could not start: "
+                               f"{_NO_FILE}'no-such-binary-xyzzy'"),
+    # the backend's output, in pipeline._run_external
+    "fine-no-output": _fine("python3 -c pass", "backend command exited 0 but wrote no output file"),
+    # a directory where the output file belongs
+    "fine-output-directory": _fine(_external(command_template="mkdir {output} {input}.d"),
+                                   "backend output unusable: [Errno 21] Is a directory: "
+                                   "'{scratch}/output.nii'"),
+    # its float32 input, which holds non-integer values
+    "fine-output-float": _fine("cp", _UNUSABLE + "label file contains non-integer values"),
+    "fine-output-code-7": _fine(_copied("fine7.nii"), _UNUSABLE + f"label values [7] {_CLASSES}"),
+    "coarse-output-code-7": _coarse(_copied("coarse7.nii"),
+                                    _UNUSABLE + f"label values [7] {_BINARY}"),
+    # the copy-file backend's source, in pipeline.invoke_backend
+    "fine-copy-missing": _fine(_copy_file("nope.nii"),
+                               _COPY + f"nope.nii: {_NO_FILE}'{{tmp}}/nope.nii'"),
+    "fine-copy-code-7": _fine(_copy_file("fine7.nii"),
+                              _COPY + f"fine7.nii: {{tmp}}/fine7.nii: label values [7] {_CLASSES}"),
+    "coarse-copy-code-7": _coarse(_copy_file("coarse7.nii"), _COPY + "coarse7.nii: "
+                                  f"{{tmp}}/coarse7.nii: label values [7] {_BINARY}"),
+    # every backend's label map against its input, in pipeline.invoke_backend
+    "fine-copy-shape": _fine(_copy_file("cube8.nii"),
+                             "backend produced shape (8, 8, 8), expected (48, 32, 16)"),
+    "coarse-spacing-1mm": _coarse(_copied("coarse1mm.nii"), "backend produced spacing "
+                                  "(1.0, 1.0, 1.0), expected (4.0, 4.0, 4.0)"),
+    "fine-spacing-1mm": _fine(_copied("fine1mm.nii"), "backend produced spacing "
+                              "(1.0, 1.0, 1.0), expected (1.0, 1.0, 2.0)"),
+    # compared as float32: 0.7 mm is the 0.7 mm a header holds, 0.75 mm is not
+    "fine-spacing-0.75mm": (
+        {"image": "{tmp}/image0.75mm.nii", "gt": None, "fine_backend": _copy_file("fine0.7mm.nii")},
+        "fine_backend", "BackendError",
+        "backend produced spacing (0.699999988079071, 0.699999988079071, 2.5), "
+        "expected (0.699999988079071, 0.75, 2.5)", False),
+    # the threshold backend labels voxels 1, which this class map lacks
+    "fine-threshold-code-1": ({**_THRESHOLD, "class_map": {"background": 0, "cavity": 2}},
+                              "fine_backend", "ValueError",
+                              "label values [1] not in declared class codes [0, 2]", False),
+    # the image and the ground truth
+    "image-missing": ({"image": "{tmp}/missing.nii"}, "read", "FileNotFoundError",
+                      _NO_FILE + "'{tmp}/missing.nii'", False),
+    "gt-missing": ({"gt": "{tmp}/missing.nii", **_THRESHOLD}, "evaluate",
+                   "FileNotFoundError", _NO_FILE + "'{tmp}/missing.nii'", True),
+    "gt-shape": ({"gt": "{tmp}/cube8.nii", **_THRESHOLD}, "evaluate", "ValueError",
+                 "shape mismatch: pred (64, 64, 24) vs gt (8, 8, 8)", True),
+    "gt-code-7": ({"gt": "{tmp}/gt7.nii", **_THRESHOLD}, "evaluate",
+                  "NiftiFormatError", f"{{tmp}}/gt7.nii: label values [7] {_CLASSES}", True),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("over, stage, error_type, error, mask",
+                         list(CASE_FAULTS.values()), ids=list(CASE_FAULTS))
+def test_case_faults(env, tmp_path, monkeypatch, over, stage, error_type, error, mask, threads):
+    """Each row, at thread budgets 1 and 2: run_case fails at the row's
+    stage with its error type and its whole error, result.json says the
+    same, mask.nii.gz exists only where the row says, and the case leaves
+    no temporary file under its output directory, nothing in the backend
+    scratch directory and no registered backend process group."""
+    for name, (shape, spacing, value) in _FAULT_FILES.items():
+        arr = np.zeros(shape, dtype=np.float32 if isinstance(value, float) else np.uint8)
+        arr[1, 1, 1] = value
+        write_nifti(tmp_path / name, arr, spacing)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv(TMPDIR_ENV, str(scratch))
+    over = json.loads(json.dumps(over).replace("{tmp}", json.dumps(str(tmp_path))[1:-1]))
+    cfg = config_from_dict(env["make"](str(tmp_path / "out"), **over))
+    with thread_budget(threads):
+        result = run_case(cfg, cfg.cases[0])
+
+    pattern = re.escape(error).replace(r"\{tmp\}", re.escape(str(tmp_path))).replace(
+        r"\{scratch\}", re.escape(str(scratch)) + r"/\w+")
+    assert re.fullmatch(pattern, result.error), result.error
+    assert (result.status, result.failed_stage, result.error_type) == ("failed", stage, error_type)
+    case_dir = tmp_path / "out" / "ph"
+    written = json.loads((case_dir / "result.json").read_text())
+    assert (written["failed_stage"], written["error_type"], written["error"]) == (
+        stage, error_type, result.error)
+    assert (case_dir / "mask.nii.gz").exists() == mask
+    assert list((tmp_path / "out").rglob("*.tmp*")) == []
+    assert list(scratch.iterdir()) == []
+    assert core._live_groups == set()
 
 
 # -- end-to-end -------------------------------------------------------------
@@ -961,34 +981,6 @@ def test_case_without_gt_has_no_metrics(env):
     assert "evaluate" not in case.timings_ms
     lines = (env["root"] / "out_nogt" / "summary.csv").read_text().splitlines()
     assert lines[1] == "ph,ok,,,,,,"
-
-
-def test_threshold_fine_backend_checks_class_map(env):
-    """A threshold backend labels voxels 1; a class map without code 1
-    fails the case at the fine stage."""
-    cfg = config_from_dict(env["make"](
-        "out_thr_codes", fine_backend={"kind": "threshold", "threshold": 0.3},
-        class_map={"background": 0, "cavity": 2}))
-    result = run_pipeline(cfg)
-    case = result.cases[0]
-    assert case.status == "failed"
-    assert "label values [1]" in case.error
-    assert not (env["root"] / "out_thr_codes" / "ph" / "mask.nii.gz").exists()
-
-
-def test_run_case_failed_backend_reports_error(env):
-    doc = env["make"]("out_badfine",
-                      fine_backend={"kind": "external-command",
-                                    "command_template":
-                                        'python3 -c "import sys; sys.exit(9)"'
-                                        " {input} {output}"})
-    cfg = config_from_dict(doc)
-    result = run_case(cfg, cfg.cases[0])
-    assert result.status == "failed"
-    assert "9" in result.error
-    doc = json.loads((env["root"] / "out_badfine" / "ph" / "result.json").read_text())
-    assert doc["failed_stage"] == result.failed_stage == "fine_backend"
-    assert doc["error_type"] == result.error_type == "BackendError"
 
 
 def test_failure_outside_every_stage_names_no_stage(env, tmp_path):

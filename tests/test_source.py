@@ -129,6 +129,11 @@ OWNERSHIP = {
     # Files are refused in one module, the one test_nifti.py's REFUSALS reads
     # them through: core only defines NiftiFormatError, and pipeline only catches it.
     "file_refusals": (r"call (.*\.)?NiftiFormatError\(.*", {"nifti"}, None),
+    # Backends are refused in the three functions that run them, the ones
+    # test_pipeline.py's CASE_FAULTS reaches through run_case.
+    "backend_refusals": (r"call (.*\.)?BackendError\(.*", {
+        ("core", "_run_group"), ("pipeline", "invoke_backend"), ("pipeline", "_run_external")},
+        None),
 }
 
 
@@ -302,6 +307,12 @@ PLANTS = {
         "nifti": "def read(p):\n    raise NiftiFormatError(f'{p}: bad')\n",
         "pipeline": "def run(read, p):\n    try:\n        return read(p)\n"
                     "    except NiftiFormatError as e:\n        raise core.NiftiFormatError(p) from e\n"}),
+    "backend_refusals": (["core:4", "pipeline:9"], {
+        "core": "def _run_group(a):\n    raise BackendError(a)\n"
+                "def _in_parallel(t):\n    raise core.BackendError(t)\n",
+        "pipeline": "def invoke_backend(s):\n    raise BackendError(s)\ndef _run_external(s):\n"
+                    "    raise core.BackendError(s)\ndef run_case(c):\n    try:\n        c()\n"
+                    "    except BackendError as e:\n        raise BackendError(c) from e\n"}),
 }
 
 
