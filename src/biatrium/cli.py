@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import BiatriumError, ConfigError, _as_json, _read_json, _write_json, check_class_map
+from .core import BiatriumError, ConfigError, _as_json, _read_config, _write_json, check_class_map
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
     DEFAULT_FINE_WINDOW,
@@ -36,7 +36,7 @@ from .nifti import (
     write_placement,
     write_volume,
 )
-from .phantom import PhantomSpec, generate, spec_from_json, spec_to_json
+from .phantom import PhantomSpec, generate
 from .pipeline import load_config, run_pipeline
 
 __all__ = ["main"]
@@ -141,15 +141,13 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    spec = PhantomSpec()
-    if args.spec:
-        spec = spec_from_json(_read_json(args.spec))
+    spec = _read_config(PhantomSpec, args.spec) if args.spec else PhantomSpec()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vol, gt = generate(spec)
     write_volume(vol, out / "image.nii.gz")
     write_volume(gt, out / "gt.nii.gz")
-    _write_json(spec_to_json(spec), out / "phantom_spec.json")
+    _write_json(_as_json(spec), out / "phantom_spec.json")
     return 0
 
 

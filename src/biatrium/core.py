@@ -566,6 +566,16 @@ def from_json(cls, obj, where: str = ""):
         raise ConfigError(f"{where}: {e}" if where else str(e)) from e
 
 
+def _read_config(cls, path):
+    """``from_json(cls, ...)`` of the JSON file ``path``; its errors start
+    with the file's path, once (``_read_json``'s already do)."""
+    doc = _read_json(path)
+    try:
+        return from_json(cls, doc)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
 def _key_path(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 

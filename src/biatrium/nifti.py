@@ -42,8 +42,8 @@ from typing import IO, Iterator, Mapping
 import numpy as np
 
 from .core import (ConfigError, EmptyMaskError, LabelMap, NiftiFormatError, Placement, Volume,
-                   _as_json, _as_triple, _atomic_open, _grid, _read_json,
-                   _write_json, check_label_codes, from_json)
+                   _as_json, _as_triple, _atomic_open, _grid, _read_config,
+                   _write_json, check_label_codes)
 from .geometry import bbox_from_mask
 
 __all__ = [
@@ -405,5 +405,5 @@ def write_placement(p: Placement, path) -> None:
 
 def read_placement(path) -> Placement:
     """Read a placement sidecar; it is checked like a config, so errors are
-    ConfigErrors naming the file."""
-    return from_json(Placement, _read_json(path), str(path))
+    ConfigErrors starting with the file's path."""
+    return _read_config(Placement, path)

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_CLASS_MAP, LabelMap, Volume, _as_json, _as_triple, _check_number,
-                   _set, _slabs, from_json)
+from .core import DEFAULT_CLASS_MAP, LabelMap, Volume, _as_triple, _check_number, _set, _slabs
 
-__all__ = ["Ellipsoid", "PhantomSpec", "generate", "spec_from_json", "spec_to_json"]
+__all__ = ["Ellipsoid", "PhantomSpec", "generate"]
 
 
 @dataclass(frozen=True)
@@ -143,15 +142,3 @@ def generate(spec: PhantomSpec | None = None) -> tuple[Volume, LabelMap]:
     vol = Volume(data=image, spacing=spec.spacing)
     gt = LabelMap(data=labels, spacing=spec.spacing)
     return vol, gt
-
-
-def spec_from_json(obj: dict) -> PhantomSpec:
-    """Build a PhantomSpec from a parsed JSON object.  Unknown keys are
-    rejected; omitted keys take the defaults.  Errors are ConfigErrors (a
-    ValueError) naming the key path."""
-    return from_json(PhantomSpec, obj)
-
-
-def spec_to_json(spec: PhantomSpec) -> dict:
-    """The spec as a JSON-ready dict, in field order, triples as lists."""
-    return _as_json(spec)

@@ -243,16 +243,17 @@ def invoke_backend(spec: BackendSpec, image: Volume,
     """Run one backend and return its label map, validated against the
     shape and, as float32 (the precision of a NIfTI header), the spacing of
     ``image``, and the class codes in ``classes`` (None: default)."""
-    if spec.kind == "threshold":
-        labels = (image.data >= np.float32(spec.threshold)).astype(np.uint8)
-        out = check_label_codes(LabelMap(data=labels, spacing=image.spacing), classes)
-    elif spec.kind == "copy-file":
-        try:
-            out = read_labelmap(spec.source_path, classes=classes)
-        except (OSError, ValueError, NiftiFormatError) as e:
-            raise BackendError(f"copy-file backend could not read {spec.source_path}: {e}") from e
-    else:
+    if spec.kind == "external-command":
         out = _run_external(spec, image, classes)
+    else:
+        try:
+            if spec.kind == "threshold":
+                labels = (image.data >= np.float32(spec.threshold)).astype(np.uint8)
+                out = check_label_codes(LabelMap(data=labels, spacing=image.spacing), classes)
+            else:
+                out = read_labelmap(spec.source_path, classes=classes)
+        except (OSError, ValueError, NiftiFormatError) as e:
+            raise BackendError(f"{spec.kind} backend: {e}") from e
     if out.shape != image.shape:
         raise BackendError(f"backend produced shape {out.shape}, expected {image.shape}")
     if np.any(np.float32(out.spacing) != np.float32(image.spacing)):

@@ -4,12 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  Every criterion re-derives its expected values through the
 independent oracles in oracles.py rather than trusting the package.
 """
-import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 from backends import COMPONENT_SPLIT_FINE
 from biatrium import (

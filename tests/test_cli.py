@@ -19,8 +19,8 @@ from biatrium import (
     write_volume,
 )
 from biatrium.cli import main
+from biatrium.core import _as_json
 from biatrium.nifti import read_labelmap, read_nifti, write_nifti
-from biatrium.phantom import spec_to_json
 
 SMALL_SPEC = PhantomSpec(
     shape=(64, 64, 24), spacing=(1.0, 1.0, 2.0),
@@ -61,12 +61,6 @@ def test_enhance_output_is_exact_and_rle_deflated(tmp_path):
     assert np.array_equal(read_volume(out).data, want.data)
 
 
-def test_enhance_refuses_more_bins_than_a_uint16_index_holds(files, tmp_path, capsys):
-    out = tmp_path / "enh.nii"
-    assert main(["enhance", files["image"], str(out), "--n-bins", "65537"]) == 1
-    assert "n_bins" in capsys.readouterr().err
-    assert not out.exists()
-
 def test_standardize_and_placement(files, tmp_path):
     out = tmp_path / "std.nii.gz"
     place_path = tmp_path / "place.json"
@@ -101,14 +95,6 @@ def test_bbox_stdout_and_class_filter(files, capsys):
     box3 = json.loads(capsys.readouterr().out)
     la = np.argwhere(files["gt"].data == 3)
     assert box3["lo"] == [int(v) for v in la.min(axis=0)]
-
-
-def test_bbox_empty_mask_exits_1(tmp_path, capsys):
-    empty = tmp_path / "empty.nii.gz"
-    write_nifti(empty, np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
-    rc = main(["bbox", str(empty)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_crop_and_stitch_round_trip(files, tmp_path):
@@ -189,53 +175,6 @@ def test_evaluate_stdout_rows_are_the_report_rows(files, tmp_path, capsys):
     assert (tmp_path / "r.csv").read_text().splitlines()[1:] == out.splitlines()
 
 
-def test_evaluate_rejects_bad_class_map(files, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--pred", files["gt_path"], "--gt", files["gt_path"],
-              "--class-map", '{"background": 0, "ghost": 300}'])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert "class_map" in out.err
-    assert out.out == ""
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["enhance", "IMAGE", "OUT", "--kernel-size", "1,2"], "expected 3 integers, got '1,2'"),
-    (["evaluate", "--pred", "GT", "--gt", "GT", "--class-map", "{wall: 1}"],
-     "class map is not valid JSON"),
-    (["evaluate", "--pred", "GT", "--gt", "GT", "--class-map", "[" * 100000 + "]" * 100000],
-     "class map is not valid JSON: maximum recursion depth exceeded"),
-])
-def test_unparsable_argument_exits_2(files, tmp_path, capsys, argv, message):
-    paths = {"IMAGE": files["image"], "GT": files["gt_path"], "OUT": str(tmp_path / "o.nii")}
-    with pytest.raises(SystemExit) as exc:
-        main([paths.get(a, a) for a in argv])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert message in out.err and out.out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_evaluate_rejects_undeclared_label_code(files, tmp_path, capsys):
-    bad = tmp_path / "code7.nii.gz"
-    arr = np.zeros((4, 4, 4), dtype=np.uint8)
-    arr[1, 1, 1] = 7
-    write_nifti(bad, arr, (1, 1, 1))
-    rc = main(["evaluate", "--pred", str(bad), "--gt", str(bad)])
-    assert rc == 1
-    out = capsys.readouterr()
-    assert "label values [7]" in out.err
-    assert out.out == ""
-
-
-def test_evaluate_shape_mismatch_exits_1(files, tmp_path, capsys):
-    other = tmp_path / "other.nii.gz"
-    write_nifti(other, np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
-    rc = main(["evaluate", "--pred", str(other), "--gt", files["gt_path"]])
-    assert rc == 1
-    assert "shape" in capsys.readouterr().err
-
-
 def test_loss_value_matches_library(files, tmp_path, capsys, rng):
     gt = files["gt"]
     probs = [rng.random(gt.shape, dtype=np.float32) for _ in range(4)]
@@ -252,8 +191,9 @@ def test_loss_value_matches_library(files, tmp_path, capsys, rng):
 
 
 def test_loss_checks_ground_truth_against_the_scored_codes(tmp_path, capsys, rng):
-    """The ground truth may hold exactly the codes ``--class-codes`` scores
-    (default 0..n-1), whatever they are."""
+    """The ground truth may hold exactly the codes ``--class-codes`` scores,
+    whatever they are (with the default 0..n-1, row loss-gt-code-5 of
+    CLI_REFUSALS refuses it)."""
     gt = np.zeros((6, 6, 4), dtype=np.uint8)
     gt[2:4, 2:4, 1:3] = 5
     gt_path = tmp_path / "gt.nii"
@@ -269,45 +209,6 @@ def test_loss_checks_ground_truth_against_the_scored_codes(tmp_path, capsys, rng
     loaded = [read_volume(p) for p in prob_paths]
     assert printed == volume_loss(loaded, read_labelmap(gt_path, classes={"x": 5}),
                                   class_codes=[0, 5])
-    rc = main(["loss", "--probs", *prob_paths, "--gt", str(gt_path)])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "[5]" in captured.err
-
-
-@pytest.mark.parametrize("codes, message", [
-    (["1", "1"], "class_codes[1] repeats class code 1"),
-    (["0", "300"], "class_codes[1] must be an int >= 0 and <= 255, got 300"),
-])
-def test_loss_refuses_codes_that_are_not_distinct_label_codes(tmp_path, capsys, rng, codes,
-                                                              message):
-    """Two predictions of one class, or a code no label map can hold, exit
-    1 instead of printing a score."""
-    gt = tmp_path / "gt.nii"
-    write_nifti(gt, np.zeros((6, 6, 4), dtype=np.uint8), (1, 1, 1))
-    probs = [str(tmp_path / f"p{i}.nii") for i in range(2)]
-    for path in probs:
-        write_nifti(path, rng.random((6, 6, 4), dtype=np.float32), (1, 1, 1))
-    rc = main(["loss", "--probs", *probs, "--gt", str(gt), "--class-codes", *codes])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
-
-
-def test_loss_nan_exponent_exits_1(files, capsys):
-    rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
-               "--gamma-pos", "nan"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "focusing exponents" in captured.err
-
-
-def test_loss_infinite_exponent_exits_1(files, capsys):
-    rc = main(["loss", "--probs", files["image"], "--gt", files["gt_path"],
-               "--gamma-pos", "inf"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "focusing exponents" in captured.err
 
 
 def test_loss_grad_check_subcommand(capsys):
@@ -316,35 +217,16 @@ def test_loss_grad_check_subcommand(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_loss_without_inputs_exits_2(capsys):
-    rc = main(["loss"])
-    assert rc == 2
-    assert "probs" in capsys.readouterr().err
-
-
 def test_phantom_command(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec_to_json(SMALL_SPEC)))
+    spec_path.write_text(json.dumps(_as_json(SMALL_SPEC)))
     out = tmp_path / "ph"
     rc = main(["phantom", "--spec", str(spec_path), "--out", str(out)])
     assert rc == 0
     vol, gt = generate(SMALL_SPEC)
     assert np.array_equal(read_volume(out / "image.nii.gz").data, vol.data)
     assert np.array_equal(read_labelmap(out / "gt.nii.gz").data, gt.data)
-    assert json.loads((out / "phantom_spec.json").read_text()) == spec_to_json(SMALL_SPEC)
-
-
-def test_phantom_bad_spec_exits_1(tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    for spec, path in (({"la": {"center_mm": [40, 60, 60]}}, "radii_mm"),
-                       ({"la": {"center_mm": [42, 60, 60], "radii_mm": [float("nan"), 20, 16]}},
-                        "la: radii_mm"),
-                       ({"seed": 1.5, "noise_amplitude": 0.05}, "seed")):
-        spec_path.write_text(json.dumps(spec))
-        rc = main(["phantom", "--spec", str(spec_path), "--out", str(tmp_path / "ph")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and path in err
+    assert json.loads((out / "phantom_spec.json").read_text()) == _as_json(SMALL_SPEC)
 
 
 def test_run_command(files, tmp_path, capsys):
@@ -386,107 +268,6 @@ def test_run_command_reports_failure(files, tmp_path, capsys):
     assert "gone: failed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
-    ["standardize", "--target", "72,72,24", "--fill", "nan"],
-    ["crop-roi", "--center", "32,32,12", "--window", "80,32,12", "--fill", "1e39"],
-])
-def test_non_finite_fill_exits_1_naming_it(files, tmp_path, capsys, argv):
-    out = tmp_path / "out.nii"
-    rc = main([argv[0], files["image"], str(out), *argv[1:]])
-    assert rc == 1
-    assert "pad_value must be" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_missing_input_file_exits_1(tmp_path, capsys):
-    rc = main(["downsample", str(tmp_path / "nope.nii.gz"), str(tmp_path / "o.nii.gz")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["--n", "0"], "n must be"),
-    (["--n", "-5"], "n must be"),
-    (["--tol", "nan"], "tol must be"),
-    (["--step", "0"], "step h must be"),
-])
-def test_loss_grad_check_rejects_vacuous_arguments(capsys, argv, name):
-    """No samples, a NaN tolerance or a zero step would print PASS or divide
-    by zero; each is an argument error instead."""
-    rc = main(["loss", "grad-check", *argv])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and name in captured.err
-
-
-def test_run_rejects_zero_workers(files, tmp_path, capsys):
-    cfg = {
-        "cases": [{"case_id": "ph", "image": files["image"]}],
-        "output_dir": str(tmp_path / "out"),
-        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
-        "fine_backend": {"kind": "threshold", "threshold": 0.7},
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    rc = main(["run", "--config", str(cfg_path), "--workers", "0"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: workers must be an int >= 1")
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("doc, reason", [
-    (b"\xff{}", "'utf-8' codec can't decode"),
-    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
-    (b"{nope", "Expecting property name enclosed in double quotes"),
-])
-def test_run_config_that_cannot_be_decoded_exits_1_naming_it(tmp_path, capsys, doc, reason):
-    """A config that is not UTF-8, not JSON, or nested too deep for the
-    parser is a config error naming the file, not a traceback."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(doc)
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg_path}: invalid JSON: {reason}")
-
-
-@pytest.mark.parametrize("doc", [
-    None,
-    {"parent_shape": [16, 16, 8], "offset": [4, 4, 2], "window_shape": [8, 8, 4], "scale": 2},
-    {"parent_shape": [16, 16, 8], "offset": [1.5, 4, 2], "window_shape": [8, 8, 4]},
-    {"parent_shape": [16, 16, 8], "offset": [4, 4, 2]},
-])
-def test_stitch_rejects_bad_placement_sidecar(tmp_path, capsys, doc):
-    """A placement sidecar is checked like a config: the error names the
-    file and nothing is written."""
-    child = tmp_path / "win.nii.gz"
-    write_nifti(child, np.ones((8, 8, 4), dtype=np.uint8), (1.0, 1.0, 2.0))
-    place_path = tmp_path / "place.json"
-    place_path.write_text(json.dumps(doc))
-    out = tmp_path / "full.nii.gz"
-    rc = main(["stitch", str(child), str(out), "--placement", str(place_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(place_path) in err and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_stitch_onto_a_parent_too_large_for_the_header_exits_1(tmp_path, capsys):
-    """A parent extent past the int16 header field is an error, not a
-    traceback, and nothing is written."""
-    child = tmp_path / "win.nii.gz"
-    write_nifti(child, np.ones((8, 1, 1), dtype=np.uint8), (1.0, 1.0, 2.0))
-    place_path = tmp_path / "place.json"
-    place_path.write_text(json.dumps(
-        {"parent_shape": [40000, 1, 1], "offset": [0, 0, 0], "window_shape": [8, 1, 1]}))
-    out = tmp_path / "full.nii.gz"
-    rc = main(["stitch", str(child), str(out), "--placement", str(place_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "40000" in err and "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["place.json", "win.nii.gz"]
-
-
 def test_outputs_keep_the_orientation_block(files, tmp_path):
     """The enhanced image and the mask lie on the input's grid, so both
     carry its orientation block: qfac and the qform/sform fields."""
@@ -511,3 +292,170 @@ def test_outputs_keep_the_orientation_block(files, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert read_nifti(tmp_path / "out" / "ph" / "mask.nii.gz")[2] == block
+
+
+# -- refusals ---------------------------------------------------------------
+
+_PLACE = {"parent_shape": [16, 16, 8], "offset": [4, 4, 2], "window_shape": [8, 8, 4]}
+
+# The inputs every row finds in "{tmp}": NIfTI arrays (at 1 mm), JSON
+# documents and raw bytes.
+_CLI_INPUTS = {
+    "zeros.nii": np.zeros((6, 6, 4), dtype=np.uint8),
+    "gt5.nii": np.pad(np.full((2, 2, 2), 5, dtype=np.uint8), ((2, 2), (2, 2), (1, 1))),
+    "p.nii": np.full((6, 6, 4), 0.5, dtype=np.float32),
+    "win.nii": np.ones((8, 8, 4), dtype=np.uint8),
+    "null.json": None,
+    "extra.json": {**_PLACE, "scale": 2},
+    "offset.json": {**_PLACE, "offset": [1.5, 4, 2]},
+    "partial.json": {"parent_shape": [16, 16, 8], "offset": [4, 4, 2]},
+    "huge.json": {**_PLACE, "parent_shape": [40000, 8, 4]},
+    "small.json": {**_PLACE, "window_shape": [4, 4, 4]},
+    "radii.json": {"la": {"center_mm": [40, 60, 60]}},
+    "nan.json": {"la": {"center_mm": [42, 60, 60], "radii_mm": [float("nan"), 20, 16]}},
+    "seed.json": {"seed": 1.5, "noise_amplitude": 0.05},
+    "run.json": {"cases": [{"case_id": "ph", "image": "{image}"}], "output_dir": "{tmp}/out",
+                 "coarse_backend": {"kind": "threshold", "threshold": 0.3},
+                 "fine_backend": {"kind": "threshold", "threshold": 0.7}},
+    "latin1.json": b"\xff{}",
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "nope.json": b"{nope",
+}
+
+_LOSS = ["loss", "--probs", "{tmp}/p.nii", "{tmp}/p.nii", "--gt"]
+_EVALUATE = ["evaluate", "--pred", "{gt}", "--gt", "{gt}", "--class-map"]
+_STITCH = ["stitch", "{tmp}/win.nii", "{tmp}/out.nii", "--placement"]
+_CLASS_MAP = "biatrium evaluate: error: argument --class-map: "
+_PAD = ("error: pad_value must be a finite number >= -3.4028234663852886e+38 and "
+        "<= 3.4028234663852886e+38, got ")
+
+# Every way `biatrium` refuses its arguments: id -> (argv, exit status, the
+# whole last line of stderr).  "{tmp}" is the test's directory, holding
+# _CLI_INPUTS, and "{image}" and "{gt}" are the files fixture's.  A new
+# refusal is one row.
+CLI_REFUSALS = {
+    # argparse prints the usage, then one line; loss only the line
+    "kernel-size-2": (["enhance", "{image}", "{tmp}/out.nii", "--kernel-size", "1,2"], 2,
+                      "biatrium enhance: error: argument --kernel-size: "
+                      "expected 3 integers, got '1,2'"),
+    "class-map-not-json": (_EVALUATE + ["{wall: 1}"], 2, _CLASS_MAP + "class map is not valid "
+                           "JSON: Expecting property name enclosed in double quotes: "
+                           "line 1 column 2 (char 1)"),
+    "class-map-deep": (_EVALUATE + ["[" * 100000 + "]" * 100000], 2,
+                       _CLASS_MAP + "class map is not valid JSON: maximum recursion depth "
+                       "exceeded while decoding a JSON array from a unicode string"),
+    "class-map-code-300": (_EVALUATE + ['{"background": 0, "ghost": 300}'], 2, _CLASS_MAP +
+                           "class_map['ghost'] must be an int >= 0 and <= 255, got 300"),
+    "loss-no-inputs": (["loss"], 2,
+                       "error: loss needs --probs and --gt (or the grad-check subcommand)"),
+    # parameters
+    "enhance-n-bins": (["enhance", "{image}", "{tmp}/out.nii", "--n-bins", "65537"], 1,
+                       "error: n_bins must be an int >= 2 and <= 65536, got 65537"),
+    "enhance-clip-nan": (["enhance", "{image}", "{tmp}/out.nii", "--clip-limit", "nan"], 1,
+                         "error: clip_limit must be a finite number > 0 and <= 1, got nan"),
+    "standardize-target-0": (["standardize", "{image}", "{tmp}/out.nii", "--target", "0,72,24"],
+                             1, "error: target_shape must be 3 ints >= 1 and <= 32767, "
+                             "got (0, 72, 24)"),
+    "downsample-factors-0": (["downsample", "{image}", "{tmp}/out.nii", "--factors", "0,4,2"], 1,
+                             "error: factors must be 3 ints > 0, got (0, 4, 2)"),
+    "crop-window-0": (["crop-roi", "{image}", "{tmp}/out.nii", "--center", "32,32,12",
+                       "--window", "0,32,12"], 1,
+                      "error: window must be 3 ints >= 1 and <= 32767, got (0, 32, 12)"),
+    "standardize-fill-nan": (["standardize", "{image}", "{tmp}/out.nii", "--target", "72,72,24",
+                              "--fill", "nan"], 1, _PAD + "nan"),
+    "crop-fill-1e39": (["crop-roi", "{image}", "{tmp}/out.nii", "--center", "32,32,12",
+                        "--window", "80,32,12", "--fill", "1e39"], 1, _PAD + "1e+39"),
+    "loss-gamma-nan": (_LOSS + ["{tmp}/zeros.nii", "--gamma-pos", "nan"], 1,
+                       "error: focusing exponents: gamma_pos must be a finite number >= 0, "
+                       "got nan"),
+    "loss-gamma-inf": (_LOSS + ["{tmp}/zeros.nii", "--gamma-pos", "inf"], 1,
+                       "error: focusing exponents: gamma_pos must be a finite number >= 0, "
+                       "got inf"),
+    "loss-codes-repeat": (_LOSS + ["{tmp}/zeros.nii", "--class-codes", "1", "1"], 1,
+                          "error: class_codes[1] repeats class code 1"),
+    "loss-code-300": (_LOSS + ["{tmp}/zeros.nii", "--class-codes", "0", "300"], 1,
+                      "error: class_codes[1] must be an int >= 0 and <= 255, got 300"),
+    "loss-codes-3": (_LOSS + ["{tmp}/zeros.nii", "--class-codes", "0", "1", "2"], 1,
+                     "error: 2 probability volumes but 3 class codes"),
+    "grad-check-n-0": (["loss", "grad-check", "--n", "0"], 1, "error: n must be an int >= 1, got 0"),
+    "grad-check-n-negative": (["loss", "grad-check", "--n", "-5"], 1,
+                              "error: n must be an int >= 1, got -5"),
+    "grad-check-tol-nan": (["loss", "grad-check", "--tol", "nan"], 1,
+                           "error: tol must be a finite number > 0, got nan"),
+    "grad-check-step-0": (["loss", "grad-check", "--step", "0"], 1,
+                          "error: step h must be a finite number > 0, got 0.0"),
+    "run-workers-0": (["run", "--config", "{tmp}/run.json", "--workers", "0"], 1,
+                      "error: workers must be an int >= 1, got 0"),
+    # NIfTI inputs
+    "downsample-missing": (["downsample", "{tmp}/nope.nii", "{tmp}/out.nii"], 1,
+                           "error: [Errno 2] No such file or directory: '{tmp}/nope.nii'"),
+    "bbox-empty": (["bbox", "{tmp}/zeros.nii"], 1, "error: mask has no foreground voxels"),
+    "evaluate-shape": (["evaluate", "--pred", "{tmp}/zeros.nii", "--gt", "{gt}"], 1,
+                       "error: shape mismatch: pred (6, 6, 4) vs gt (64, 64, 24)"),
+    "loss-probs-shape": (["loss", "--probs", "{tmp}/p.nii", "{tmp}/win.nii", "--gt",
+                          "{tmp}/zeros.nii"], 1,
+                         "error: probability shape (8, 8, 4) does not match gt (6, 6, 4)"),
+    # the default codes 0..n-1 of two probability volumes
+    "loss-gt-code-5": (_LOSS + ["{tmp}/gt5.nii"], 1, "error: {tmp}/gt5.nii: "
+                       "label values [5] not in declared class codes [0, 1]"),
+    # JSON files: placement sidecars, phantom specs and run configs
+    "placement-missing": (_STITCH + ["{tmp}/gone.json"], 1,
+                          "error: [Errno 2] No such file or directory: '{tmp}/gone.json'"),
+    "placement-null": (_STITCH + ["{tmp}/null.json"], 1,
+                       "error: {tmp}/null.json: config root must be an object"),
+    "placement-extra-key": (_STITCH + ["{tmp}/extra.json"], 1,
+                            "error: {tmp}/extra.json: unknown config key scale"),
+    "placement-offset-1.5": (_STITCH + ["{tmp}/offset.json"], 1,
+                             "error: {tmp}/offset.json: offset must be 3 ints, got [1.5, 4, 2]"),
+    "placement-partial": (_STITCH + ["{tmp}/partial.json"], 1, "error: {tmp}/partial.json: "
+                          "config is missing required key 'window_shape'"),
+    # past the int16 dim field of the stitched file's header
+    "placement-parent-40000": (_STITCH + ["{tmp}/huge.json"], 1, "error: {tmp}/huge.json: "
+                               "parent_shape must be 3 ints >= 1 and <= 32767, got [40000, 8, 4]"),
+    "stitch-child-shape": (_STITCH + ["{tmp}/small.json"], 1,
+                           "error: array shape (8, 8, 4) does not match placement (4, 4, 4)"),
+    "phantom-radii-missing": (["phantom", "--spec", "{tmp}/radii.json", "--out", "{tmp}/ph"], 1,
+                              "error: {tmp}/radii.json: la is missing required key 'radii_mm'"),
+    "phantom-radii-nan": (["phantom", "--spec", "{tmp}/nan.json", "--out", "{tmp}/ph"], 1,
+                          "error: {tmp}/nan.json: la: radii_mm must be 3 finite numbers > 0, "
+                          "got [nan, 20, 16]"),
+    "phantom-seed-1.5": (["phantom", "--spec", "{tmp}/seed.json", "--out", "{tmp}/ph"], 1,
+                         "error: {tmp}/seed.json: seed must be an int >= 0, got 1.5"),
+    "run-config-latin1": (["run", "--config", "{tmp}/latin1.json"], 1,
+                          "error: {tmp}/latin1.json: invalid JSON: 'utf-8' codec can't decode "
+                          "byte 0xff in position 0: invalid start byte"),
+    "run-config-deep": (["run", "--config", "{tmp}/deep.json"], 1,
+                        "error: {tmp}/deep.json: invalid JSON: maximum recursion depth exceeded "
+                        "while decoding a JSON array from a unicode string"),
+    "run-config-not-json": (["run", "--config", "{tmp}/nope.json"], 1,
+                            "error: {tmp}/nope.json: invalid JSON: Expecting property name "
+                            "enclosed in double quotes: line 1 column 2 (char 1)"),
+}
+
+
+@pytest.mark.parametrize("argv, status, line", list(CLI_REFUSALS.values()), ids=list(CLI_REFUSALS))
+def test_cli_refusals(files, tmp_path, capsys, argv, status, line):
+    """Each row, run in process: ``biatrium`` exits with the row's status,
+    prints nothing on stdout and the row's line last on stderr, and leaves
+    nothing in the test's directory but its inputs."""
+    places = {"{tmp}": str(tmp_path), "{image}": files["image"], "{gt}": files["gt_path"]}
+
+    def fill(text: str, quote=str) -> str:
+        for place, value in places.items():
+            text = text.replace(place, quote(value))
+        return text
+
+    for name, value in _CLI_INPUTS.items():
+        if isinstance(value, np.ndarray):
+            write_nifti(tmp_path / name, value, (1, 1, 1))
+        else:  # a path in a JSON string is quoted as one
+            doc = value if isinstance(value, bytes) else fill(
+                json.dumps(value), lambda v: json.dumps(v)[1:-1]).encode()
+            (tmp_path / name).write_bytes(doc)
+    try:
+        got = main([fill(arg) for arg in argv])
+    except SystemExit as e:
+        got = e.code
+    out, err = capsys.readouterr()
+    assert (got, out, err.splitlines()[-1]) == (status, "", fill(line))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CLI_INPUTS)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pathlib
 import re
 import signal
 import sys
@@ -187,16 +186,6 @@ def test_number_rule_accepts_numbers_and_checks_bounds():
         _check_number(0, "x", gt=0, le=1)
     with pytest.raises(ConfigError, match=r"^n must be an int >= 2 and < 5, got 5$"):
         _check_number(5, "n", integer=True, ge=2, lt=5)
-
-
-def test_only_core_module_imports_numbers():
-    """Whether a value is a number is decided once, by the rule in core; no
-    other module may ask the numbers ABCs itself."""
-    pattern = re.compile(r"^\s*(import numbers\b|from numbers import)", re.M)
-    package = pathlib.Path(core.__file__).parent
-    offenders = [p.name for p in sorted(package.glob("*.py"))
-                 if p.name != "core.py" and pattern.search(p.read_text(encoding="utf-8"))]
-    assert offenders == []
 
 
 # -- threads inside one case ------------------------------------------------

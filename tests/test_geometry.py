@@ -29,12 +29,12 @@ def _vol(arr, spacing=(1.0, 1.0, 1.0)):
     return Volume(data=np.asarray(arr, dtype=np.float32), spacing=spacing)
 
 
-def _index_volume(shape, spacing=(1.0, 1.0, 1.0)):
+def _index_volume(shape):
     """Each voxel's value is its own flat index, so any rearrangement can be
     traced back exactly (float32 holds integers < 2**24)."""
     n = int(np.prod(shape))
     assert n < 2 ** 24
-    return _vol(np.arange(n).reshape(shape), spacing)
+    return _vol(np.arange(n).reshape(shape))
 
 
 # -- standardize ------------------------------------------------------------

@@ -180,13 +180,10 @@ def test_grad_matches_fd_at_specific_points():
 
 # -- volume reduction -------------------------------------------------------
 
-def _maps(shape, rng, n_classes=3):
-    gt = LabelMap(data=rng.integers(0, n_classes, size=shape).astype(np.uint8),
-                  spacing=(1, 1, 1))
-    probs = []
-    for _ in range(n_classes):
-        probs.append(rng.random(shape, dtype=np.float32))
-    return probs, gt
+def _maps(shape, rng):
+    """Three classes: a random label map and one random probability volume each."""
+    gt = LabelMap(data=rng.integers(0, 3, size=shape).astype(np.uint8), spacing=(1, 1, 1))
+    return [rng.random(shape, dtype=np.float32) for _ in range(3)], gt
 
 
 def test_volume_loss_equals_mean_of_scalar_kernel_exactly(rng):

@@ -2,9 +2,7 @@ import builtins
 import collections
 import gc
 import gzip
-import pathlib
 import random
-import re
 import struct
 import sys
 import threading
@@ -535,16 +533,6 @@ def test_threads_writing_one_sidecar_never_collide(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-def test_only_nifti_module_knows_the_disk_order():
-    """x-fastest order exists on disk only; every other module works in C
-    order, so none of them may ask numpy for Fortran order."""
-    pattern = re.compile(r"""order\s*=\s*["']F["']|asfortranarray""")
-    package = pathlib.Path(nifti.__file__).parent
-    offenders = [p.name for p in sorted(package.glob("*.py"))
-                 if p.name != "nifti.py" and pattern.search(p.read_text(encoding="utf-8"))]
-    assert offenders == []
 
 
 def test_scl_scaling_applied_by_read_volume(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from biatrium import ConfigError, Ellipsoid, PhantomSpec, generate
-from biatrium.phantom import spec_from_json, spec_to_json
+from biatrium.core import _as_json, from_json
 
 from conftest import traced_peak
 from oracles import whole_grid_generate
@@ -157,21 +157,21 @@ def test_custom_levels_and_small_grid():
 
 def test_json_round_trip():
     spec = PhantomSpec(noise_amplitude=0.05, seed=9)
-    obj = spec_to_json(spec)
-    assert spec_from_json(obj) == spec
+    obj = _as_json(spec)
+    assert from_json(PhantomSpec, obj) == spec
 
 
 def test_json_defaults_when_omitted():
-    assert spec_from_json({}) == PhantomSpec()
-    assert spec_from_json({"seed": 3}) == PhantomSpec(seed=3)
+    assert from_json(PhantomSpec, {}) == PhantomSpec()
+    assert from_json(PhantomSpec, {"seed": 3}) == PhantomSpec(seed=3)
 
 
 def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
-        spec_from_json({"wall_mm": 4.0})
+        from_json(PhantomSpec, {"wall_mm": 4.0})
     with pytest.raises(ValueError, match="la"):
-        spec_from_json({"la": {"center_mm": [40, 60, 60], "radii_mm": [18, 20, 16],
-                               "color": "red"}})
+        from_json(PhantomSpec, {"la": {"center_mm": [40, 60, 60], "radii_mm": [18, 20, 16],
+                                       "color": "red"}})
 
 
 @pytest.mark.parametrize("obj, path", [
@@ -205,7 +205,7 @@ def test_json_rejects_unknown_keys():
 ])
 def test_json_errors_name_key_path(obj, path):
     with pytest.raises(ConfigError, match=path):
-        spec_from_json(obj)
+        from_json(PhantomSpec, obj)
 
 
 def test_generate_equals_whole_grid_oracle():

@@ -725,7 +725,7 @@ def _copy_file(name: str) -> dict:
 _fine, _coarse = partial(_backend_fault, "fine_backend"), partial(_backend_fault, "coarse_backend")
 _NO_FILE = "[Errno 2] No such file or directory: "
 _UNUSABLE = "backend output unusable: {scratch}/output.nii: "
-_COPY = "copy-file backend could not read {tmp}/"
+_COPY = "copy-file backend: "
 _CLASSES = "not in declared class codes [0, 1, 2, 3]"
 _BINARY = "not in declared class codes [0, 1]"
 _THRESHOLD = {"fine_backend": _threshold(threshold=0.3)}
@@ -758,12 +758,11 @@ CASE_FAULTS = {
     "coarse-output-code-7": _coarse(_copied("coarse7.nii"),
                                     _UNUSABLE + f"label values [7] {_BINARY}"),
     # the copy-file backend's source, in pipeline.invoke_backend
-    "fine-copy-missing": _fine(_copy_file("nope.nii"),
-                               _COPY + f"nope.nii: {_NO_FILE}'{{tmp}}/nope.nii'"),
+    "fine-copy-missing": _fine(_copy_file("nope.nii"), _COPY + f"{_NO_FILE}'{{tmp}}/nope.nii'"),
     "fine-copy-code-7": _fine(_copy_file("fine7.nii"),
-                              _COPY + f"fine7.nii: {{tmp}}/fine7.nii: label values [7] {_CLASSES}"),
-    "coarse-copy-code-7": _coarse(_copy_file("coarse7.nii"), _COPY + "coarse7.nii: "
-                                  f"{{tmp}}/coarse7.nii: label values [7] {_BINARY}"),
+                              _COPY + f"{{tmp}}/fine7.nii: label values [7] {_CLASSES}"),
+    "coarse-copy-code-7": _coarse(_copy_file("coarse7.nii"),
+                                  _COPY + f"{{tmp}}/coarse7.nii: label values [7] {_BINARY}"),
     # every backend's label map against its input, in pipeline.invoke_backend
     "fine-copy-shape": _fine(_copy_file("cube8.nii"),
                              "backend produced shape (8, 8, 8), expected (48, 32, 16)"),
@@ -779,7 +778,7 @@ CASE_FAULTS = {
         "expected (0.699999988079071, 0.75, 2.5)", False),
     # the threshold backend labels voxels 1, which this class map lacks
     "fine-threshold-code-1": ({**_THRESHOLD, "class_map": {"background": 0, "cavity": 2}},
-                              "fine_backend", "ValueError",
+                              "fine_backend", "BackendError", "threshold backend: "
                               "label values [1] not in declared class codes [0, 2]", False),
     # the image and the ground truth
     "image-missing": ({"image": "{tmp}/missing.nii"}, "read", "FileNotFoundError",

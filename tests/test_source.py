@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "biatrium"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "biatrium"
 
 
 def _defined(stmt) -> list[str]:
@@ -79,7 +80,7 @@ def unused_imports(root=SRC) -> list[str]:
 
 
 def test_every_import_is_used():
-    assert unused_imports() == []
+    assert unused_imports() + unused_imports(TESTS) == []
 
 
 def test_unused_import_scan_finds_a_leftover(tmp_path):
@@ -122,6 +123,8 @@ OWNERSHIP = {
     "header_limits": (r"call np\.(iinfo\(np\.int16|finfo\(np\.float32)\)", {"core"}, None),
     # One rule for what a valid number is, core._check_number.
     "numbers": (r"import numbers(\..*)?", {"core"}, None),
+    # x-fastest order exists on disk only: every other module works in C order.
+    "disk_order": (r"keyword order='F'|(import|read) (.*\.)?asfortranarray", {"nifti"}, None),
     # One writer of JSON sidecars.
     "json_dump": (r"(import|read) json\.dump", {("core", "_write_json")}, None),
     # Artifacts are written atomically: one temporary file replaces a path.
@@ -146,6 +149,8 @@ def _use(n: ast.AST, aliases: dict[str, str]) -> list[str]:
         return [f"import {base}{a.name}" for a in n.names]
     if isinstance(n, ast.Call):
         return [f"call {ast.unparse(n)}"]
+    if isinstance(n, ast.keyword):
+        return [f"keyword {ast.unparse(n)}"]
     if isinstance(n, (ast.Name, ast.Attribute)):
         head, dot, rest = ast.unparse(n).partition(".")
         return [f"read {aliases.get(head, head)}{dot}{rest}"]
@@ -158,8 +163,9 @@ def uses(root=SRC):
     """``(module, owner, line, use)`` of every use in ``root/*.py`` in source order,
     ``owner`` being the enclosing module-level function or class or None.  A use is
     ``import a.b`` per name an import binds (``from a import b`` too), ``call f(x)``
-    for a whole call, ``read a.b`` for a name or attribute (``import a as x``'s ``x``
-    read as ``a``) and ``str s`` for a string, as ``importlib`` takes a module's name."""
+    for a whole call, ``keyword k=v`` for a keyword argument, ``read a.b`` for a name
+    or attribute (``import a as x``'s ``x`` read as ``a``) and ``str s`` for a string,
+    as ``importlib`` takes a module's name."""
     for p in sorted(root.glob("*.py")):
         tree = ast.parse(p.read_text(), str(p))
         aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
@@ -291,6 +297,11 @@ PLANTS = {
         "core": "import numbers\n",
         "geometry": "from numbers import Integral\nnumbers = 'numbers'\n",
         "pipeline": "import numbers\n"}),
+    "disk_order": (["geometry:3", "metrics:1", "metrics:3"], {
+        "nifti": "import numpy as np\ndef disk(a):\n    return np.asfortranarray(a).ravel(order='F')\n",
+        "geometry": "import numpy as np\ndef f(a):\n    return np.ascontiguousarray(a, order='C'),"
+                    " a.copy(order='F')\n",
+        "metrics": "from numpy import asfortranarray\ndef g(a):\n    return asfortranarray(a)\n"}),
     "json_dump": (["core:5", "pipeline:1"], {
         "core": "import json\ndef _write_json(doc, f):\n    json.dump(doc, f, indent=2)\n"
                 "def _dump(doc, f):\n    json.dump(doc, f)\n",
@@ -370,7 +381,7 @@ def unused_private_parameters(root=SRC) -> list[str]:
 
 
 def test_every_private_default_is_passed():
-    assert unused_private_parameters() == []
+    assert unused_private_parameters() + unused_private_parameters(TESTS) == []
 
 
 def test_private_parameter_scan_finds_a_default_nobody_passes(tmp_path):
