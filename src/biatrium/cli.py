@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .core import BiatriumError, ConfigError, _as_json, _read_config, _write_json, check_class_map
+from .core import (DEFAULT_CLASS_MAP, BiatriumError, ConfigError, _as_json, _read_config,
+                   _write_json, check_class_map)
 from .geometry import (
     DEFAULT_DOWNSAMPLE_FACTORS,
     DEFAULT_FINE_WINDOW,
@@ -84,6 +85,9 @@ def _cmd_downsample(args) -> int:
 
 
 def _cmd_bbox(args) -> int:
+    codes = set((DEFAULT_CLASS_MAP if args.class_map is None else args.class_map).values())
+    if bad := [c for c in args.classes or () if c not in codes]:
+        raise ConfigError(f"--classes {bad} not in declared class codes {sorted(codes)}")
     mask = read_labelmap(args.mask, classes=args.class_map)
     classes = set(args.classes) if args.classes else None
     box = bbox_from_mask(mask, positive_classes=classes)

@@ -14,15 +14,17 @@ where a run is the x-planes that read the same two tile rows, and each of
 the case's threads takes the next slab of the run not yet taken.  A tile
 row's tables are built once, before the first run that reads them, shared
 by every thread and dropped after the last, so at most three rows are
-held at once (two while a run blends) and table memory follows one tile
-row, not the tile grid.  Blending reads only the bins and the tables, so
-the output may be written over the input: ``mclahe`` allocates a new
-float32 output, and ``_mclahe_consume``, for a caller that owns the
-input's array, writes over it.  Besides the input and the output, the
-working set is one small unsigned bin index per voxel, row-sized tables
-and slab-sized temporaries per thread.  Every voxel goes through the same
-array arithmetic in the same order on any thread, so the result is
-deterministic and bit-identical at every thread budget.
+held at once (two while a run blends).  Blending reads only the bins and
+the tables, so ``mclahe`` allocates a new float32 output and
+``_mclahe_consume`` writes over an input its caller owns.  Besides the
+input and the output, the working set is a small unsigned bin index per
+voxel, slab-sized temporaries per thread and tables that follow one tile
+row, not the tile grid: ``n_bins`` entries per tile of a row, in several
+int64 and float64 arrays as ``_row_tables`` builds them, so many bins on
+small tiles outgrow the grid (kernel (8, 8, 2) on a 48x48x12 float32
+volume of 0.11 MiB traces 0.8 MiB at 256 bins, 126.8 MiB at 65536).  The
+same array arithmetic runs in the same order on any thread, so the result
+is deterministic and bit-identical at every thread budget.
 """
 from __future__ import annotations
 

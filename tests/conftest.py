@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -28,6 +29,13 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def child_env(**extra) -> dict:
+    """This environment and ``extra``, with this biatrium first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @contextmanager

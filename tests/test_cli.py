@@ -390,6 +390,9 @@ CLI_REFUSALS = {
     "downsample-missing": (["downsample", "{tmp}/nope.nii", "{tmp}/out.nii"], 1,
                            "error: [Errno 2] No such file or directory: '{tmp}/nope.nii'"),
     "bbox-empty": (["bbox", "{tmp}/zeros.nii"], 1, "error: mask has no foreground voxels"),
+    **{f"bbox-class-{code}": (["bbox", "{gt}", "--classes", "1", code], 1,
+                              f"error: --classes [{code}] not in declared class codes [0, 1, 2, 3]")
+       for code in ("300", "-1", "7")},
     "evaluate-shape": (["evaluate", "--pred", "{tmp}/zeros.nii", "--gt", "{gt}"], 1,
                        "error: shape mismatch: pred (6, 6, 4) vs gt (64, 64, 24)"),
     "loss-probs-shape": (["loss", "--probs", "{tmp}/p.nii", "{tmp}/win.nii", "--gt",

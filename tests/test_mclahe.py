@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from biatrium import MclaheParams, Volume, mclahe
 from biatrium.mclahe import _mclahe_consume, _row_tables
 
-from conftest import interrupt_the_blend, thread_budget, traced_peak
+from conftest import interrupt_the_blend, thread_budget
 from oracles import (clip_redistribute, global_hist_eq, mapping_from_hist, naive_mclahe,
                      whole_volume_mclahe)
 
@@ -182,27 +182,14 @@ def test_streamed_matches_whole_volume(rng, shape, kernel, n_bins, clip):
 
 
 def test_kernel_far_larger_than_the_grid_is_counted_not_padded(rng):
-    """Tiles many times the grid give the reference's bits, and a 200^3
-    kernel over an 8^3 grid traces under 1 MB: the replicate padding is
-    counted, not built (its bin indices alone would be 8 MB)."""
+    """Tiles many times the grid give the reference's bits: the replicate
+    padding is counted, not built."""
     for shape, kernel in [((8, 8, 8), (24, 24, 24)), ((10, 9, 7), (4, 30, 2)),
                           ((5, 3, 9), (2, 2, 40))]:
         data = rng.random(shape, dtype=np.float32)
         out = mclahe(Volume(data=data, spacing=(1, 1, 1)),
                      MclaheParams(kernel_size=kernel, n_bins=32, clip_limit=0.1))
         assert np.array_equal(out.data, naive_mclahe(data, kernel, 32, 0.1).astype(np.float32))
-    v = Volume(data=rng.random((8, 8, 8), dtype=np.float32), spacing=(1, 1, 1))
-    assert traced_peak(mclahe, v, MclaheParams(kernel_size=(200, 200, 200))) < 1 << 20
-
-
-def test_streamed_working_set_is_bounded(rng):
-    """Traced allocations stay within 3x the float32 input, at thread
-    budgets 1 and 2: output, bins and slab-sized temporaries, with no
-    full-volume float64 array."""
-    v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
-    for threads in (1, 2):
-        with thread_budget(threads):
-            assert traced_peak(mclahe, v) / v.data.nbytes <= 3.0, threads
 
 
 @pytest.mark.parametrize("shape, kernel", [
@@ -239,38 +226,6 @@ def test_consuming_path_equals_public_path(rng, kind):
         assert got.data is own and not got.data.flags.writeable
         assert got.data.tobytes() == want.data.tobytes(), threads
         assert (got.spacing, got.orientation) == (want.spacing, want.orientation)
-
-
-def test_consuming_path_holds_no_second_grid(rng):
-    """Written over its input, MCLAHE allocates no full float32 grid, at
-    thread budgets 1 and 2: the bins (a quarter of the input), row tables
-    and slab-sized temporaries trace under 1x the input (the public call,
-    with its output, traces about 1.7x)."""
-    for threads in (1, 2):
-        v = Volume(data=rng.random((192, 192, 48), dtype=np.float32), spacing=(1, 1, 1))
-        with thread_budget(threads):
-            assert traced_peak(_mclahe_consume, v) / v.data.nbytes < 1.0, threads
-
-
-def _traced_peak(data: np.ndarray, kernel) -> int:
-    v = Volume(data=data, spacing=(1, 1, 1))
-    return traced_peak(mclahe, v, MclaheParams(kernel_size=kernel))
-
-
-def test_tile_tables_follow_one_tile_row(rng):
-    """Tables are held for at most three tile rows (two while a run of
-    x-planes blends), not the whole tile grid, and are built once for all
-    threads: with one-voxel tiles, growing x
-    adds only the output and the bins to the peak, and small tiles on a
-    larger grid stay within 4x the input, at thread budgets 1 and 2."""
-    for threads in (1, 2):
-        with thread_budget(threads):
-            small = _traced_peak(rng.random((48, 48, 24), dtype=np.float32), (1, 1, 1))
-            large = _traced_peak(rng.random((192, 48, 24), dtype=np.float32), (1, 1, 1))
-            assert (large - small) / ((192 - 48) * 48 * 24) <= 8.0, threads
-
-            data = rng.random((192, 192, 48), dtype=np.float32)
-            assert _traced_peak(data, (4, 4, 2)) / data.nbytes <= 4.0, threads
 
 
 def test_interrupt_in_the_blend_joins_every_helper(rng, monkeypatch):

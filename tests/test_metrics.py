@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import biatrium
 from biatrium import metrics
 from biatrium import (
     ConfusionCounts,
@@ -24,7 +22,7 @@ from biatrium import (
     surface_points,
     write_report_csv,
 )
-from conftest import random_blobby_labels, random_noise_labels
+from conftest import child_env, random_blobby_labels, random_noise_labels
 from oracles import (
     brute_confusion,
     brute_dice,
@@ -478,11 +476,8 @@ def test_evaluate_case_equals_full_grid_oracle_across_slabs():
 def test_import_does_not_load_kdtree():
     # scipy.spatial is a slow import, paid by every CLI call and Python
     # backend; only a distance query needs it
-    src = os.path.dirname(os.path.dirname(biatrium.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, biatrium; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
 
@@ -490,16 +485,13 @@ def test_import_does_not_load_kdtree():
 def test_evaluate_case_of_a_near_prediction_does_not_load_kdtree():
     # the shell search settles a phantom against itself moved one voxel
     # in-plane, so a realistic evaluation pays no scipy.spatial import
-    src = os.path.dirname(os.path.dirname(biatrium.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, numpy as np\n"
             "from biatrium import LabelMap, PhantomSpec, evaluate_case, generate\n"
             "_, gt = generate(PhantomSpec())\n"
             "moved = LabelMap(data=np.roll(gt.data, 1, axis=0), spacing=gt.spacing)\n"
             "rows = evaluate_case(moved, gt)\n"
             "print([r.hd95_mm for r in rows], 'scipy.spatial' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                          capture_output=True, text=True, timeout=60)
     distances, loaded = out.stdout.strip().rsplit(" ", 1)
     assert distances == "[0.625, 0.625, 0.625]" and loaded == "False"

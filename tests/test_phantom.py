@@ -7,7 +7,6 @@ from scipy import ndimage
 from biatrium import ConfigError, Ellipsoid, PhantomSpec, generate
 from biatrium.core import _as_json, from_json
 
-from conftest import traced_peak
 from oracles import whole_grid_generate
 
 
@@ -222,14 +221,6 @@ def test_generate_equals_whole_grid_oracle():
         ref_vol, ref_gt = whole_grid_generate(spec)
         assert np.array_equal(vol.data, ref_vol.data)
         assert np.array_equal(gt.data, ref_gt.data)
-
-
-def test_generate_working_set_is_its_outputs():
-    """The default phantom traces at most 2x its image: the float32 image,
-    the uint8 labels and slab-sized temporaries."""
-    spec = PhantomSpec(noise_amplitude=0.05)
-    image_bytes = 4 * int(np.prod(spec.shape))
-    assert traced_peak(generate, spec) <= 2.0 * image_bytes
 
 
 def _spec(shape, spacing, la, ra, wall, noise):

@@ -39,7 +39,7 @@ from biatrium import (
     write_volume,
 )
 from backends import COMPONENT_SPLIT_FINE
-from conftest import interrupt_the_blend, thread_budget, traced_peak
+from conftest import child_env, interrupt_the_blend, thread_budget
 from biatrium import core, pipeline
 from biatrium.cli import main
 from biatrium.nifti import read_labelmap, write_nifti
@@ -355,10 +355,8 @@ def test_external_backend_output_is_not_held_in_memory(tmp_path):
     only the last 2000 bytes of stderr are read.  Measured on Linux x86-64,
     a backend writing 300 MB to stdout raised the peak resident size by
     about 600 MB when both streams were piped into memory."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
-    env = {**os.environ, TMPDIR_ENV: str(tmp_path), "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", _LOUD_BACKEND], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _LOUD_BACKEND],
+                         env=child_env(**{TMPDIR_ENV: str(tmp_path)}), check=True,
                          capture_output=True, text=True, timeout=300)
     growth_kib, error = json.loads(out.stdout)
     assert error.startswith("backend command exited with 3; stderr: ")
@@ -444,14 +442,11 @@ def _start_run(cfg: dict, run_dir, workers: int) -> subprocess.Popen:
     """``biatrium run --workers`` on ``cfg``, written to ``run_dir/cfg.json``,
     in a child that turns SIGINT into KeyboardInterrupt."""
     (run_dir / "cfg.json").write_text(json.dumps(cfg))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     # a shell that ignores SIGINT passes that on: restore the default,
     # under which Python raises KeyboardInterrupt
     return subprocess.Popen(
         [sys.executable, "-m", "biatrium.cli", "run", "--config", str(run_dir / "cfg.json"),
-         "--workers", str(workers)], env=env, stdout=subprocess.DEVNULL,
+         "--workers", str(workers)], env=child_env(), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
 
@@ -1169,61 +1164,6 @@ def test_interrupt_in_a_threaded_stage_joins_every_helper(env, monkeypatch, stag
     assert not (env["root"] / out / "summary.csv").exists()
 
 
-def test_case_working_set_is_bounded(tmp_path):
-    """No stage widens a full grid and each grid is dropped after its last
-    reader: a 192x192x48 gzip case with ground truth, default MCLAHE and
-    threshold backends traces at most 1.75x its float32 input at thread
-    budgets 1 and 2, because MCLAHE writes over the input it reads."""
-    vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
-    write_volume(vol, tmp_path / "image.nii.gz")
-    write_volume(gt, tmp_path / "gt.nii.gz")
-    cfg = config_from_dict({
-        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii.gz"),
-                   "gt": str(tmp_path / "gt.nii.gz")}],
-        "output_dir": str(tmp_path / "out"),
-        "standard_shape": [192, 192, 48],
-        "fine_window": [128, 128, 48],
-        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
-        "fine_backend": {"kind": "threshold", "threshold": 0.3},
-    })
-    assert cfg.mclahe_params is not None
-
-    def case():
-        result = run_case(cfg, cfg.cases[0])
-        assert result.ok and result.metrics, result.error
-
-    case()  # the first run also pays one-off costs such as lazy imports
-    for threads in (1, 2):
-        with thread_budget(threads):
-            assert traced_peak(case) <= 1.75 * vol.data.nbytes, threads
-
-
-def test_case_working_set_without_mclahe_is_bounded(tmp_path):
-    """Without MCLAHE, a case whose input already has the standard shape
-    holds one full float32 grid: the read streams into its output and
-    standardize shares it, so the case traces at most 1.75x its input."""
-    vol, gt = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
-    write_volume(vol, tmp_path / "image.nii.gz")
-    write_volume(gt, tmp_path / "gt.nii.gz")
-    cfg = config_from_dict({
-        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii.gz"),
-                   "gt": str(tmp_path / "gt.nii.gz")}],
-        "output_dir": str(tmp_path / "out"),
-        "standard_shape": list(vol.shape),
-        "fine_window": [128, 128, 48],
-        "mclahe": None,
-        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
-        "fine_backend": {"kind": "threshold", "threshold": 0.3},
-    })
-
-    def case():
-        result = run_case(cfg, cfg.cases[0])
-        assert result.ok and result.metrics, result.error
-
-    case()  # the first run also pays one-off costs such as lazy imports
-    assert traced_peak(case) <= 1.75 * vol.data.nbytes
-
-
 # Run in a fresh interpreter by the test below: the cases of a config
 # through run_pipeline on this thread, printing the resident KiB as each
 # case starts and ru_maxrss (KiB) as each returns.
@@ -1280,11 +1220,8 @@ def test_sequential_cases_give_their_heap_back(tmp_path):
         "coarse_backend": {"kind": "threshold", "threshold": 0.3},
         "fine_backend": {"kind": "threshold", "threshold": 0.3},
     }))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     out = subprocess.run([sys.executable, "-c", _MEMORY_PER_CASE, str(tmp_path / "cfg.json")],
-                         env=env, check=True, capture_output=True, text=True, timeout=300)
+                         env=child_env(), check=True, capture_output=True, text=True, timeout=300)
     starts, peaks = json.loads(out.stdout)
     for peak, start in zip(peaks, starts[1:]):
         assert (peak - start) * 1024 >= vol.data.nbytes, (starts, peaks)
@@ -1328,31 +1265,6 @@ def test_mmap_threshold_is_fixed_before_the_first_case(env, monkeypatch):
             s[:2] == [(-3, 8 << 20), (-1, 8 << 20)] for s in seen), seen
         # the heap is tuned and trimmed once per call, before the first case
         assert trims == [0], (workers, trims)
-
-
-def test_case_on_a_padded_standard_grid_holds_no_grid_copy(tmp_path):
-    """The standard grid is a placement, not an array: a 192x192x48 case on
-    the default 576x576x48 grid, without MCLAHE or ground truth, traces
-    less than one float32 standard grid (a copy of the grid alone is
-    63.7 MB)."""
-    vol, _ = generate(PhantomSpec(noise_amplitude=0.05, seed=1))
-    assert vol.shape == (192, 192, 48)
-    write_volume(vol, tmp_path / "image.nii")
-    cfg = config_from_dict({
-        "cases": [{"case_id": "c", "image": str(tmp_path / "image.nii")}],
-        "output_dir": str(tmp_path / "out"),
-        "mclahe": None,
-        "coarse_backend": {"kind": "threshold", "threshold": 0.3},
-        "fine_backend": {"kind": "threshold", "threshold": 0.3},
-    })
-    assert cfg.standard_shape == (576, 576, 48)
-
-    def case():
-        result = run_case(cfg, cfg.cases[0])
-        assert result.ok and not result.flags, result.error
-
-    case()  # the first run also pays one-off costs such as lazy imports
-    assert traced_peak(case) < 576 * 576 * 48 * 4
 
 
 def test_paper_scale_case_checks_the_input_once(tmp_path, monkeypatch):

@@ -230,6 +230,13 @@ def test_header_limits_are_stated_once():
     assert _breaches_in_src("header_limits") == []
 
 
+def test_memory_is_traced_in_one_file():
+    """A traced bound is a row of test_memory.py; conftest.py defines traced_peak."""
+    found = {(m, use.split()[0]) for m, _, _, use in uses(TESTS) if re.fullmatch(
+        r"call (.*\.)?traced_peak\(.*|(import|read) tracemalloc(\..*)?", use)}
+    assert found == {("conftest", "import"), ("conftest", "read"), ("test_memory", "call")}
+
+
 # Each row's plant: the ``module:line`` of each breach the row reports, in
 # order, and the modules it writes, whose other uses the row must allow.
 PLANTS = {
